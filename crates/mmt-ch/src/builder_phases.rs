@@ -3,253 +3,116 @@
 //! The CH is built "naively in `log C` phases" from the original graph
 //! (not the minimum spanning tree — the paper found that faster in
 //! practice; the MST route is kept in [`crate::builder_mst`] as the
-//! ablation). Each phase `i`:
+//! ablation). Phase `i` admits the edges of weight `< 2^i`; every set of
+//! phase-`(i-1)` components they connect becomes one CH node.
 //!
-//! 1. restrict to edges of weight `< 2^i` (on the contracted graph, all
-//!    surviving edges already have weight `≥ 2^{i-1}`, so this admits one
-//!    new weight band per phase);
-//! 2. find connected components **in parallel** (MTGL's "bully" algorithm
-//!    in the paper; our label-propagation equivalent by default);
-//! 3. create a CH node per component and contract, relabelling the
-//!    surviving heavier edges through the component map.
+//! The edges are bucketed by phase once, and one concurrent union-find
+//! lives across all phases, so each edge is looked at in exactly one phase
+//! and a phase costs work in proportion to its own weight band, not to the
+//! whole graph. Phase `i`:
 //!
-//! All bulk steps (filtering, relabelling, deduplication sort) are rayon
-//! parallel, so the construction scales with the pool it runs in — this is
-//! the code path behind the paper's Table 3 and the top half of Figure 4.
+//! 1. find, in parallel, the pre-phase roots of both ends of every band
+//!    edge (weights in `[2^{i-1}, 2^i)`) and drop the edges already inside
+//!    one component;
+//! 2. union the remaining root pairs in parallel;
+//! 3. sort the old roots by their new root and add one CH node per merged
+//!    set.
+//!
+//! [`ConcurrentDsu`] always hooks the larger root under the smaller, so a
+//! root is its set's minimum vertex whatever the thread interleaving. Nodes
+//! are added in ascending new-root order with children in ascending
+//! old-root order, which makes the tree — node ids, child order, alphas —
+//! identical at every pool size. This is the code path behind the paper's
+//! Table 3 and the top half of Figure 4.
 
 use crate::builder_dsu::phase_of;
 use crate::hierarchy::{ChAssembler, ComponentHierarchy};
-use crate::ChMode;
-use mmt_cc::{connected_components, CcAlgorithm, Components, EdgeSet};
-use mmt_graph::types::{Edge, EdgeList};
+use mmt_cc::ConcurrentDsu;
+use mmt_graph::types::{EdgeList, VertexId};
 use rayon::prelude::*;
 
-/// Configuration for the parallel builder.
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelBuildConfig {
-    /// Chain handling (faithful Algorithm 1 vs collapsed).
-    pub mode: ChMode,
-    /// Which parallel CC algorithm the phases run.
-    pub cc: CcAlgorithm,
-    /// Deduplicate parallel edges between the same contracted pair after
-    /// each phase (keeps intermediate graphs small; semantics unchanged
-    /// because only the minimum-weight copy can affect connectivity).
-    pub dedup: bool,
-}
-
-impl Default for ParallelBuildConfig {
-    fn default() -> Self {
-        Self {
-            mode: ChMode::Collapsed,
-            cc: CcAlgorithm::LabelPropagation,
-            dedup: true,
-        }
-    }
-}
-
-/// Per-phase observability of a parallel construction: what Algorithm 1
-/// actually did, phase by phase — the data behind the paper's Table 3
-/// family-to-family differences (small-`C` families run few phases over
-/// fast-shrinking graphs; large-`C` families run `log C` of them).
-#[derive(Debug, Clone, Default)]
-pub struct BuildTrace {
-    /// One entry per executed phase.
-    pub phases: Vec<PhaseTrace>,
-}
-
-/// Statistics of one construction phase.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseTrace {
-    /// Phase index `i` (edges of weight `< 2^i` admitted).
-    pub phase: u32,
-    /// Super-vertices entering the phase.
-    pub vertices_in: usize,
-    /// Edges admitted (weight in `[2^{i-1}, 2^i)` after contraction).
-    pub light_edges: usize,
-    /// Components found (= super-vertices leaving the phase).
-    pub components: usize,
-    /// Seconds spent in the phase.
-    pub seconds: f64,
-}
-
-impl BuildTrace {
-    /// Total construction seconds across phases.
-    pub fn total_seconds(&self) -> f64 {
-        self.phases.iter().map(|p| p.seconds).sum()
-    }
-
-    /// The phase that dominated the construction, if any ran.
-    pub fn slowest_phase(&self) -> Option<&PhaseTrace> {
-        self.phases
-            .iter()
-            .max_by(|a, b| a.seconds.total_cmp(&b.seconds))
-    }
-}
-
-/// Builds the CH with the default configuration.
+/// Builds the collapsed CH of `el` (single-child chains skipped; at most
+/// `2n - 1` nodes). The faithful form comes from
+/// [`crate::build_serial`].
 pub fn build_parallel(el: &EdgeList) -> ComponentHierarchy {
-    build_parallel_with(el, ParallelBuildConfig::default())
-}
-
-/// Builds the CH with an explicit configuration.
-pub fn build_parallel_with(el: &EdgeList, cfg: ParallelBuildConfig) -> ComponentHierarchy {
-    build_parallel_impl(el, cfg, None)
-}
-
-/// As [`build_parallel_with`], also returning the per-phase trace.
-pub fn build_parallel_traced(
-    el: &EdgeList,
-    cfg: ParallelBuildConfig,
-) -> (ComponentHierarchy, BuildTrace) {
-    let mut trace = BuildTrace::default();
-    let ch = build_parallel_impl(el, cfg, Some(&mut trace));
-    (ch, trace)
-}
-
-fn build_parallel_impl(
-    el: &EdgeList,
-    cfg: ParallelBuildConfig,
-    mut trace: Option<&mut BuildTrace>,
-) -> ComponentHierarchy {
     let n = el.n;
     if n == 0 {
+        // An empty graph still needs a root node for a well-formed tree.
         let mut asm = ChAssembler::new(1);
         asm.add_node(0, vec![0]);
         return asm.finish();
     }
     let mut asm = ChAssembler::new(n);
-    let max_phase = el
-        .edges
-        .par_iter()
-        .map(|e| phase_of(e.w))
-        .max()
-        .unwrap_or(0);
-
-    // Contracted-graph state: `cur_edges` over `cur_n` super-vertices, and
-    // the CH node each super-vertex currently stands for.
-    let mut cur_edges: Vec<Edge> = el
-        .edges
-        .par_iter()
-        .copied()
-        .filter(|e| !e.is_self_loop())
-        .collect();
+    let (ends, band_end) = bucket_by_phase(el);
+    let dsu = ConcurrentDsu::new(n);
+    // CH node currently standing for each component, indexed by its root.
     let mut node_of: Vec<u32> = (0..n as u32).collect();
-    let mut cur_n = n;
-
-    for phase in 1..=max_phase {
-        let started = std::time::Instant::now();
-        let threshold = if phase >= 32 { u64::MAX } else { 1u64 << phase };
-        let (light, heavy): (Vec<Edge>, Vec<Edge>) =
-            cur_edges.par_iter().partition(|e| (e.w as u64) < threshold);
-        if light.is_empty() {
-            if cfg.mode == ChMode::Faithful {
-                chain_all(&mut asm, &mut node_of, phase);
-            }
-            if let Some(t) = trace.as_deref_mut() {
-                t.phases.push(PhaseTrace {
-                    phase,
-                    vertices_in: cur_n,
-                    light_edges: 0,
-                    components: cur_n,
-                    seconds: started.elapsed().as_secs_f64(),
-                });
-            }
+    for phase in 1..band_end.len() {
+        let band = &ends[band_end[phase - 1]..band_end[phase]];
+        let crossing: Vec<(VertexId, VertexId)> = band
+            .par_iter()
+            .filter_map(|&(u, v)| {
+                let (ru, rv) = (dsu.find(u), dsu.find(v));
+                (ru != rv).then_some((ru, rv))
+            })
+            .collect();
+        if crossing.is_empty() {
             continue;
         }
-        let comps = connected_components(
-            EdgeSet {
-                n: cur_n,
-                edges: &light,
-            },
-            cfg.cc,
-        );
-        let vertices_in = cur_n;
-        let light_count = light.len();
-        let (new_node_of, remap, next_n) =
-            materialise_phase(&mut asm, &node_of, &comps, phase, cfg.mode);
-        node_of = new_node_of;
-        cur_n = next_n;
-        // Contract the heavy edges through the component map; drop the
-        // (now intra-component) light edges and any new self loops.
-        cur_edges = heavy
+        crossing.par_iter().for_each(|&(ru, rv)| {
+            dsu.union(ru, rv);
+        });
+        // `new_root << 32 | old_root`: sorted, each merged set is a run of
+        // at least two distinct old roots, sets in ascending new-root order.
+        let mut merged: Vec<u64> = crossing
             .par_iter()
-            .map(|e| Edge::new(remap[e.u as usize], remap[e.v as usize], e.w))
-            .filter(|e| !e.is_self_loop())
+            .flat_map_iter(|&(ru, rv)| {
+                let root = u64::from(dsu.find(ru)) << 32;
+                [root | u64::from(ru), root | u64::from(rv)]
+            })
             .collect();
-        if cfg.dedup {
-            dedup_min_weight(&mut cur_edges);
-        }
-        if let Some(t) = trace.as_deref_mut() {
-            t.phases.push(PhaseTrace {
-                phase,
-                vertices_in,
-                light_edges: light_count,
-                components: next_n,
-                seconds: started.elapsed().as_secs_f64(),
-            });
+        merged.par_sort_unstable();
+        merged.dedup();
+        let alpha = (phase - 1) as u8;
+        for set in merged.chunk_by(|a, b| a >> 32 == b >> 32) {
+            let children = set.iter().map(|&k| node_of[k as u32 as usize]).collect();
+            node_of[(set[0] >> 32) as usize] = asm.add_node(alpha, children);
         }
     }
     asm.finish()
 }
 
-/// Creates the phase's CH nodes and the contraction maps.
-///
-/// Returns `(node_of, remap, next_n)` where `remap[old_super] = new_super`
-/// and `node_of[new_super]` is the CH node representing it.
-fn materialise_phase(
-    asm: &mut ChAssembler,
-    node_of: &[u32],
-    comps: &Components,
-    phase: u32,
-    mode: ChMode,
-) -> (Vec<u32>, Vec<u32>, usize) {
-    let cur_n = node_of.len();
-    let alpha = (phase - 1) as u8;
-    // Group super-vertices by component label. Counting pass then bucket
-    // fill (serial; the group step is O(cur_n) and cheap next to CC).
-    let mut new_id = vec![u32::MAX; cur_n];
-    let mut order: Vec<u32> = Vec::with_capacity(comps.count);
-    for v in 0..cur_n {
-        let l = comps.labels[v] as usize;
-        if new_id[l] == u32::MAX {
-            new_id[l] = order.len() as u32;
-            order.push(l as u32);
-        }
+/// Counting-sorts the non-loop edges' endpoints by the phase that admits
+/// them. Returns the endpoints and `band_end`, where phase `i`'s band is
+/// `band_end[i - 1]..band_end[i]`. A weight-0 edge (rejected by `phase_of`
+/// in debug builds) joins phase 1, the first with `w < 2^i`.
+fn bucket_by_phase(el: &EdgeList) -> (Vec<(VertexId, VertexId)>, Vec<usize>) {
+    let max_phase = el
+        .edges
+        .par_iter()
+        .map(|e| phase_of(e.w))
+        .max()
+        .unwrap_or(0) as usize;
+    if max_phase == 0 {
+        return (Vec::new(), vec![0]);
     }
-    let mut members: Vec<Vec<u32>> = vec![Vec::new(); comps.count];
-    for v in 0..cur_n {
-        members[new_id[comps.labels[v] as usize] as usize].push(node_of[v]);
+    let band_of = |w| (phase_of(w) as usize).max(1);
+    let mut band_end = vec![0usize; max_phase + 1];
+    for e in el.edges.iter().filter(|e| !e.is_self_loop()) {
+        band_end[band_of(e.w)] += 1;
     }
-    let mut new_node_of = vec![0u32; comps.count];
-    for (g, children) in members.into_iter().enumerate() {
-        debug_assert!(!children.is_empty());
-        new_node_of[g] = if children.len() == 1 && mode == ChMode::Collapsed {
-            children[0]
-        } else {
-            asm.add_node(alpha, children)
-        };
+    for i in 1..=max_phase {
+        band_end[i] += band_end[i - 1];
     }
-    let remap: Vec<u32> = (0..cur_n)
-        .into_par_iter()
-        .map(|v| new_id[comps.labels[v] as usize])
-        .collect();
-    (new_node_of, remap, comps.count)
-}
-
-/// Faithful-mode phase with no admitted edges: every component still gets a
-/// chain node.
-fn chain_all(asm: &mut ChAssembler, node_of: &mut [u32], phase: u32) {
-    let alpha = (phase - 1) as u8;
-    for slot in node_of.iter_mut() {
-        *slot = asm.add_node(alpha, vec![*slot]);
+    // `next[i - 1]`: the first free slot of phase `i`'s band.
+    let mut next = band_end.clone();
+    let mut ends = vec![(0, 0); band_end[max_phase]];
+    for e in el.edges.iter().filter(|e| !e.is_self_loop()) {
+        let slot = &mut next[band_of(e.w) - 1];
+        ends[*slot] = (e.u, e.v);
+        *slot += 1;
     }
-}
-
-/// Keeps, for each unordered contracted pair, only the lightest edge.
-fn dedup_min_weight(edges: &mut Vec<Edge>) {
-    edges.par_iter_mut().for_each(|e| *e = e.canonical());
-    edges.par_sort_unstable_by_key(|e| (e.u, e.v, e.w));
-    edges.dedup_by_key(|e| (e.u, e.v));
+    (ends, band_end)
 }
 
 #[cfg(test)]
@@ -257,18 +120,13 @@ mod tests {
     use super::*;
     use crate::builder_dsu::build_serial;
     use crate::stats::canonical_signature;
-    use mmt_graph::gen::shapes;
+    use crate::ChMode;
+    use mmt_graph::gen::{shapes, GraphClass, WeightDist, WorkloadSpec};
     use mmt_graph::CsrGraph;
 
-    fn assert_same_hierarchy(el: &EdgeList, mode: ChMode) {
-        let serial = build_serial(el, mode);
-        let parallel = build_parallel_with(
-            el,
-            ParallelBuildConfig {
-                mode,
-                ..Default::default()
-            },
-        );
+    fn assert_same_hierarchy(el: &EdgeList) {
+        let serial = build_serial(el, ChMode::Collapsed);
+        let parallel = build_parallel(el);
         let g = CsrGraph::from_edge_list(el);
         parallel.validate(Some(&g)).unwrap();
         serial.validate(Some(&g)).unwrap();
@@ -281,119 +139,194 @@ mod tests {
 
     #[test]
     fn matches_serial_on_figure_one() {
-        assert_same_hierarchy(&shapes::figure_one(), ChMode::Collapsed);
-        assert_same_hierarchy(&shapes::figure_one(), ChMode::Faithful);
+        assert_same_hierarchy(&shapes::figure_one());
     }
 
     #[test]
     fn matches_serial_on_shapes() {
-        assert_same_hierarchy(&shapes::path(9, 3), ChMode::Collapsed);
-        assert_same_hierarchy(&shapes::star(7, 5), ChMode::Collapsed);
-        assert_same_hierarchy(&shapes::complete(6, 2), ChMode::Collapsed);
-        assert_same_hierarchy(
-            &EdgeList::from_triples(5, [(0, 1, 1), (1, 2, 2), (2, 3, 4), (3, 4, 8)]),
-            ChMode::Faithful,
-        );
+        assert_same_hierarchy(&shapes::path(9, 3));
+        assert_same_hierarchy(&shapes::star(7, 5));
+        assert_same_hierarchy(&shapes::complete(6, 2));
+        assert_same_hierarchy(&EdgeList::from_triples(
+            5,
+            [(0, 1, 1), (1, 2, 2), (2, 3, 4), (3, 4, 8)],
+        ));
     }
 
     #[test]
     fn matches_serial_on_random_graphs() {
-        use mmt_graph::gen::{GraphClass, WeightDist, WorkloadSpec};
-        for class in [GraphClass::Random, GraphClass::Rmat] {
+        for class in [GraphClass::Random, GraphClass::Rmat, GraphClass::Road] {
             for dist in [WeightDist::Uniform, WeightDist::PolyLog] {
                 for log_c in [1, 4, 8] {
                     let mut spec = WorkloadSpec::new(class, dist, 7, log_c);
                     spec.seed = 42;
-                    let el = spec.generate();
-                    assert_same_hierarchy(&el, ChMode::Collapsed);
+                    assert_same_hierarchy(&spec.generate());
                 }
             }
         }
     }
 
     #[test]
-    fn all_cc_algorithms_give_same_hierarchy() {
-        let el = shapes::figure_one();
-        let base = build_parallel(&el);
-        for cc in [CcAlgorithm::SerialDsu, CcAlgorithm::ShiloachVishkin] {
-            let other = build_parallel_with(
-                &el,
-                ParallelBuildConfig {
-                    cc,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(canonical_signature(&base), canonical_signature(&other));
-        }
-    }
-
-    #[test]
-    fn dedup_keeps_lightest_parallel_edge() {
-        let mut edges = vec![
-            Edge::new(3, 1, 9),
-            Edge::new(1, 3, 2),
-            Edge::new(0, 1, 5),
-            Edge::new(1, 3, 4),
-        ];
-        dedup_min_weight(&mut edges);
-        assert_eq!(edges, vec![Edge::new(0, 1, 5), Edge::new(1, 3, 2)]);
-    }
-
-    #[test]
     fn disconnected_and_degenerate_inputs() {
         let el = EdgeList::from_triples(4, [(0, 1, 2), (2, 3, 2)]);
-        assert_same_hierarchy(&el, ChMode::Collapsed);
+        assert_same_hierarchy(&el);
         let ch = build_parallel(&EdgeList::new(3));
         assert_eq!(ch.children(ch.root()).len(), 3);
         let ch = build_parallel(&EdgeList::new(0));
         assert_eq!(ch.num_nodes(), 2);
+        let ch = build_parallel(&EdgeList::new(1));
+        assert!(ch.is_leaf(ch.root()));
     }
 
     #[test]
-    fn trace_accounts_for_all_phases() {
-        let el = EdgeList::from_triples(5, [(0, 1, 1), (1, 2, 2), (2, 3, 4), (3, 4, 8)]);
-        let (ch, trace) = build_parallel_traced(&el, ParallelBuildConfig::default());
-        assert_eq!(ch.num_nodes(), 9);
-        // Weights 1,2,4,8 -> phases 1..=4, each merging one component.
-        assert_eq!(trace.phases.len(), 4);
-        assert_eq!(
-            trace.phases.iter().map(|p| p.phase).collect::<Vec<_>>(),
-            vec![1, 2, 3, 4]
-        );
-        assert_eq!(trace.phases[0].vertices_in, 5);
-        assert_eq!(trace.phases[0].light_edges, 1);
-        assert_eq!(trace.phases[0].components, 4);
-        assert_eq!(trace.phases[3].components, 1);
-        assert!(trace.total_seconds() >= 0.0);
-        assert!(trace.slowest_phase().is_some());
-        // Traced and untraced builds are identical.
-        assert_eq!(
-            canonical_signature(&ch),
-            canonical_signature(&build_parallel(&el))
-        );
+    fn bands_hold_each_non_loop_edge_once_in_input_order() {
+        let el = EdgeList::from_triples(4, [(0, 1, 3), (1, 2, 1), (2, 2, 9), (2, 3, 2), (3, 0, 8)]);
+        let (ends, band_end) = bucket_by_phase(&el);
+        // Phase 4 (weights 8..16) exists because of the self loop's
+        // weight; the loop itself is in no band.
+        assert_eq!(band_end, vec![0, 1, 3, 3, 4]);
+        assert_eq!(ends, vec![(1, 2), (0, 1), (2, 3), (3, 0)]);
+        let (ends, band_end) = bucket_by_phase(&EdgeList::new(2));
+        assert!(ends.is_empty());
+        assert_eq!(band_end, vec![0]);
+    }
+
+    /// FNV-1a of the [`crate::io::write_ch`] bytes of [`build_parallel`]
+    /// on seeded `2^10` inputs, recorded from the contract-and-relabel
+    /// builder this one replaced: any change in node ids, child order or
+    /// alphas changes a fingerprint.
+    const PINNED: [(GraphClass, WeightDist, u32, u64); 18] = [
+        (
+            GraphClass::Random,
+            WeightDist::Uniform,
+            2,
+            0xbdc1_8026_450e_05d0,
+        ),
+        (
+            GraphClass::Random,
+            WeightDist::Uniform,
+            8,
+            0xf67f_fec8_315a_144c,
+        ),
+        (
+            GraphClass::Random,
+            WeightDist::Uniform,
+            16,
+            0x88b8_a2bb_6735_7a30,
+        ),
+        (
+            GraphClass::Random,
+            WeightDist::PolyLog,
+            2,
+            0x0932_911f_28d7_96bd,
+        ),
+        (
+            GraphClass::Random,
+            WeightDist::PolyLog,
+            8,
+            0x7ace_1a15_30d9_9fcd,
+        ),
+        (
+            GraphClass::Random,
+            WeightDist::PolyLog,
+            16,
+            0x3f55_4e54_bcff_96eb,
+        ),
+        (
+            GraphClass::Rmat,
+            WeightDist::Uniform,
+            2,
+            0x0812_dfb6_989c_82bb,
+        ),
+        (
+            GraphClass::Rmat,
+            WeightDist::Uniform,
+            8,
+            0x139e_0863_b682_68a2,
+        ),
+        (
+            GraphClass::Rmat,
+            WeightDist::Uniform,
+            16,
+            0x1146_341d_989b_0790,
+        ),
+        (
+            GraphClass::Rmat,
+            WeightDist::PolyLog,
+            2,
+            0x3c21_0b2a_45e2_dd4b,
+        ),
+        (
+            GraphClass::Rmat,
+            WeightDist::PolyLog,
+            8,
+            0xf4ce_7dad_15f7_097e,
+        ),
+        (
+            GraphClass::Rmat,
+            WeightDist::PolyLog,
+            16,
+            0xfc18_0a02_4410_d763,
+        ),
+        (
+            GraphClass::Road,
+            WeightDist::Uniform,
+            2,
+            0xc312_89c2_e3d9_bcce,
+        ),
+        (
+            GraphClass::Road,
+            WeightDist::Uniform,
+            8,
+            0x87a5_7bde_9e33_65f3,
+        ),
+        (
+            GraphClass::Road,
+            WeightDist::Uniform,
+            16,
+            0x65e7_e7e3_3b8b_87d7,
+        ),
+        (
+            GraphClass::Road,
+            WeightDist::PolyLog,
+            2,
+            0xfc9a_c109_f504_3ab2,
+        ),
+        (
+            GraphClass::Road,
+            WeightDist::PolyLog,
+            8,
+            0x6e57_882c_0c15_74fb,
+        ),
+        (
+            GraphClass::Road,
+            WeightDist::PolyLog,
+            16,
+            0xdd0e_7f4b_8570_d785,
+        ),
+    ];
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
     }
 
     #[test]
-    fn trace_records_empty_phases() {
-        // Weights 1 and 8 only: phases 2 and 3 admit nothing.
-        let el = EdgeList::from_triples(3, [(0, 1, 1), (1, 2, 8)]);
-        let (_, trace) = build_parallel_traced(&el, ParallelBuildConfig::default());
-        assert_eq!(trace.phases.len(), 4);
-        assert_eq!(trace.phases[1].light_edges, 0);
-        assert_eq!(trace.phases[1].components, trace.phases[1].vertices_in);
-    }
-
-    #[test]
-    fn no_dedup_matches_dedup() {
-        let el = shapes::figure_one();
-        let a = build_parallel_with(
-            &el,
-            ParallelBuildConfig {
-                dedup: false,
-                ..Default::default()
-            },
-        );
-        let b = build_parallel(&el);
-        assert_eq!(canonical_signature(&a), canonical_signature(&b));
+    fn pinned_hierarchies_at_every_pool_size() {
+        for (class, dist, log_c, want) in PINNED {
+            let spec = WorkloadSpec::new(class, dist, 10, log_c);
+            let el = spec.generate();
+            for threads in [1, 2, 4] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let ch = pool.install(|| build_parallel(&el));
+                let mut bytes = Vec::new();
+                crate::io::write_ch(&mut bytes, &ch).unwrap();
+                assert_eq!(fnv1a(&bytes), want, "{} at {threads} threads", spec.name());
+            }
+        }
     }
 }

@@ -8,7 +8,8 @@
 //! so the structure here is frozen and the per-query state lives elsewhere.
 //!
 //! * [`hierarchy`] — the frozen tree, its invariants and validator;
-//! * [`builder_phases`] — the paper's Algorithm 1, parallel (Table 3 / Fig 4);
+//! * [`builder_phases`] — the paper's Algorithm 1, parallel: one concurrent
+//!   union-find over the weight bands (Table 3 / Fig 4);
 //! * [`builder_dsu`] — the serial union-find equivalent (oracle + Table 1);
 //! * [`builder_mst`] — Thorup's MST route, kept as an ablation;
 //! * [`zero_weight`] — the preprocessing contraction for zero-weight edges;
@@ -29,9 +30,7 @@ pub mod zero_weight;
 
 pub use builder_dsu::build_serial;
 pub use builder_mst::build_via_mst;
-pub use builder_phases::{
-    build_parallel, build_parallel_traced, build_parallel_with, BuildTrace, ParallelBuildConfig,
-};
+pub use builder_phases::build_parallel;
 pub use clustering::{clusters_at_level, clusters_at_threshold, merge_threshold, Clustering};
 pub use hierarchy::ComponentHierarchy;
 pub use stats::ChStats;

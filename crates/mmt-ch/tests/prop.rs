@@ -23,10 +23,16 @@ proptest! {
         let serial = build_serial(&el, ChMode::Collapsed);
         serial.validate(Some(&g)).map_err(TestCaseError::fail)?;
         let parallel = build_parallel(&el);
+        parallel.validate(Some(&g)).map_err(TestCaseError::fail)?;
         let mst = build_via_mst(&el, ChMode::Collapsed);
         let sig = canonical_signature(&serial);
         prop_assert_eq!(&sig, &canonical_signature(&parallel));
         prop_assert_eq!(&sig, &canonical_signature(&mst));
+        // Not just the same shape: the same tree at every pool size.
+        for threads in [1, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            prop_assert_eq!(&parallel, &pool.install(|| build_parallel(&el)));
+        }
     }
 
     #[test]

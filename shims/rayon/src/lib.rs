@@ -406,30 +406,6 @@ pub trait ParallelIterator: Sized + Send + Sync {
         !self.any(|item| !pred(item))
     }
 
-    /// Splits items by `pred` into two collections, preserving order.
-    fn partition<A, B, P>(self, pred: P) -> (A, B)
-    where
-        A: FromParallelIterator<Self::Item>,
-        B: FromParallelIterator<Self::Item>,
-        P: Fn(&Self::Item) -> bool + Send + Sync,
-    {
-        let parts = parts_for(self.est_len());
-        let pairs = run_parts(parts, |part| {
-            let mut yes = Vec::new();
-            let mut no = Vec::new();
-            self.feed(part, parts, &mut |item| {
-                if pred(&item) {
-                    yes.push(item);
-                } else {
-                    no.push(item);
-                }
-            });
-            (yes, no)
-        });
-        let (yes, no): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
-        (A::from_parts(yes), B::from_parts(no))
-    }
-
     /// Evaluates all shards into per-shard vectors, in shard order.
     fn collect_parts(&self) -> Vec<Vec<Self::Item>> {
         let parts = parts_for(self.est_len());
@@ -647,54 +623,6 @@ impl<'a, T: Sync> ParallelIterator for ParChunks<'a, T> {
     }
 }
 
-/// Exclusive mutable parallel iterator over a slice. Supports only
-/// [`ParSliceMut::for_each`] (the workspace's sole `par_iter_mut` use).
-pub struct ParSliceMut<'a, T> {
-    slice: &'a mut [T],
-}
-
-impl<'a, T: Send> ParSliceMut<'a, T> {
-    /// Runs `f` on every element, in parallel across shards.
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&mut T) + Send + Sync,
-    {
-        let parts = parts_for(self.slice.len());
-        if parts <= 1 {
-            for item in self.slice {
-                f(item);
-            }
-            return;
-        }
-        let len = self.slice.len();
-        let mut shards = Vec::with_capacity(parts);
-        let mut rest = self.slice;
-        let mut taken = 0;
-        for part in 0..parts {
-            let (_, hi) = part_bounds(len, part, parts);
-            let (shard, tail) = rest.split_at_mut(hi - taken);
-            taken = hi;
-            rest = tail;
-            shards.push(shard);
-        }
-        let handler = current_handler();
-        std::thread::scope(|scope| {
-            for (part, shard) in shards.into_iter().enumerate() {
-                let f = &f;
-                let handler = handler.clone();
-                scope.spawn(move || {
-                    if let Some(h) = &handler {
-                        h(part);
-                    }
-                    for item in shard {
-                        f(item);
-                    }
-                });
-            }
-        });
-    }
-}
-
 /// Extension methods putting slices into the parallel world.
 pub trait ParallelSlice<T: Sync> {
     /// Parallel borrowing iterator.
@@ -716,8 +644,6 @@ impl<T: Sync> ParallelSlice<T> for [T] {
 
 /// Extension methods for mutable slice parallelism.
 pub trait ParallelSliceMut<T: Send> {
-    /// Exclusive parallel iterator.
-    fn par_iter_mut(&mut self) -> ParSliceMut<'_, T>;
     /// Unstable sort (serial in the shim).
     fn par_sort_unstable(&mut self)
     where
@@ -727,10 +653,6 @@ pub trait ParallelSliceMut<T: Send> {
 }
 
 impl<T: Send> ParallelSliceMut<T> for [T] {
-    fn par_iter_mut(&mut self) -> ParSliceMut<'_, T> {
-        ParSliceMut { slice: self }
-    }
-
     fn par_sort_unstable(&mut self)
     where
         T: Ord,
@@ -850,15 +772,12 @@ mod tests {
     }
 
     #[test]
-    fn reduce_max_min_partition() {
+    fn reduce_max_min() {
         let v: Vec<u32> = vec![5, 3, 9, 1, 7];
         assert_eq!(v.par_iter().copied().max(), Some(9));
         assert_eq!(v.par_iter().copied().min(), Some(1));
         let r = v.par_iter().copied().reduce(|| 0, |a, b| a + b);
         assert_eq!(r, 25);
-        let (small, big): (Vec<u32>, Vec<u32>) = v.par_iter().partition(|&&x| x < 5);
-        assert_eq!(small, vec![3, 1]);
-        assert_eq!(big, vec![5, 9, 7]);
     }
 
     #[test]
@@ -876,13 +795,6 @@ mod tests {
             .map(|c| c.iter().sum::<u64>())
             .reduce(|| 0, |a, b| a + b);
         assert_eq!(total, 102 * 103 / 2);
-    }
-
-    #[test]
-    fn par_iter_mut_for_each() {
-        let mut v: Vec<u32> = (0..257).collect();
-        v.par_iter_mut().for_each(|x| *x *= 2);
-        assert!(v.iter().enumerate().all(|(i, &x)| x == 2 * i as u32));
     }
 
     #[test]
