@@ -203,6 +203,11 @@ impl DeltaScratch {
         }
     }
 
+    /// Relax lanes (the thread budget when the scratch was built).
+    pub fn lane_count(&self) -> usize {
+        self.relax.lane_count()
+    }
+
     /// Cyclic ring length for `split`: `C/Δ + 2` slots.
     fn ring_len(split: &impl SplitAdjacency) -> usize {
         (split.max_weight() as u64 / split.delta().max(1) as u64 + 2) as usize

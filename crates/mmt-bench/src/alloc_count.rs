@@ -11,10 +11,16 @@
 //! stay provably safe.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// This thread's allocations (const, drop-free: bumping never allocates).
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 /// A [`System`]-backed allocator that counts allocations and bytes.
 pub struct CountingAllocator;
@@ -24,6 +30,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
 
@@ -34,6 +41,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -58,6 +66,14 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     let out = f();
     let (a1, b1) = totals();
     (out, a1.saturating_sub(a0), b1.saturating_sub(b0))
+}
+
+/// As [`measure`], counting only the calling thread's allocations: exact
+/// under concurrent tests when `f` runs wholly on this thread.
+pub fn measure_thread<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = THREAD_ALLOCS.get();
+    let out = f();
+    (out, THREAD_ALLOCS.get() - before)
 }
 
 #[cfg(test)]

@@ -973,4 +973,42 @@ mod tests {
             );
         }
     }
+
+    #[cfg(feature = "count-alloc")]
+    #[test]
+    fn one_lane_stepping_allocates_nothing_per_warm_query() {
+        use mmt_baselines::{default_rho, delta_star_presplit, rho_stepping_presplit, StepScratch};
+        use mmt_graph::CsrGraph;
+        for class in [GraphClass::Random, GraphClass::Road] {
+            let spec = WorkloadSpec::new(class, WeightDist::Uniform, 12, 12);
+            let g = CsrGraph::from_edge_list(&spec.generate());
+            let split = SplitCsr::new(&g, adaptive_delta(&g).clamp(1, u32::MAX as u64) as u32);
+            let sources: Vec<u32> = (0..4).map(|i| (i * g.n() / 4) as u32).collect();
+            let rho = default_rho(g.n());
+            mmt_platform::with_pool(1, || {
+                let mut delta = DeltaScratch::new(&split);
+                let mut steps = StepScratch::new(&split);
+                let mut star = StepScratch::new(&split);
+                let mut solve = |kernel: usize| {
+                    for &s in &sources {
+                        match kernel {
+                            0 => delta_stepping_presplit(&split, s, &mut delta, None),
+                            1 => rho_stepping_presplit(&split, s, rho, &mut steps, None),
+                            _ => delta_star_presplit(&split, s, &mut star, None),
+                        }
+                    }
+                };
+                for (kernel, name) in ["delta", "rho", "delta-star"].into_iter().enumerate() {
+                    solve(kernel);
+                    let ((), allocs) = crate::alloc_count::measure_thread(|| solve(kernel));
+                    assert_eq!(
+                        allocs,
+                        0,
+                        "{}: one-lane {name} allocated on warm sources",
+                        spec.name()
+                    );
+                }
+            });
+        }
+    }
 }

@@ -30,7 +30,7 @@
 //! scratch discipline of [`GenerationStamps`]).
 
 use crate::mem::MemFootprint;
-use crate::scratch::GenerationStamps;
+use crate::scratch::{scatter_lanes, GenerationStamps};
 use parking_lot::Mutex;
 use rayon::prelude::*;
 
@@ -163,25 +163,15 @@ impl FrontierBins {
     /// Runs `f(item, lane)` over `items` in parallel, handing each worker
     /// exclusive `&mut` access to one [`BinLane`] for its whole
     /// contiguous chunk — the relax phase writes only thread-local bins.
-    /// Each lane's mutex is taken once per scatter (uncontended: chunk →
-    /// lane assignment is a bijection), not once per item.
+    /// Each lane's mutex is taken once per scatter, not once per item.
+    /// With one lane (as in [`scatter_owned`](Self::scatter_owned)) the
+    /// whole list runs inline on the calling thread.
     pub fn scatter<I, F>(&self, items: &[I], f: F)
     where
         I: Sync,
         F: Fn(&I, &mut BinLane) + Sync,
     {
-        if items.is_empty() {
-            return;
-        }
-        let lanes = self.lanes.len();
-        let chunk = items.len().div_ceil(lanes);
-        let work: Vec<(usize, &[I])> = items.chunks(chunk).enumerate().collect();
-        work.par_iter().for_each(|&(lane, part)| {
-            let mut bin_lane = self.lanes[lane].lock();
-            for item in part {
-                f(item, &mut bin_lane);
-            }
-        });
+        scatter_lanes(&self.lanes, items, f);
     }
 
     /// As [`scatter`](Self::scatter), but with an *owner-stable* lane
@@ -199,8 +189,8 @@ impl FrontierBins {
         O: Fn(&I) -> usize + Sync,
         F: Fn(&I, &mut BinLane) + Sync,
     {
-        if items.is_empty() {
-            return;
+        if items.is_empty() || self.lanes.len() == 1 {
+            return scatter_lanes(&self.lanes, items, f);
         }
         let lanes = self.lanes.len();
         (0..lanes).into_par_iter().for_each(|lane| {

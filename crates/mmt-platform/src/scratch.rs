@@ -23,7 +23,8 @@
 //! is no persistent worker pool, so `thread_local!` storage would never be
 //! reused. Lane-indexed shared buffers sidestep that: lanes live in the
 //! solver's scratch state and contiguous chunks of the work list map onto
-//! them deterministically.
+//! them deterministically. A one-lane scratch never enters the shim: its
+//! scatters run inline on the calling thread.
 
 use parking_lot::Mutex;
 use rayon::prelude::*;
@@ -60,26 +61,14 @@ impl<T: Send> ShardBuffers<T> {
 
     /// Runs `f(item, lane)` over `items` in parallel, handing each worker
     /// exclusive access to one lane buffer for its whole contiguous chunk.
-    ///
-    /// Each lane's mutex is taken once per scatter (uncontended: chunk →
-    /// lane assignment is a bijection), not once per item.
+    /// Each lane's mutex is taken once per scatter, not once per item.
+    /// With one lane the whole list runs inline on the calling thread.
     pub fn scatter<I, F>(&self, items: &[I], f: F)
     where
         I: Sync,
         F: Fn(&I, &mut Vec<T>) + Sync,
     {
-        if items.is_empty() {
-            return;
-        }
-        let lanes = self.lanes.len();
-        let chunk = items.len().div_ceil(lanes);
-        let work: Vec<(usize, &[I])> = items.chunks(chunk).enumerate().collect();
-        work.par_iter().for_each(|&(lane, part)| {
-            let mut buf = self.lanes[lane].lock();
-            for item in part {
-                f(item, &mut buf);
-            }
-        });
+        scatter_lanes(&self.lanes, items, f);
     }
 
     /// Serially consumes every buffered item, preserving lane order.
@@ -97,6 +86,29 @@ impl<T: Send> ShardBuffers<T> {
     pub fn buffered(&mut self) -> usize {
         self.lanes.iter_mut().map(|l| l.get_mut().len()).sum()
     }
+}
+
+/// Runs `f(item, lane)` over `items`, one contiguous chunk per lane and
+/// worker, so each lane's mutex is taken once and uncontended. One lane
+/// runs inline: no work list, no parallel dispatch, no budget read.
+pub(crate) fn scatter_lanes<L: Send, I: Sync>(
+    lanes: &[Mutex<L>],
+    items: &[I],
+    f: impl Fn(&I, &mut L) + Sync,
+) {
+    let run = |lane: &Mutex<L>, part: &[I]| {
+        let mut lane = lane.lock();
+        for item in part {
+            f(item, &mut lane);
+        }
+    };
+    if let [lane] = lanes {
+        return run(lane, items);
+    }
+    let chunk = items.len().div_ceil(lanes.len()).max(1);
+    let work: Vec<(usize, &[I])> = items.chunks(chunk).enumerate().collect();
+    work.par_iter()
+        .for_each(|&(lane, part)| run(&lanes[lane], part));
 }
 
 impl<T: Copy + Send> MemFootprint for ShardBuffers<T> {

@@ -16,6 +16,7 @@
 //!   reaches a fixed point where no query allocates at all. The pool's
 //!   `created` counter makes that a testable property rather than a hope.
 
+use crate::instance::ThorupInstance;
 use crate::pool::InstancePool;
 use crate::solver::{ThorupConfig, ThorupSolver};
 use mmt_graph::types::{Dist, VertexId};
@@ -152,16 +153,7 @@ impl<'a> BatchSolver<'a> {
     /// vectors in input order. Dropping a result recycles its buffer for
     /// the next batch.
     pub fn solve_batch(&self, sources: &[VertexId]) -> Vec<PooledDistances> {
-        sources
-            .par_iter()
-            .map(|&s| {
-                let inst = self.instances.acquire();
-                self.serial.solve_into(&inst, s);
-                let mut buf = self.distances.acquire();
-                inst.copy_distances_into(&mut buf);
-                self.distances.wrap(buf)
-            })
-            .collect()
+        sources.par_iter().map(|&s| self.solve_one(s)).collect()
     }
 
     /// The cancellable form of [`solve_batch`](Self::solve_batch), for
@@ -187,15 +179,9 @@ impl<'a> BatchSolver<'a> {
             .into_par_iter()
             .map(|i| {
                 let inst = self.instances.acquire();
-                if !self
-                    .serial
+                self.serial
                     .solve_into_with_cancel(&inst, sources[i], &tokens[i])
-                {
-                    return None;
-                }
-                let mut buf = self.distances.acquire();
-                inst.copy_distances_into(&mut buf);
-                Some(self.distances.wrap(buf))
+                    .then(|| self.copy_out(&inst))
             })
             .collect()
     }
@@ -205,6 +191,11 @@ impl<'a> BatchSolver<'a> {
     pub fn solve_one(&self, source: VertexId) -> PooledDistances {
         let inst = self.instances.acquire();
         self.serial.solve_into(&inst, source);
+        self.copy_out(&inst)
+    }
+
+    /// `inst`'s distances in a buffer from the result pool.
+    fn copy_out(&self, inst: &ThorupInstance) -> PooledDistances {
         let mut buf = self.distances.acquire();
         inst.copy_distances_into(&mut buf);
         self.distances.wrap(buf)

@@ -9,8 +9,8 @@
 //!
 //! * `dist` — tentative distances (one atomic per vertex);
 //! * `mind` — per-CH-node lower bound on the minimum tentative distance of
-//!   its unsettled vertices (the paper's `minD`);
-//! * `unsettled` — per-CH-node count of not-yet-settled vertices beneath;
+//!   its unsettled vertices (the paper's `minD`; `INF` once every vertex
+//!   below is settled or unreachable, which ends a visit);
 //! * `settled` — one bit per vertex.
 //!
 //! The distance/`mind` arrays are generic over
@@ -28,7 +28,7 @@ use mmt_graph::types::{Dist, VertexId, INF};
 use mmt_graph::{CompactError, CsrGraph};
 use mmt_platform::scratch::BufferPool;
 use mmt_platform::{AtomicBitSet, AtomicMinU32, AtomicMinU64, MinCell};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Mutable state of one SSSP query over a shared Component Hierarchy,
 /// generic over the distance-cell width (see the module docs).
@@ -36,7 +36,6 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 pub struct ThorupInstanceIn<C: MinCell> {
     pub(crate) dist: Vec<C>,
     pub(crate) mind: Vec<C>,
-    pub(crate) unsettled: Vec<AtomicU32>,
     pub(crate) settled: AtomicBitSet,
     /// Cooperative cancellation flag for targeted (s–t) queries.
     pub(crate) stop: AtomicBool,
@@ -62,22 +61,24 @@ impl<C: MinCell> ThorupInstanceIn<C> {
     /// which certifies the graph first; this constructor trusts the
     /// caller's certification.
     pub fn new(ch: &ComponentHierarchy) -> Self {
-        let inst = Self {
+        Self {
             dist: (0..ch.n()).map(|_| C::new_cell(INF)).collect(),
             mind: (0..ch.num_nodes()).map(|_| C::new_cell(INF)).collect(),
-            unsettled: (0..ch.num_nodes()).map(|_| AtomicU32::new(0)).collect(),
             settled: AtomicBitSet::new(ch.n()),
             stop: AtomicBool::new(false),
             scan_pool: BufferPool::new(),
-        };
-        inst.reset_counts(ch);
-        inst
+        }
     }
 
     /// Re-arms a used instance for another query over the same hierarchy
     /// (cheaper than reallocating; `multi::QueryEngine` reuses instances
     /// this way).
     pub fn reset(&self, ch: &ComponentHierarchy) {
+        assert_eq!(
+            self.mind.len(),
+            ch.num_nodes(),
+            "instance/hierarchy mismatch"
+        );
         for d in &self.dist {
             d.store(INF);
         }
@@ -86,18 +87,6 @@ impl<C: MinCell> ThorupInstanceIn<C> {
         }
         self.settled.clear_all();
         self.stop.store(false, Ordering::Release);
-        self.reset_counts(ch);
-    }
-
-    fn reset_counts(&self, ch: &ComponentHierarchy) {
-        assert_eq!(
-            self.mind.len(),
-            ch.num_nodes(),
-            "instance/hierarchy mismatch"
-        );
-        for node in 0..ch.num_nodes() {
-            self.unsettled[node].store(ch.leaves_below(node as u32), Ordering::Relaxed);
-        }
     }
 
     /// Current tentative distance of `v`.
@@ -142,7 +131,6 @@ impl<C: MinCell> ThorupInstanceIn<C> {
     pub fn heap_bytes(&self) -> usize {
         self.dist.len() * std::mem::size_of::<C>()
             + self.mind.len() * std::mem::size_of::<C>()
-            + self.unsettled.len() * 4
             + self.dist.len().div_ceil(8)
     }
 }
@@ -182,11 +170,7 @@ mod tests {
         assert_eq!(inst.dist_of(0), INF);
         assert!(!inst.is_settled(3));
         assert_eq!(inst.settled_count(), 0);
-        assert_eq!(
-            inst.unsettled[ch.root() as usize].load(Ordering::Relaxed),
-            6
-        );
-        assert_eq!(inst.unsettled[0].load(Ordering::Relaxed), 1);
+        assert_eq!(inst.mind[ch.root() as usize].load(), INF);
     }
 
     #[test]
@@ -196,15 +180,12 @@ mod tests {
         inst.dist[2].store(5);
         inst.mind[2].store(5);
         inst.settled.set(2);
-        inst.unsettled[ch.root() as usize].store(0, Ordering::Relaxed);
+        inst.stop.store(true, Ordering::Release);
         inst.reset(&ch);
         assert_eq!(inst.dist_of(2), INF);
         assert_eq!(inst.mind[2].load(), INF);
         assert!(!inst.is_settled(2));
-        assert_eq!(
-            inst.unsettled[ch.root() as usize].load(Ordering::Relaxed),
-            6
-        );
+        assert!(!inst.stop.load(Ordering::Acquire));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!
 //! Modules:
 //! * [`solver`] — the recursive bucket-visit engine;
-//! * [`instance`] — per-query mutable state (dist / mind / unsettled);
+//! * [`instance`] — per-query mutable state (dist / mind / settled bits);
 //! * [`tovisit`] — the selective loop-parallelisation study (Table 6);
 //! * [`multi`] — simultaneous batched queries over a shared CH (Figure 5);
 //! * [`batch`] — the allocation-free form of `multi`: pooled per-query

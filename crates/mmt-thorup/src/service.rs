@@ -42,12 +42,15 @@
 //!   `coalesced_queries` in [`ServiceMetrics`] observe it;
 //!   [`QueryServiceBuilder::no_coalescing`] turns it off.
 //!
-//! Each worker owns one [`ThorupInstance`] (a `w`-worker shard pins
-//! exactly `w` instances — the paper's Section 5.2 memory model), pulls
-//! requests from its shard's **bounded** queue, and answers through a
-//! per-request reply channel. Admission control is typed: when the queue
-//! is full, [`QueryService::try_submit`] returns
-//! [`ServiceError::Overloaded`] instead of blocking. Every request
+//! Each worker solves on one lane — the service's parallelism is across
+//! queries and shards, so no solve forks a thread — and owns one
+//! [`ThorupInstance`] for single requests plus, from its first coalesced
+//! full query on, one pooled batch instance: a `w`-worker shard keeps at
+//! most `2w` resident instances whatever the batch size (the paper's
+//! Section 5.2 memory model). A worker pulls requests from its shard's **bounded**
+//! queue and answers through a per-request reply channel. Admission
+//! control is typed: when the queue is full, [`QueryService::try_submit`]
+//! returns [`ServiceError::Overloaded`] instead of blocking. Every request
 //! carries a [`CancelToken`]; dropping a handle, an expired deadline, or
 //! an abort-mode shutdown stops the query — checked at dequeue *and*
 //! cooperatively inside the solver at bucket-expansion boundaries.
@@ -415,6 +418,11 @@ pub struct ServiceMetrics {
     queue_wait_us: AtomicLog2Histogram,
     /// One entry per registered graph, fixed at build time.
     graphs: Mutex<Vec<Arc<GraphStats>>>,
+    /// Test probes: most Δ-early relax lanes and batch instances a worker held.
+    #[cfg(test)]
+    delta_lanes: std::sync::atomic::AtomicUsize,
+    #[cfg(test)]
+    batch_instances: std::sync::atomic::AtomicUsize,
 }
 
 impl ServiceMetrics {
@@ -1854,6 +1862,11 @@ impl TraceShared {
     }
 }
 
+/// The label a trace event reports for a resolved query.
+fn outcome_label<T>(result: &Result<T, ServiceError>) -> &'static str {
+    result.as_ref().map_or_else(error_label, |_| "ok")
+}
+
 /// The label a trace event reports for a typed rejection.
 fn error_label(err: &ServiceError) -> &'static str {
     match err {
@@ -1893,10 +1906,15 @@ enum WorkerExit {
 /// queue drains, respawning (in-thread, with a fresh solver and instance —
 /// per-query state a panic may have corrupted) after every caught panic.
 /// The pool therefore returns to full strength without growing new OS
-/// threads, and a panic storm cannot deadlock the bounded queue.
+/// threads, and a panic storm cannot deadlock the bounded queue. Each
+/// incarnation runs on one lane (the service's parallelism is across
+/// queries and shards): a Δ-early scratch gets one relax lane and a
+/// coalesced batch solves its members in turn, forking nothing.
 fn worker_thread(shared: &WorkerShared) {
     loop {
-        match catch_unwind(AssertUnwindSafe(|| worker_loop(shared))) {
+        match catch_unwind(AssertUnwindSafe(|| {
+            mmt_platform::with_pool(1, || worker_loop(shared))
+        })) {
             Ok(WorkerExit::Drained) => break,
             Ok(WorkerExit::Poisoned) | Err(_) => shared.metrics.workers_restarted.bump(),
         }
@@ -1936,13 +1954,9 @@ fn worker_loop(shared: &WorkerShared) -> WorkerExit {
     // Per-query work counters exist only while a trace sink is installed;
     // every other configuration never allocates or reads them.
     let counters = shared.trace.as_ref().map(|_| EventCounters::new());
-    // Workers solve serially: the service's parallelism is across queries
-    // and across shards. All solving happens in the layout's internal id
-    // space; ids are translated at this loop's edges only.
-    let mut solver = ThorupSolver::new(layout.graph(), ch).with_config(ThorupConfig::serial());
-    if let Some(c) = counters.as_ref() {
-        solver = solver.with_counters(c);
-    }
+    // All solving happens in the layout's internal id space; ids are
+    // translated at this loop's edges only.
+    let solver = serial_solver(layout, counters.as_ref());
     // The coalescing scheduler amortises gathered members through pooled
     // batch instances; one BatchSolver per worker incarnation keeps those
     // pools warm across batches.
@@ -1988,13 +2002,7 @@ fn worker_loop(shared: &WorkerShared) -> WorkerExit {
         if shared.coalesce.enabled && matches!(req.kind, RequestKind::Full { .. }) {
             let exit = match req.layout.clone() {
                 Some(over) => {
-                    let ov_ch = over.hierarchy();
-                    let mut ov_solver =
-                        ThorupSolver::new(over.graph(), ov_ch).with_config(ThorupConfig::serial());
-                    if let Some(c) = counters.as_ref() {
-                        ov_solver = ov_solver.with_counters(c);
-                    }
-                    let ov_batcher = BatchSolver::new(&ov_solver);
+                    let ov_batcher = BatchSolver::new(&serial_solver(&over, counters.as_ref()));
                     serve_coalesced(req, dequeued, &over, &ov_batcher, counters.as_ref(), shared)
                 }
                 None => serve_coalesced(req, dequeued, layout, &batcher, counters.as_ref(), shared),
@@ -2011,13 +2019,8 @@ fn worker_loop(shared: &WorkerShared) -> WorkerExit {
         // hatch for A/B'ing layouts in place, not the fast path.
         let exit = match req.layout.clone() {
             Some(over) => {
-                let ov_ch = over.hierarchy();
-                let mut ov_solver =
-                    ThorupSolver::new(over.graph(), ov_ch).with_config(ThorupConfig::serial());
-                if let Some(c) = counters.as_ref() {
-                    ov_solver = ov_solver.with_counters(c);
-                }
-                let ov_inst = ThorupInstance::new(ov_ch);
+                let ov_solver = serial_solver(&over, counters.as_ref());
+                let ov_inst = ThorupInstance::new(over.hierarchy());
                 // Override layouts get fresh P2P state too: their internal
                 // id space (and thus graph) differs from the resident one.
                 let mut ov_p2p = P2pState::default();
@@ -2050,6 +2053,19 @@ fn worker_loop(shared: &WorkerShared) -> WorkerExit {
         }
     }
     WorkerExit::Drained
+}
+
+/// A serial Thorup solver over `layout`, charging `counters` when tracing.
+fn serial_solver<'a>(
+    layout: &'a GraphLayout,
+    counters: Option<&'a EventCounters>,
+) -> ThorupSolver<'a> {
+    let solver =
+        ThorupSolver::new(layout.graph(), layout.hierarchy()).with_config(ThorupConfig::serial());
+    match counters {
+        Some(c) => solver.with_counters(c),
+        None => solver,
+    }
 }
 
 /// One gathered member of a forming coalesced batch, with its reply
@@ -2283,6 +2299,10 @@ fn serve_coalesced(
         let _ = fire_fault(&shared.faults, FaultSite::Solve);
         batcher.solve_batch_with_cancel(&sources, &tokens)
     }));
+    #[cfg(test)]
+    metrics
+        .batch_instances
+        .fetch_max(batcher.instances_created(), Ordering::Relaxed);
     let Ok(results) = solved else {
         metrics.inflight.sub(members.len() as u64);
         for m in members {
@@ -2348,10 +2368,6 @@ fn serve_coalesced(
             Err(e) => metrics.note_failure(e),
         }
         metrics.inflight.sub(1);
-        let outcome = match &result {
-            Ok(_) => "ok",
-            Err(e) => error_label(e),
-        };
         // Trace before sending so the record exists by the time the
         // client's `wait` returns.
         emit_trace(
@@ -2366,7 +2382,7 @@ fn serve_coalesced(
             work,
             batch_id,
             batch_size,
-            outcome,
+            outcome_label(&result),
         );
         let _ = m.reply.send(result);
     }
@@ -2486,10 +2502,6 @@ fn serve_one(
                 Err(e) => metrics.note_failure(e),
             }
             metrics.inflight.sub(1);
-            let outcome = match &result {
-                Ok(_) => "ok",
-                Err(e) => error_label(e),
-            };
             // Trace before sending so the record exists by the time the
             // client's `wait` returns.
             emit_trace(
@@ -2504,7 +2516,7 @@ fn serve_one(
                 work_delta(before, counters),
                 None,
                 1,
-                outcome,
+                outcome_label(&result),
             );
             let _ = reply.send(result);
         }
@@ -2539,6 +2551,10 @@ fn serve_one(
                     }
                     P2pAlgo::DeltaEarly => {
                         let (split, scratch) = p2p.delta(layout);
+                        #[cfg(test)]
+                        metrics
+                            .delta_lanes
+                            .fetch_max(scratch.lane_count(), Ordering::Relaxed);
                         delta_stepping_st(split, s, t, scratch, counters, Some(&token))
                     }
                 };
@@ -2573,10 +2589,6 @@ fn serve_one(
                 Err(e) => metrics.note_failure(e),
             }
             metrics.inflight.sub(1);
-            let outcome = match &result {
-                Ok(_) => "ok",
-                Err(e) => error_label(e),
-            };
             emit_trace(
                 shared,
                 id,
@@ -2589,7 +2601,7 @@ fn serve_one(
                 work_delta(before, counters),
                 None,
                 1,
-                outcome,
+                outcome_label(&result),
             );
             let _ = reply.send(result);
         }
@@ -2633,10 +2645,6 @@ fn serve_one(
                     .record(enqueued.elapsed().as_micros() as u64);
             }
             metrics.inflight.sub(1);
-            let outcome = match &result {
-                Ok(_) => "ok",
-                Err(e) => error_label(e),
-            };
             emit_trace(
                 shared,
                 id,
@@ -2649,7 +2657,7 @@ fn serve_one(
                 work_delta(before, counters),
                 None,
                 1,
-                outcome,
+                outcome_label(&result),
             );
             member.fulfil(result);
         }
@@ -3593,6 +3601,35 @@ mod tests {
             assert_eq!(got, &plain.submit(s).unwrap().wait().unwrap());
         }
         assert_eq!(plain.metrics().coalesced_batches(), 0);
+    }
+
+    #[test]
+    fn workers_solve_on_one_lane() {
+        // Whatever the host's thread count, a worker's Δ-early scratch has
+        // one relax lane and a coalesced batch of eight solves its members
+        // in turn through a single pooled instance. (With the host's
+        // budget, two members' solves would overlap and hold two.)
+        let (g, ch) = fixture(12);
+        let service = QueryService::builder()
+            .workers(1)
+            .coalesce_budget(Duration::from_millis(500))
+            .coalesce_batch_cap(8)
+            .build_registry(single_registry(&g, ch))
+            .unwrap();
+        let oracle = mmt_baselines::dijkstra(&g, 7);
+        let st = QueryRequest::st(7, 200).algo(P2pAlgo::DeltaEarly);
+        assert_eq!(service.submit_p2p(st).unwrap().wait(), Ok(oracle[200]));
+        let handles: Vec<_> = [3u32, 17, 3, 40, 99, 1000, 2048, 4000]
+            .iter()
+            .map(|&s| service.submit(s).unwrap())
+            .collect();
+        for h in handles {
+            h.wait().unwrap();
+        }
+        let m = service.metrics();
+        assert_eq!(m.coalesced_queries(), 8);
+        assert_eq!(m.delta_lanes.load(Ordering::Relaxed), 1);
+        assert_eq!(m.batch_instances.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //!   (min over children) applied with a compare-exchange so that a
 //!   concurrent lowering from a cross-component relaxation is never lost;
 //! * a component returns control to its parent as soon as its `mind` leaves
-//!   the parent's current bucket, or when it has no unsettled vertices.
+//!   the parent's current bucket, or when it reaches `INF` (every vertex
+//!   below is settled or unreachable).
 
 use crate::error::InputError;
 use crate::instance::{CompactThorupInstance, ThorupInstance, ThorupInstanceIn};
@@ -501,16 +502,6 @@ impl<'a> ThorupSolver<'a> {
         // Thorup's lemma guarantees d(v) = δ(v) here.
         let d = inst.dist[v as usize].load();
         debug_assert_ne!(d, INF, "settling an unreached vertex");
-        // One fewer unsettled vertex everywhere up the chain.
-        let mut x = leaf;
-        loop {
-            inst.unsettled[x as usize].fetch_sub(1, Ordering::AcqRel);
-            let p = self.ch.parent(x);
-            if p == x {
-                break;
-            }
-            x = p;
-        }
         // Relax v's edges.
         let (targets, weights) = self.graph.neighbors(v);
         if let Some(ev) = self.counters {

@@ -21,6 +21,10 @@ use std::sync::Arc;
 thread_local! {
     /// 0 means "unset": fall back to hardware parallelism.
     static BUDGET: Cell<usize> = const { Cell::new(0) };
+    /// This thread's hardware parallelism, read once (each read re-reads
+    /// cgroup and affinity state). Per thread, so a pinned thread, whose
+    /// affinity mask reads 1, never fixes the value for the others.
+    static HARDWARE: usize = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     /// The installed pool's start handler, if any (see
     /// [`ThreadPoolBuilder::start_handler`]).
     static HANDLER: RefCell<Option<StartHandler>> = const { RefCell::new(None) };
@@ -37,38 +41,38 @@ fn current_handler() -> Option<StartHandler> {
     HANDLER.with(|h| h.borrow().clone())
 }
 
-fn with_handler<R>(handler: Option<StartHandler>, f: impl FnOnce() -> R) -> R {
-    let old = HANDLER.with(|h| h.replace(handler));
-    let out = f();
-    HANDLER.with(|h| h.replace(old));
-    out
+/// The budget and handler a thread had before an override; dropping it
+/// puts both back, on normal return and on unwind alike.
+struct Restore(usize, Option<StartHandler>);
+
+impl Drop for Restore {
+    fn drop(&mut self) {
+        BUDGET.set(self.0);
+        HANDLER.set(self.1.take());
+    }
+}
+
+/// Runs `f` with `budget` and `handler` in effect on this thread.
+fn with_context<R>(budget: usize, handler: Option<StartHandler>, f: impl FnOnce() -> R) -> R {
+    let _restore = Restore(BUDGET.replace(budget), HANDLER.replace(handler));
+    f()
 }
 
 /// Number of threads parallel work may use in the current context.
 pub fn current_num_threads() -> usize {
-    let b = BUDGET.get();
-    if b == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        b
+    match BUDGET.get() {
+        0 => HARDWARE.with(|n| *n),
+        b => b,
     }
-}
-
-fn with_budget<R>(budget: usize, f: impl FnOnce() -> R) -> R {
-    let old = BUDGET.replace(budget);
-    let out = f();
-    BUDGET.set(old);
-    out
 }
 
 /// Runs `f(0..parts)` concurrently (one scoped thread per extra part) and
 /// returns the results in part order. Each part runs with a proportionally
-/// reduced thread budget so nested parallelism stays bounded.
+/// reduced thread budget so nested parallelism stays bounded. A single
+/// part runs inline without reading the budget.
 fn run_parts<R: Send>(parts: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    let threads = current_num_threads();
-    if parts <= 1 || threads <= 1 {
+    let threads = if parts > 1 { current_num_threads() } else { 1 };
+    if threads <= 1 {
         return (0..parts).map(&f).collect();
     }
     let child_budget = (threads / parts).max(1);
@@ -82,14 +86,14 @@ fn run_parts<R: Send>(parts: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
                     if let Some(h) = &handler {
                         h(part);
                     }
-                    with_handler(handler.clone(), || with_budget(child_budget, || f(part)))
+                    with_context(child_budget, handler.clone(), || f(part))
                 })
             })
             .collect();
         let mut out = Vec::with_capacity(parts);
         // Part 0 runs on the calling thread, which the handler must NOT
         // touch: pinning the caller would outlive the parallel call.
-        out.push(with_budget(child_budget, || f(0)));
+        out.push(with_context(child_budget, handler.clone(), || f(0)));
         for h in handles {
             match h.join() {
                 Ok(r) => out.push(r),
@@ -134,7 +138,7 @@ impl ThreadPool {
     /// in effect. Installing a pool replaces any outer pool context,
     /// including its handler — rayon's semantics.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        with_handler(self.handler.clone(), || with_budget(self.threads, f))
+        with_context(self.threads, self.handler.clone(), f)
     }
 
     /// The pool's thread count.
@@ -178,9 +182,7 @@ impl ThreadPoolBuilder {
     /// Builds the pool. Never fails in the shim.
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
         let threads = match self.num_threads {
-            Some(0) | None => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            Some(0) | None => HARDWARE.with(|n| *n),
             Some(n) => n,
         };
         Ok(ThreadPool {
@@ -278,8 +280,7 @@ pub trait ParallelIterator: Sized + Send + Sync {
     where
         F: Fn(Self::Item) + Send + Sync,
     {
-        let parts = parts_for(self.est_len());
-        run_parts(parts, |part| self.feed(part, parts, &mut |item| f(item)));
+        fold_parts(&self, || (), |_, item| f(item));
     }
 
     /// Collects into `C`, preserving source order.
@@ -293,14 +294,9 @@ pub trait ParallelIterator: Sized + Send + Sync {
         ID: Fn() -> Self::Item + Send + Sync,
         OP: Fn(Self::Item, Self::Item) -> Self::Item + Send + Sync,
     {
-        let parts = parts_for(self.est_len());
-        run_parts(parts, |part| {
-            let mut acc = identity();
-            self.feed(part, parts, &mut |item| {
-                let prev = std::mem::replace(&mut acc, identity());
-                acc = op(prev, item);
-            });
-            acc
+        fold_parts(&self, &identity, |acc, item| {
+            let prev = std::mem::replace(acc, identity());
+            *acc = op(prev, item);
         })
         .into_iter()
         .fold(identity(), &op)
@@ -322,16 +318,15 @@ pub trait ParallelIterator: Sized + Send + Sync {
     where
         Self::Item: Ord,
     {
-        let parts = parts_for(self.est_len());
-        run_parts(parts, |part| {
-            let mut best: Option<Self::Item> = None;
-            self.feed(part, parts, &mut |item| {
+        fold_parts(
+            &self,
+            || None,
+            |best, item| {
                 if best.as_ref().is_none_or(|b| item > *b) {
-                    best = Some(item);
+                    *best = Some(item);
                 }
-            });
-            best
-        })
+            },
+        )
         .into_iter()
         .flatten()
         .max()
@@ -342,16 +337,15 @@ pub trait ParallelIterator: Sized + Send + Sync {
     where
         Self::Item: Ord,
     {
-        let parts = parts_for(self.est_len());
-        run_parts(parts, |part| {
-            let mut best: Option<Self::Item> = None;
-            self.feed(part, parts, &mut |item| {
+        fold_parts(
+            &self,
+            || None,
+            |best, item| {
                 if best.as_ref().is_none_or(|b| item < *b) {
-                    best = Some(item);
+                    *best = Some(item);
                 }
-            });
-            best
-        })
+            },
+        )
         .into_iter()
         .flatten()
         .min()
@@ -359,14 +353,9 @@ pub trait ParallelIterator: Sized + Send + Sync {
 
     /// Number of items.
     fn count(self) -> usize {
-        let parts = parts_for(self.est_len());
-        run_parts(parts, |part| {
-            let mut n = 0usize;
-            self.feed(part, parts, &mut |_| n += 1);
-            n
-        })
-        .into_iter()
-        .sum()
+        fold_parts(&self, || 0usize, |n, _| *n += 1)
+            .into_iter()
+            .sum()
     }
 
     /// First `Some` produced by `f`, from any shard (shards are fully
@@ -375,16 +364,15 @@ pub trait ParallelIterator: Sized + Send + Sync {
     where
         F: Fn(Self::Item) -> Option<U> + Send + Sync,
     {
-        let parts = parts_for(self.est_len());
-        run_parts(parts, |part| {
-            let mut found = None;
-            self.feed(part, parts, &mut |item| {
+        fold_parts(
+            &self,
+            || None,
+            |found, item| {
                 if found.is_none() {
-                    found = f(item);
+                    *found = f(item);
                 }
-            });
-            found
-        })
+            },
+        )
         .into_iter()
         .flatten()
         .next()
@@ -408,13 +396,24 @@ pub trait ParallelIterator: Sized + Send + Sync {
 
     /// Evaluates all shards into per-shard vectors, in shard order.
     fn collect_parts(&self) -> Vec<Vec<Self::Item>> {
-        let parts = parts_for(self.est_len());
-        run_parts(parts, |part| {
-            let mut out = Vec::new();
-            self.feed(part, parts, &mut |item| out.push(item));
-            out
-        })
+        fold_parts(self, Vec::new, |out, item| out.push(item))
     }
+}
+
+/// Folds each shard of `it` into its own accumulator, the shards in
+/// parallel, and returns the accumulators in shard order: the body of
+/// every terminal.
+fn fold_parts<P: ParallelIterator, A: Send>(
+    it: &P,
+    init: impl Fn() -> A + Sync,
+    step: impl Fn(&mut A, P::Item) + Sync,
+) -> Vec<A> {
+    let parts = parts_for(it.est_len());
+    run_parts(parts, |part| {
+        let mut acc = init();
+        it.feed(part, parts, &mut |item| step(&mut acc, item));
+        acc
+    })
 }
 
 /// Collections buildable from ordered per-shard vectors.
@@ -869,6 +868,22 @@ mod tests {
             seen.iter().all(|&i| i < 4),
             "indices stay below the pool size"
         );
+    }
+
+    #[test]
+    fn install_restores_budget_and_handler_when_the_closure_panics() {
+        let before = crate::current_num_threads();
+        let pool = crate::ThreadPoolBuilder::new()
+            .num_threads(before + 3)
+            .start_handler(|_| {})
+            .build()
+            .unwrap();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.install(|| panic!("boom"))
+        }));
+        assert!(caught.is_err());
+        assert_eq!(crate::current_num_threads(), before);
+        assert!(crate::current_handler().is_none());
     }
 
     #[test]
