@@ -1,169 +1,50 @@
-//! Δ*-stepping (Dong, Gu, Sun, Zhang — arXiv:2105.06145) on the
-//! contention-free frontier bins.
+//! Δ*-stepping (Dong, Gu, Sun, Zhang — arXiv:2105.06145) as a policy over
+//! the shared stepping loop (`crate::step`).
 //!
 //! Δ*-stepping keeps classic Δ-stepping's bucket order but drops the
-//! light/heavy edge classification: when a bucket's vertices are
-//! extracted, **all** of their edges are relaxed at once, and the bucket
+//! light/heavy arc classification: when a bucket's vertices are
+//! extracted, **all** of their arcs are relaxed at once, and the bucket
 //! is re-drained to a fixpoint (a vertex improved back into the current
 //! bucket re-relaxes in the next inner round) before the step advances.
 //! Compared to [`crate::delta_stepping_presplit`] this trades some
-//! redundant heavy-edge relaxations for one phase per bucket instead of
-//! two and no split adjacency walks — and, here, for the contention-free
-//! substrate: the relax phase writes only the worker's own
-//! [`mmt_platform::bins::BinLane`], never a shared bucket array (see
-//! [`crate::rho_stepping`] for the two-phase process/merge discipline the
-//! kernels share).
-//!
-//! Reuses [`StepScratch`] — a service can serve ρ- and Δ*-queries off the
-//! same warm scratch.
+//! redundant heavy-arc relaxations for one relax phase per round instead
+//! of a separate heavy pass.
 
-use crate::relax_core::{relax_arcs, RELAX_AHEAD};
-use crate::rho_stepping::StepScratch;
-use mmt_graph::types::{VertexId, INF};
-use mmt_graph::{ArcPartition, PartitionedCsr, SplitAdjacency};
-use mmt_platform::bins::BinLane;
-use mmt_platform::{AtomicMinU64, CancelToken, EventCounters};
+use crate::step::{step, Arcs, FitsCell, Step, StepPolicy, StepQuery, StepScratch};
+use mmt_graph::types::VertexId;
+use mmt_graph::SplitAdjacency;
+use mmt_platform::{EventCounters, MinCell};
 
-/// Cyclic window for Δ*: a relaxation from the current bucket `b` lands
-/// in `[b, b + C/Δ + 1]`, so `C/Δ + 2` distinct slots can never alias.
-fn star_ring_len(split: &impl SplitAdjacency) -> usize {
-    (split.max_weight() as u64 / split.delta().max(1) as u64 + 2) as usize
+/// Δ*-stepping's step: drain the bucket to a fixpoint over all arcs.
+struct DeltaStar;
+
+impl StepPolicy for DeltaStar {
+    fn step<C: MinCell, S: SplitAdjacency + Sync>(
+        &self,
+        st: &mut Step<'_, C, S>,
+        bucket: u64,
+    ) -> bool {
+        st.fixpoint(bucket, Arcs::All)
+    }
 }
 
 /// Δ*-stepping over a pre-split adjacency: see the module docs.
 ///
 /// Distances are left in `scratch`; counter conventions match
-/// [`crate::rho_stepping::rho_stepping_presplit`].
-pub fn delta_star_presplit<S: SplitAdjacency + Sync>(
+/// [`crate::delta_stepping_presplit`].
+pub fn delta_star_presplit<C: MinCell, S: FitsCell<C>>(
     split: &S,
     source: VertexId,
-    scratch: &mut StepScratch,
+    scratch: &mut StepScratch<C>,
     counters: Option<&EventCounters>,
 ) {
-    let done = run(split, None, source, scratch, counters, None);
-    debug_assert!(done, "uncancellable run cannot be cancelled");
-}
-
-/// Δ*-stepping with *owned arc partitions*: each bin lane relaxes only
-/// the frontier vertices its [`ArcPartition`] lane owns (see
-/// [`crate::rho_stepping::rho_stepping_partitioned`] — the kernels share
-/// the ownership discipline). Distances are bit-identical to
-/// [`delta_star_presplit`] at any lane count.
-pub fn delta_star_partitioned<S: SplitAdjacency + Sync>(
-    part: &PartitionedCsr<'_, S>,
-    source: VertexId,
-    scratch: &mut StepScratch,
-    counters: Option<&EventCounters>,
-) {
-    let done = run(
-        part.split(),
-        Some(part.partition()),
+    let query = StepQuery {
         source,
-        scratch,
         counters,
-        None,
-    );
-    debug_assert!(done, "uncancellable run cannot be cancelled");
-}
-
-/// As [`delta_star_presplit`], polling `cancel` at every bucket round.
-/// Returns `false` (scratch clean, distances unspecified) when the token
-/// fired before the solve completed.
-pub fn delta_star_with_cancel<S: SplitAdjacency + Sync>(
-    split: &S,
-    source: VertexId,
-    scratch: &mut StepScratch,
-    counters: Option<&EventCounters>,
-    cancel: &CancelToken,
-) -> bool {
-    run(split, None, source, scratch, counters, Some(cancel))
-}
-
-fn run<S: SplitAdjacency + Sync>(
-    split: &S,
-    owner: Option<&ArcPartition>,
-    source: VertexId,
-    scratch: &mut StepScratch,
-    counters: Option<&EventCounters>,
-    cancel: Option<&CancelToken>,
-) -> bool {
-    assert!((source as usize) < split.n(), "source out of range");
-    let ring = star_ring_len(split);
-    scratch.reset(split, ring);
-    let width = split.delta().max(1) as u64;
-    let StepScratch {
-        dist,
-        relaxed_at,
-        bins,
-        frontier,
-        staging,
-    } = scratch;
-    let dist: &[AtomicMinU64] = dist;
-
-    dist[source as usize].store(0);
-    bins.seed(0, source);
-    let mut floor = 0u64;
-
-    while let Some(bucket) = bins.vote(floor) {
-        if cancel.is_some_and(|c| c.is_cancelled()) {
-            bins.clear();
-            return false;
-        }
-        floor = bucket;
-
-        // Inner fixpoint: relaxing all edges can improve a vertex back
-        // into the *current* bucket, so re-drain until it stays empty.
-        loop {
-            staging.clear();
-            if bins.drain_bucket(bucket, staging) == 0 {
-                break;
-            }
-            frontier.clear();
-            for &v in staging.iter() {
-                let vi = v as usize;
-                let d = dist[vi].load();
-                if d / width == bucket && d < relaxed_at[vi] {
-                    if relaxed_at[vi] == INF {
-                        if let Some(ev) = counters {
-                            ev.settled.bump();
-                        }
-                    }
-                    relaxed_at[vi] = d;
-                    frontier.push(v);
-                }
-            }
-            if frontier.is_empty() {
-                continue;
-            }
-            if let Some(ev) = counters {
-                ev.bucket_expansions.bump();
-                let arcs = frontier
-                    .iter()
-                    .map(|&v| split.degree(v) as u64)
-                    .sum::<u64>();
-                ev.arcs_scanned.add(arcs);
-                ev.relaxations.add(arcs);
-            }
-            let before = bins.pending();
-            let relax = |&u: &VertexId, lane: &mut BinLane| {
-                let du = dist[u as usize].load();
-                for (ts, ws) in [split.light(u), split.heavy(u)] {
-                    relax_arcs::<RELAX_AHEAD>(dist, du, ts, ws, |v, nd| {
-                        debug_assert!(nd / width < bucket + ring as u64);
-                        lane.push(nd / width, v);
-                    });
-                }
-            };
-            match owner {
-                None => bins.scatter(frontier, relax),
-                Some(p) => bins.scatter_owned(frontier, |&u| p.owner(u), relax),
-            }
-            if let Some(ev) = counters {
-                ev.improvements.add((bins.pending() - before) as u64);
-            }
-        }
-    }
-    true
+        ..StepQuery::default()
+    };
+    let done = step(&DeltaStar, split, scratch, &query);
+    debug_assert!(done, "an uncancellable solve completes");
 }
 
 #[cfg(test)]
@@ -174,6 +55,7 @@ mod tests {
     use mmt_graph::gen::{shapes, GraphClass, WeightDist, WorkloadSpec};
     use mmt_graph::types::{Dist, EdgeList};
     use mmt_graph::{CsrGraph, SplitCsr};
+    use mmt_platform::CancelToken;
 
     fn solve(g: &CsrGraph, s: VertexId, delta: u32) -> Vec<Dist> {
         let split = SplitCsr::new(g, delta.max(1));
@@ -279,47 +161,24 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_matches_unpartitioned_at_every_lane_count() {
-        use mmt_graph::PartitionedCsr;
-        let mut spec = WorkloadSpec::new(GraphClass::Rmat, WeightDist::Uniform, 8, 10);
-        spec.seed = 61;
-        let g = CsrGraph::from_edge_list(&spec.generate());
-        let delta = adaptive_delta(&g).min(u32::MAX as u64) as u32;
-        let split = SplitCsr::new(&g, delta);
-        let mut scratch = StepScratch::new(&split);
-        for s in [0u32, 17, 200] {
-            let want = dijkstra(&g, s);
-            delta_star_presplit(&split, s, &mut scratch, None);
-            assert_eq!(scratch.to_distances(), want, "unpartitioned source={s}");
-            for lanes in [1usize, 2, 3, 8] {
-                let part = PartitionedCsr::new(&split, lanes);
-                delta_star_partitioned(&part, s, &mut scratch, None);
-                assert_eq!(scratch.to_distances(), want, "lanes={lanes} source={s}");
-            }
-        }
-    }
-
-    #[test]
     fn cancellation_stops_the_solve_and_leaves_scratch_reusable() {
         let g = CsrGraph::from_edge_list(&shapes::path(50, 2));
         let split = SplitCsr::new(&g, 4);
         let mut scratch = StepScratch::new(&split);
         let token = CancelToken::new();
         token.cancel();
-        assert!(!delta_star_with_cancel(
+        let query = |cancel| StepQuery {
+            cancel,
+            ..StepQuery::default()
+        };
+        assert!(!step(
+            &DeltaStar,
             &split,
-            0,
             &mut scratch,
-            None,
-            &token
+            &query(Some(&token))
         ));
-        assert!(delta_star_with_cancel(
-            &split,
-            0,
-            &mut scratch,
-            None,
-            &CancelToken::new()
-        ));
+        let live = CancelToken::new();
+        assert!(step(&DeltaStar, &split, &mut scratch, &query(Some(&live))));
         assert_eq!(scratch.to_distances(), dijkstra(&g, 0));
     }
 }

@@ -1,40 +1,27 @@
-//! Parallel Δ-stepping (Meyer & Sanders), the paper's parallel baseline.
+//! Parallel Δ-stepping (Meyer & Sanders), the paper's parallel baseline,
+//! as a policy over the shared stepping loop (`crate::step`).
 //!
 //! Vertices are kept in buckets of width Δ by tentative distance. The
-//! current bucket is expanded in *light phases* (edges of weight ≤ Δ, which
-//! may re-insert into the same bucket) until stable, then the accumulated
-//! removed set relaxes its *heavy* edges (weight > Δ) in one parallel pass.
-//! Request generation and relaxation (`fetch_min`) run on the rayon pool;
-//! bucket maintenance is serial, with stale entries discarded lazily — the
-//! same engineering shape as the MTA-2 implementation of Madduri et al.
-//! that the paper benchmarks against.
+//! current bucket is expanded in *light phases* (arcs of weight ≤ Δ, which
+//! may re-insert into the same bucket) until stable; then the vertices
+//! first settled in that bucket relax their *heavy* arcs (weight > Δ) in
+//! one parallel pass — the engineering shape of the MTA-2 implementation
+//! of Madduri et al. that the paper benchmarks against. The light/heavy
+//! split is a policy detail: Δ*-stepping ([`crate::delta_star`]) drains
+//! the same buckets over all arcs.
 //!
-//! Buckets are a cyclic array of `C/Δ + 2` slots: every queued tentative
-//! distance lies within `C + Δ` of the current bucket's base, so live
-//! entries never collide across cycles.
-//!
-//! Two kernels live here:
-//!
-//! * [`delta_stepping_presplit`] — the hot path. It runs over a
-//!   [`SplitCsr`] (light/heavy edges pre-partitioned per vertex, so phases
-//!   walk exactly the slice they need) with all per-round state owned by a
-//!   reusable [`DeltaScratch`]: recycled bucket vectors, lane-indexed relax
-//!   buffers instead of per-phase `collect()`, and generation-stamped
-//!   duplicate suppression instead of `sort + dedup`. After the first query
-//!   warms the scratch, a query allocates nothing.
-//! * [`delta_stepping_reference`] — the original kernel, kept verbatim as
-//!   the before-side of the `bench_hotpath` allocation comparison and as a
-//!   second implementation for differential testing.
-//!
-//! [`delta_stepping`] / [`delta_stepping_counted`] keep their historical
-//! signatures but now route through the pre-split kernel.
+//! * [`delta_stepping_presplit`] — the hot path over a pre-split adjacency
+//!   ([`SplitCsr`] or an arena view) and a reusable [`DeltaScratch`]. After
+//!   the first query warms the scratch, a query allocates nothing.
+//! * [`delta_stepping_st`] — the same solve, stopped once the target's
+//!   bucket has settled.
+//! * [`delta_stepping`] — the one-shot convenience: builds the split and a
+//!   scratch per call.
 
-use crate::relax_core::relax_arcs;
-use mmt_graph::types::{Dist, VertexId, Weight, INF};
+use crate::step::{step, Arcs, FitsCell, Step, StepPolicy, StepQuery, StepScratch};
+use mmt_graph::types::{Dist, VertexId, Weight};
 use mmt_graph::{CsrGraph, SplitAdjacency, SplitCsr};
-use mmt_platform::scratch::{GenerationStamps, ShardBuffers};
-use mmt_platform::{AtomicMinU64, CancelToken, EventCounters};
-use rayon::prelude::*;
+use mmt_platform::{CancelToken, EventCounters, MinCell};
 
 /// Δ-stepping parameters. Construct with [`DeltaConfig::new`],
 /// [`DeltaConfig::auto`], or [`DeltaConfig::adaptive`] and adjust via the
@@ -48,11 +35,9 @@ use rayon::prelude::*;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaConfig {
     /// Bucket width Δ ≥ 1.
-    #[deprecated(since = "0.2.0", note = "use DeltaConfig::new/with_delta and delta()")]
-    pub delta: u64,
+    delta: u64,
 }
 
-#[allow(deprecated)]
 impl DeltaConfig {
     /// A config with the given bucket width Δ (clamped to ≥ 1).
     pub fn new(delta: u64) -> Self {
@@ -114,7 +99,32 @@ pub fn adaptive_delta(g: &CsrGraph) -> u64 {
     (2 * avg_weight / avg_degree).max(1)
 }
 
+/// The scratch Δ-stepping runs on: the shared [`StepScratch`].
+pub type DeltaScratch = StepScratch;
+
+/// Δ-stepping's step: drain the bucket to a fixpoint over light arcs,
+/// then one heavy pass over the vertices first settled in it.
+struct Delta;
+
+impl StepPolicy for Delta {
+    fn step<C: MinCell, S: SplitAdjacency + Sync>(
+        &self,
+        st: &mut Step<'_, C, S>,
+        bucket: u64,
+    ) -> bool {
+        if !st.fixpoint(bucket, Arcs::Light) {
+            return false;
+        }
+        st.relax_settled(Arcs::Heavy);
+        true
+    }
+}
+
 /// Single-source shortest paths by parallel Δ-stepping.
+///
+/// One-shot convenience: builds the [`SplitCsr`] and a fresh
+/// [`DeltaScratch`] per call. Repeated queries over one graph should build
+/// those once and call [`delta_stepping_presplit`] directly.
 ///
 /// ```
 /// use mmt_baselines::{delta_stepping, DeltaConfig};
@@ -128,503 +138,71 @@ pub fn adaptive_delta(g: &CsrGraph) -> u64 {
 /// assert_eq!(dist, vec![0, 4, 8]);
 /// ```
 pub fn delta_stepping(g: &CsrGraph, source: VertexId, cfg: DeltaConfig) -> Vec<Dist> {
-    delta_stepping_counted(g, source, cfg, None)
-}
-
-/// As [`delta_stepping`], optionally filling in [`EventCounters`] (bucket
-/// expansions = light phases + heavy phases; relaxations = edges actually
-/// walked; improvements = strict `fetch_min` wins; settled = vertices
-/// removed from buckets) so Δ-stepping runs can be compared against
-/// instrumented Thorup runs on equal terms.
-///
-/// One-shot convenience: builds the [`SplitCsr`] and a fresh
-/// [`DeltaScratch`] per call. Repeated queries over one graph should build
-/// those once and call [`delta_stepping_presplit`] directly.
-pub fn delta_stepping_counted(
-    g: &CsrGraph,
-    source: VertexId,
-    cfg: DeltaConfig,
-    counters: Option<&EventCounters>,
-) -> Vec<Dist> {
     assert!((source as usize) < g.n(), "source out of range");
-    let delta = cfg.delta().min(u32::MAX as u64) as Weight;
-    let split = SplitCsr::new(g, delta);
+    let split = SplitCsr::new(g, cfg.delta().min(u32::MAX as u64) as Weight);
     let mut scratch = DeltaScratch::new(&split);
-    delta_stepping_presplit(&split, source, &mut scratch, counters);
+    delta_stepping_presplit(&split, source, &mut scratch, None);
     scratch.to_distances()
 }
 
-/// Reusable per-query state for [`delta_stepping_presplit`].
+/// The allocation-free Δ-stepping hot path over a pre-split adjacency.
 ///
-/// Everything a query touches lives here: the tentative-distance array, the
-/// cyclic bucket ring, the batch/active/removed staging vectors, the
-/// lane-indexed parallel relax buffers, and the two duplicate-suppression
-/// stamp arrays. All of it retains capacity across queries, so after the
-/// first (warm-up) query a solve performs zero heap allocations.
-#[derive(Debug)]
-pub struct DeltaScratch {
-    dist: Vec<AtomicMinU64>,
-    /// Distance at which each vertex was last relaxed this query (`INF` =
-    /// never). Guards against re-relaxing a re-scanned vertex whose
-    /// distance did not improve, and doubles as the `removed` dedup.
-    relaxed_at: Vec<Dist>,
-    /// "Queued in bucket b" stamps: `stamp_base + b` marks membership, so
-    /// a vertex enters each bucket at most once per queueing epoch.
-    queued: GenerationStamps,
-    /// Start of this query's stamp range; advanced past every stamp used so
-    /// queries never need an `O(n)` stamp clear.
-    stamp_base: u64,
-    buckets: Vec<Vec<VertexId>>,
-    batch: Vec<VertexId>,
-    active: Vec<VertexId>,
-    removed: Vec<VertexId>,
-    relax: ShardBuffers<(VertexId, Dist)>,
-}
-
-impl DeltaScratch {
-    /// Scratch sized for `split` (its vertex count and bucket-ring width).
-    /// Accepts any [`SplitAdjacency`] representation — the duplicating
-    /// [`SplitCsr`] or an arena-backed offset view. Lane count follows the
-    /// *installed* rayon budget, so a scratch built inside
-    /// [`mmt_platform::with_pool`] gets one relax lane per pool worker
-    /// (outside a pool the budget equals [`available_threads`]).
-    pub fn new(split: &impl SplitAdjacency) -> Self {
-        let n = split.n();
-        Self {
-            dist: (0..n).map(|_| AtomicMinU64::new(INF)).collect(),
-            relaxed_at: vec![INF; n],
-            queued: GenerationStamps::new(n),
-            stamp_base: 1,
-            buckets: vec![Vec::new(); Self::ring_len(split)],
-            batch: Vec::new(),
-            active: Vec::new(),
-            removed: Vec::new(),
-            relax: ShardBuffers::new(rayon::current_num_threads()),
-        }
-    }
-
-    /// Relax lanes (the thread budget when the scratch was built).
-    pub fn lane_count(&self) -> usize {
-        self.relax.lane_count()
-    }
-
-    /// Cyclic ring length for `split`: `C/Δ + 2` slots.
-    fn ring_len(split: &impl SplitAdjacency) -> usize {
-        (split.max_weight() as u64 / split.delta().max(1) as u64 + 2) as usize
-    }
-
-    /// Prepares for a query over `split`: grows to its dimensions if needed
-    /// (retaining capacity otherwise) and resets per-query state.
-    fn reset(&mut self, split: &impl SplitAdjacency) {
-        let n = split.n();
-        if self.dist.len() != n {
-            self.dist.resize_with(n, || AtomicMinU64::new(INF));
-            self.relaxed_at.resize(n, INF);
-        }
-        let ring = Self::ring_len(split);
-        if self.buckets.len() != ring {
-            self.buckets.resize_with(ring, Vec::new);
-        }
-        if self.queued.len() < n {
-            self.queued.reset(n);
-        }
-        for d in &self.dist {
-            d.store(INF);
-        }
-        self.relaxed_at.fill(INF);
-        // All buckets drain before a query returns; clear anyway so a
-        // panicked query can't poison the next one.
-        for b in &mut self.buckets {
-            b.clear();
-        }
-    }
-
-    /// The distance to `v` computed by the last query.
-    #[inline]
-    pub fn distance(&self, v: VertexId) -> Dist {
-        self.dist[v as usize].load()
-    }
-
-    /// Copies the last query's distances into `out` (cleared first). Does
-    /// not allocate when `out` already has the capacity.
-    pub fn copy_distances_into(&self, out: &mut Vec<Dist>) {
-        out.clear();
-        out.extend(self.dist.iter().map(|d| d.load()));
-    }
-
-    /// The last query's distances as a fresh vector.
-    pub fn to_distances(&self) -> Vec<Dist> {
-        self.dist.iter().map(|d| d.load()).collect()
-    }
-
-    /// Heap bytes currently held (distances, buckets, stamps, lanes).
-    pub fn heap_bytes(&self) -> usize {
-        use mmt_platform::MemFootprint;
-        self.dist.capacity() * std::mem::size_of::<AtomicMinU64>()
-            + self.relaxed_at.heap_bytes()
-            + self.queued.heap_bytes()
-            + self
-                .buckets
-                .iter()
-                .map(|b| b.capacity() * std::mem::size_of::<VertexId>())
-                .sum::<usize>()
-            + self.relax.heap_bytes()
-    }
-}
-
-/// The allocation-free Δ-stepping hot path over a pre-split CSR.
+/// Distances are left in `scratch` (see [`StepScratch::distance`] /
+/// [`StepScratch::copy_distances_into`]) so steady-state callers decide
+/// where the output goes without a forced allocation. `counters`, when
+/// given, record `bucket_expansions` = relax phases (light rounds plus
+/// heavy passes), `arcs_scanned` = `relaxations` = arcs walked, `settled`
+/// = distinct vertices extracted, and `improvements` = strict `fetch_min`
+/// wins.
 ///
-/// Light phases walk only each active vertex's light slice; the heavy phase
-/// walks only the removed set's heavy slices. Parallel relaxations scatter
-/// their improvements into `scratch`'s lane buffers; the serial drain
-/// deduplicates with bucket stamps (a vertex sits in a bucket at most once)
-/// and the `relaxed_at` guard skips any re-scanned vertex whose distance
-/// did not improve since its last relaxation.
-///
-/// Distances are left in `scratch` (see [`DeltaScratch::distance`] /
-/// [`DeltaScratch::copy_distances_into`]) so steady-state callers decide
-/// where the output goes without a forced allocation.
-///
-/// Generic over [`SplitAdjacency`]: the same monomorphised kernel serves
-/// the duplicating [`SplitCsr`] and the arena-backed
-/// [`SplitView`](mmt_graph::SplitView) (whose light/heavy *order* differs
-/// — weight-sorted vs source order — which this kernel never depends on).
-pub fn delta_stepping_presplit<S: SplitAdjacency + Sync>(
+/// Generic over the representation — the duplicating [`SplitCsr`] or the
+/// arena-backed [`SplitView`](mmt_graph::SplitView), whose light/heavy
+/// *order* differs — and over the scratch's distance cell: a
+/// `StepScratch<AtomicMinU32>` runs on certified compact splits only.
+pub fn delta_stepping_presplit<C: MinCell, S: FitsCell<C>>(
     split: &S,
     source: VertexId,
-    scratch: &mut DeltaScratch,
+    scratch: &mut StepScratch<C>,
     counters: Option<&EventCounters>,
 ) {
-    presplit_kernel::<S, 0>(split, source, None, None, scratch, counters);
+    let query = StepQuery {
+        source,
+        counters,
+        ..StepQuery::default()
+    };
+    let done = step(&Delta, split, scratch, &query);
+    debug_assert!(done, "an uncancellable solve completes");
 }
 
-/// Early-exit Δ-stepping for a single s–t query over a pre-split CSR.
+/// Early-exit Δ-stepping for a single s–t query over a pre-split adjacency.
 ///
-/// Runs the identical kernel as [`delta_stepping_presplit`], but stops as
-/// soon as the target's bucket settles instead of draining every bucket.
-/// The exit test is sound because of the bucket invariant: when the kernel
-/// finishes bucket `cur` (light fixpoint plus heavy phase) and advances,
-/// every vertex whose final distance lies below `(cur + 1)·Δ` has been
-/// settled — so once `dist(t)/Δ < cur` the tentative label at `t` can no
-/// longer improve and equals the true distance. Unreachable targets are
-/// still proven exactly: the bucket ring drains s's whole component and the
-/// kernel returns with `dist(t) == INF`.
+/// Runs the same solve as [`delta_stepping_presplit`], but stops as soon
+/// as the target's bucket settles instead of draining every bucket. The
+/// exit is sound because of the bucket invariant: once no entry is queued
+/// below bucket `b`, every vertex whose label lies below `b·Δ` is final.
+/// Unreachable targets are still proven exactly: the bins drain s's whole
+/// component and the solve returns with `dist(t) == INF`.
 ///
 /// Returns `None` if `cancel` fired mid-query (the scratch stays reusable),
-/// otherwise `Some(dist)` with [`INF`] meaning proven unreachable.
-/// `counters` accounting is identical to the full-SSSP kernel, so
-/// `arcs_scanned` directly measures the work the early exit avoided.
-pub fn delta_stepping_st<S: SplitAdjacency + Sync>(
+/// otherwise `Some(dist)` with [`INF`](mmt_graph::types::INF) meaning
+/// proven unreachable. `counters` accounting is identical to the full
+/// solve, so `arcs_scanned` directly measures the work the early exit
+/// avoided.
+pub fn delta_stepping_st<C: MinCell, S: FitsCell<C>>(
     split: &S,
     source: VertexId,
     target: VertexId,
-    scratch: &mut DeltaScratch,
+    scratch: &mut StepScratch<C>,
     counters: Option<&EventCounters>,
     cancel: Option<&CancelToken>,
 ) -> Option<Dist> {
-    assert!((target as usize) < split.n(), "target out of range");
-    let completed = presplit_kernel::<S, 0>(split, source, Some(target), cancel, scratch, counters);
-    completed.then(|| scratch.distance(target))
-}
-
-/// [`delta_stepping_presplit`] with an unrolled read-ahead on the bucket
-/// scan: each relaxation first loads the distance slot the loop will
-/// `fetch_min` `8` iterations later, pulling its cache line while the
-/// current relaxation's latency is in flight. The workspace forbids
-/// `unsafe`, so this is a real (relaxed) load through
-/// [`std::hint::black_box`] rather than a prefetch intrinsic — the
-/// closest portable spelling. Same distances, same counter accounting
-/// (`arcs_scanned` counts arcs, not read-ahead touches); `bench_layout`
-/// measures the win/loss as the `delta-u64-ra` engine rows.
-pub fn delta_stepping_presplit_readahead<S: SplitAdjacency + Sync>(
-    split: &S,
-    source: VertexId,
-    scratch: &mut DeltaScratch,
-    counters: Option<&EventCounters>,
-) {
-    presplit_kernel::<S, 8>(split, source, None, None, scratch, counters);
-}
-
-/// The shared kernel. With `target == None` it drains every bucket (full
-/// SSSP); with a target it breaks once the target's bucket has settled.
-/// Returns `false` iff `cancel` fired before the query finished; the stamp
-/// epoch is advanced on *every* exit path so the scratch is always safe to
-/// reuse.
-fn presplit_kernel<S: SplitAdjacency + Sync, const AHEAD: usize>(
-    split: &S,
-    source: VertexId,
-    target: Option<VertexId>,
-    cancel: Option<&CancelToken>,
-    scratch: &mut DeltaScratch,
-    counters: Option<&EventCounters>,
-) -> bool {
-    assert!((source as usize) < split.n(), "source out of range");
-    scratch.reset(split);
-    let delta = split.delta().max(1) as u64;
-    let DeltaScratch {
-        dist,
-        relaxed_at,
-        queued,
-        stamp_base,
-        buckets,
-        batch,
-        active,
-        removed,
-        relax,
-    } = scratch;
-    let dist: &[AtomicMinU64] = dist;
-    let nb = buckets.len() as u64;
-    let slot_of = |b: u64| (b % nb) as usize;
-
-    dist[source as usize].store(0);
-    buckets[0].push(source);
-    queued.mark_with(source as usize, *stamp_base);
-    let mut pending = 1usize;
-    let mut cur: u64 = 0; // absolute bucket index
-    let mut completed = true;
-
-    'outer: while pending > 0 {
-        if cancel.is_some_and(|c| c.is_cancelled()) {
-            completed = false;
-            break 'outer;
-        }
-        // Advance to the next non-empty slot; all entries (live or stale)
-        // sit within the cyclic window [cur, cur + nb - 1].
-        let mut scanned = 0u64;
-        while buckets[slot_of(cur)].is_empty() {
-            cur += 1;
-            scanned += 1;
-            assert!(scanned <= nb, "pending entries outside the cyclic window");
-        }
-        let slot = slot_of(cur);
-        let cur_stamp = *stamp_base + cur;
-        removed.clear();
-
-        // Light phases: expand the current bucket to a fixpoint. Cancellation
-        // is also polled per phase: with a huge Δ the whole query is one
-        // bucket and the outer-loop poll alone would never fire.
-        while !buckets[slot].is_empty() {
-            if cancel.is_some_and(|c| c.is_cancelled()) {
-                completed = false;
-                break 'outer;
-            }
-            std::mem::swap(batch, &mut buckets[slot]);
-            pending -= batch.len();
-            active.clear();
-            for &v in batch.iter() {
-                let vi = v as usize;
-                if queued.stamp_of(vi) == cur_stamp {
-                    queued.unmark(vi);
-                }
-                let d = dist[vi].load();
-                // Stale (migrated to an earlier bucket) or unimproved since
-                // its last relaxation: skip without touching any edges.
-                if d / delta == cur && d < relaxed_at[vi] {
-                    if relaxed_at[vi] == INF {
-                        removed.push(v);
-                    }
-                    relaxed_at[vi] = d;
-                    active.push(v);
-                }
-            }
-            batch.clear();
-            if active.is_empty() {
-                continue;
-            }
-            if let Some(ev) = counters {
-                ev.bucket_expansions.bump();
-                let arcs = active
-                    .iter()
-                    .map(|&v| split.light(v).0.len() as u64)
-                    .sum::<u64>();
-                ev.arcs_scanned.add(arcs);
-                ev.relaxations.add(arcs);
-            }
-            relax.scatter(active, |&u, lane| {
-                let du = dist[u as usize].load();
-                let (ts, ws) = split.light(u);
-                relax_arcs::<AHEAD>(dist, du, ts, ws, |v, nd| lane.push((v, nd)));
-            });
-            let mut drained = 0u64;
-            relax.drain(|(v, nd)| {
-                drained += 1;
-                let b = nd / delta;
-                debug_assert!(b >= cur);
-                if queued.mark_with(v as usize, *stamp_base + b) {
-                    buckets[slot_of(b)].push(v);
-                    pending += 1;
-                }
-            });
-            if let Some(ev) = counters {
-                ev.improvements.add(drained);
-            }
-        }
-
-        // Heavy phase: each settled vertex relaxes its heavy edges once.
-        if !removed.is_empty() {
-            if let Some(ev) = counters {
-                ev.bucket_expansions.bump();
-                ev.settled.add(removed.len() as u64);
-                let arcs = removed
-                    .iter()
-                    .map(|&v| split.heavy(v).0.len() as u64)
-                    .sum::<u64>();
-                ev.arcs_scanned.add(arcs);
-                ev.relaxations.add(arcs);
-            }
-            relax.scatter(removed, |&u, lane| {
-                let du = dist[u as usize].load();
-                let (ts, ws) = split.heavy(u);
-                relax_arcs::<AHEAD>(dist, du, ts, ws, |v, nd| lane.push((v, nd)));
-            });
-            let mut drained = 0u64;
-            relax.drain(|(v, nd)| {
-                drained += 1;
-                let b = nd / delta;
-                debug_assert!(b > cur);
-                if queued.mark_with(v as usize, *stamp_base + b) {
-                    buckets[slot_of(b)].push(v);
-                    pending += 1;
-                }
-            });
-            if let Some(ev) = counters {
-                ev.improvements.add(drained);
-            }
-        }
-        cur += 1;
-        // Early exit: bucket `cur - 1` has settled, so any vertex with a
-        // tentative distance in an earlier bucket is final.
-        if let Some(t) = target {
-            let dt = dist[t as usize].load();
-            if dt != INF && dt / delta < cur {
-                break;
-            }
-        }
-    }
-    // Every pop unmarks its live stamp, but advance past this query's stamp
-    // range anyway so a future query can never collide with a stale stamp.
-    // Every stamp this query marked is at most `stamp_base + cur + nb - 1`
-    // on every exit path (normal, early-exit, cancelled), so this advance
-    // keeps the scratch reusable even when buckets were left undrained.
-    *stamp_base += cur + nb + 1;
-    completed
-}
-
-/// The seed Δ-stepping kernel, kept verbatim as the *before* side of the
-/// hot-path comparison: it re-filters light/heavy per relaxation, rebuilds
-/// request vectors with `collect()` every phase, and deduplicates the
-/// removed set with `sort + dedup`. `bench_hotpath` measures it against
-/// [`delta_stepping_presplit`] with the counting allocator; the verify
-/// harness runs it as one more differential engine.
-pub fn delta_stepping_reference(g: &CsrGraph, source: VertexId, cfg: DeltaConfig) -> Vec<Dist> {
-    delta_stepping_reference_counted(g, source, cfg, None)
-}
-
-/// As [`delta_stepping_reference`], with optional [`EventCounters`]
-/// (relaxations = full degree of every expanded bucket entry, the seed
-/// accounting — duplicate entries count double, which is exactly the
-/// re-scan waste the regression tests pin down).
-pub fn delta_stepping_reference_counted(
-    g: &CsrGraph,
-    source: VertexId,
-    cfg: DeltaConfig,
-    counters: Option<&EventCounters>,
-) -> Vec<Dist> {
-    assert!((source as usize) < g.n(), "source out of range");
-    let delta = cfg.delta().max(1);
-    let nb = (g.max_weight() as u64 / delta + 2) as usize;
-    let dist: Vec<AtomicMinU64> = (0..g.n()).map(|_| AtomicMinU64::new(INF)).collect();
-    dist[source as usize].store(0);
-
-    let mut buckets: Vec<Vec<VertexId>> = vec![Vec::new(); nb];
-    buckets[0].push(source);
-    let mut pending = 1usize;
-    let mut cur: u64 = 0; // absolute bucket index
-
-    let bucket_of = |d: Dist| d / delta;
-    let slot_of = |b: u64| (b % nb as u64) as usize;
-
-    while pending > 0 {
-        let mut scanned = 0;
-        while buckets[slot_of(cur)].is_empty() {
-            cur += 1;
-            scanned += 1;
-            assert!(scanned <= nb, "pending entries outside the cyclic window");
-        }
-        let slot = slot_of(cur);
-        let mut removed: Vec<VertexId> = Vec::new();
-
-        // Light phases: expand the current bucket to a fixpoint.
-        while !buckets[slot].is_empty() {
-            let batch = std::mem::take(&mut buckets[slot]);
-            pending -= batch.len();
-            let active: Vec<VertexId> = batch
-                .into_iter()
-                .filter(|&v| bucket_of(dist[v as usize].load()) == cur)
-                .collect();
-            if active.is_empty() {
-                continue;
-            }
-            if let Some(ev) = counters {
-                ev.bucket_expansions.bump();
-            }
-            let improved = relax_batch(g, &dist, &active, |w| w as u64 <= delta);
-            if let Some(ev) = counters {
-                let arcs: u64 = active.iter().map(|&v| g.degree(v) as u64).sum();
-                ev.arcs_scanned.add(arcs);
-                ev.relaxations.add(arcs);
-                ev.improvements.add(improved.len() as u64);
-            }
-            removed.extend(active);
-            for (v, nd) in improved {
-                buckets[slot_of(bucket_of(nd))].push(v);
-                pending += 1;
-            }
-        }
-
-        // Heavy phase: each removed vertex relaxes its heavy edges once.
-        removed.sort_unstable();
-        removed.dedup();
-        if let Some(ev) = counters {
-            ev.bucket_expansions.bump();
-            ev.settled.add(removed.len() as u64);
-        }
-        let improved = relax_batch(g, &dist, &removed, |w| w as u64 > delta);
-        for (v, nd) in improved {
-            debug_assert!(bucket_of(nd) > cur);
-            buckets[slot_of(bucket_of(nd))].push(v);
-            pending += 1;
-        }
-        cur += 1;
-    }
-    dist.into_iter().map(|d| d.load()).collect()
-}
-
-/// Generates relaxation requests for `batch` over edges passing `keep`, and
-/// applies them with `fetch_min`. Returns the `(vertex, new_dist)` pairs
-/// that strictly improved (possibly with duplicates per vertex; stale
-/// bucket entries are filtered at expansion time).
-fn relax_batch(
-    g: &CsrGraph,
-    dist: &[AtomicMinU64],
-    batch: &[VertexId],
-    keep: impl Fn(u32) -> bool + Sync + Send,
-) -> Vec<(VertexId, Dist)> {
-    let keep = &keep;
-    batch
-        .par_iter()
-        .flat_map_iter(move |&u| {
-            let du = dist[u as usize].load();
-            g.edges_from(u).filter_map(move |(v, w)| {
-                if keep(w) {
-                    Some((v, du + w as Dist))
-                } else {
-                    None
-                }
-            })
-        })
-        .filter(|&(v, nd)| dist[v as usize].fetch_min(nd))
-        .collect()
+    let query = StepQuery {
+        source,
+        target: Some(target),
+        cancel,
+        counters,
+    };
+    step(&Delta, split, scratch, &query).then(|| scratch.distance(target))
 }
 
 #[cfg(test)]
@@ -633,7 +211,17 @@ mod tests {
     use crate::dijkstra::dijkstra;
     use mmt_graph::gen::shapes;
     use mmt_graph::gen::{GraphClass, WeightDist, WorkloadSpec};
-    use mmt_graph::types::EdgeList;
+    use mmt_graph::types::{EdgeList, INF};
+    use mmt_graph::CompactSplitCsr;
+    use mmt_platform::AtomicMinU32;
+
+    /// The one-shot Δ-stepping on the u32 cell.
+    fn compact_solve(g: &CsrGraph, source: VertexId, delta: u64) -> Vec<Dist> {
+        let split = CompactSplitCsr::try_new(g, delta as Weight).expect("graph narrows");
+        let mut scratch = StepScratch::<AtomicMinU32>::new(&split);
+        delta_stepping_presplit(&split, source, &mut scratch, None);
+        scratch.to_distances()
+    }
 
     fn check_graph(el: &EdgeList, deltas: &[u64]) {
         let g = CsrGraph::from_edge_list(el);
@@ -646,8 +234,6 @@ mod tests {
             for &delta in deltas {
                 let got = delta_stepping(&g, s, DeltaConfig::new(delta));
                 assert_eq!(got, want, "delta={delta} source={s}");
-                let reference = delta_stepping_reference(&g, s, DeltaConfig::new(delta));
-                assert_eq!(reference, want, "reference delta={delta} source={s}");
             }
         }
     }
@@ -852,8 +438,8 @@ mod tests {
                 None,
                 "delta={delta}"
             );
-            // Reuse after interruption must still be exact (stamp epoch
-            // advanced on the cancelled exit path).
+            // Reuse after interruption must still be exact (the cancelled
+            // exit clears the bins).
             let got = delta_stepping_st(&split, 0, 200, &mut scratch, None, None);
             assert_eq!(got, Some(dijkstra(&g, 0)[200]), "delta={delta}");
         }
@@ -883,9 +469,11 @@ mod tests {
     #[test]
     fn counters_record_activity() {
         let g = CsrGraph::from_edge_list(&shapes::path(20, 3));
+        let split = SplitCsr::new(&g, 6);
+        let mut scratch = DeltaScratch::new(&split);
         let ev = EventCounters::new();
-        let d = super::delta_stepping_counted(&g, 0, DeltaConfig::new(6), Some(&ev));
-        assert_eq!(d, dijkstra(&g, 0));
+        delta_stepping_presplit(&split, 0, &mut scratch, Some(&ev));
+        assert_eq!(scratch.to_distances(), dijkstra(&g, 0));
         assert_eq!(ev.settled.get(), 20);
         assert!(ev.bucket_expansions.get() > 0);
         assert_eq!(ev.relaxations.get() as usize, g.num_arcs());
@@ -896,69 +484,26 @@ mod tests {
     /// Regression for the `removed` re-scan bug: a vertex queued into a
     /// future bucket twice (here: vertex 1 enters bucket 2 first via the
     /// heavy edge (0,1,25), then again via the light edge (2,1,9) after
-    /// vertex 2 settles in bucket 1) used to be expanded twice even though
-    /// its distance was final — the seed kernel walks its edges once per
-    /// stale entry. The stamped kernel relaxes every arc exactly once.
+    /// vertex 2 settles in bucket 1) was once expanded twice even though
+    /// its distance was final. The extraction filter relaxes every arc
+    /// exactly once.
     #[test]
     fn no_rerelax_of_requeued_vertices_on_a_cycle() {
         let g = CsrGraph::from_edge_list(&EdgeList::from_triples(
             3,
             [(0, 1, 25), (0, 2, 12), (2, 1, 9)],
         ));
-        let want = dijkstra(&g, 0);
-        let cfg = DeltaConfig::new(10);
-
-        let ev_new = EventCounters::new();
-        let got = super::delta_stepping_counted(&g, 0, cfg, Some(&ev_new));
-        assert_eq!(got, want);
+        let split = SplitCsr::new(&g, 10);
+        let mut scratch = DeltaScratch::new(&split);
+        let ev = EventCounters::new();
+        delta_stepping_presplit(&split, 0, &mut scratch, Some(&ev));
+        assert_eq!(scratch.to_distances(), dijkstra(&g, 0));
         assert_eq!(
-            ev_new.relaxations.get() as usize,
+            ev.relaxations.get() as usize,
             g.num_arcs(),
-            "stamped kernel walks each arc exactly once"
+            "each arc is walked exactly once"
         );
-        assert_eq!(ev_new.settled.get(), 3);
-
-        let ev_ref = EventCounters::new();
-        let got = super::delta_stepping_reference_counted(&g, 0, cfg, Some(&ev_ref));
-        assert_eq!(got, want);
-        assert!(
-            ev_ref.relaxations.get() as usize > g.num_arcs(),
-            "seed kernel re-expands the duplicate bucket entry (got {})",
-            ev_ref.relaxations.get()
-        );
-        assert_eq!(ev_ref.settled.get(), 3);
-    }
-
-    /// The read-ahead kernel is behaviourally identical to the plain one:
-    /// same distances and the same counter totals (the read-ahead touch is
-    /// not an arc scan), across degree shapes that exercise both the
-    /// `i + AHEAD < len` window and the short-slice fallback. One lane, so
-    /// the relaxation count cannot depend on the thread interleaving.
-    #[test]
-    fn readahead_matches_plain_presplit_distances_and_counters() {
-        let mut spec = WorkloadSpec::new(GraphClass::Rmat, WeightDist::PolyLog, 8, 10);
-        spec.seed = 13;
-        let dense = CsrGraph::from_edge_list(&spec.generate());
-        let path = CsrGraph::from_edge_list(&shapes::path(40, 5));
-        mmt_platform::with_pool(1, || {
-            for g in [&dense, &path] {
-                let delta = adaptive_delta(g).min(u32::MAX as u64) as u32;
-                let split = SplitCsr::new(g, delta.max(1));
-                let mut scratch = DeltaScratch::new(&split);
-                for s in [0u32, g.n() as u32 / 2] {
-                    let ev_plain = EventCounters::new();
-                    super::delta_stepping_presplit(&split, s, &mut scratch, Some(&ev_plain));
-                    let plain = scratch.to_distances();
-                    let ev_ra = EventCounters::new();
-                    super::delta_stepping_presplit_readahead(&split, s, &mut scratch, Some(&ev_ra));
-                    assert_eq!(scratch.to_distances(), plain, "source {s}");
-                    assert_eq!(plain, dijkstra(g, s), "source {s}");
-                    assert_eq!(ev_ra.relaxations.get(), ev_plain.relaxations.get());
-                    assert_eq!(ev_ra.arcs_scanned.get(), ev_plain.arcs_scanned.get());
-                    assert_eq!(ev_ra.settled.get(), ev_plain.settled.get());
-                }
-            }
-        });
+        assert_eq!(ev.settled.get(), 3);
     }
 
     #[test]
@@ -966,5 +511,95 @@ mod tests {
         let g = CsrGraph::from_edge_list(&shapes::path(10, 3));
         let d = delta_stepping(&g, 0, DeltaConfig::new(u64::MAX / 4));
         assert_eq!(d, dijkstra(&g, 0));
+    }
+
+    #[test]
+    fn compact_cell_matches_dijkstra_on_workloads() {
+        for (class, wd) in [
+            (GraphClass::Random, WeightDist::Uniform),
+            (GraphClass::Random, WeightDist::PolyLog),
+            (GraphClass::Rmat, WeightDist::Uniform),
+            (GraphClass::Rmat, WeightDist::PolyLog),
+        ] {
+            let mut spec = WorkloadSpec::new(class, wd, 8, 8);
+            spec.seed = 23;
+            let g = CsrGraph::from_edge_list(&spec.generate());
+            for s in [0u32, 17, 200] {
+                let got = compact_solve(&g, s, adaptive_delta(&g));
+                assert_eq!(got, dijkstra(&g, s), "{} source {s}", spec.name());
+            }
+        }
+    }
+
+    #[test]
+    fn compact_scratch_reuse_across_queries() {
+        let mut spec = WorkloadSpec::new(GraphClass::Random, WeightDist::PolyLog, 7, 9);
+        spec.seed = 99;
+        let g = CsrGraph::from_edge_list(&spec.generate());
+        let split = CompactSplitCsr::try_new(&g, adaptive_delta(&g) as Weight).unwrap();
+        let mut scratch = StepScratch::<AtomicMinU32>::new(&split);
+        let mut out = Vec::new();
+        for s in [0u32, 3, 50, 100, 3, 0] {
+            delta_stepping_presplit(&split, s, &mut scratch, None);
+            scratch.copy_distances_into(&mut out);
+            assert_eq!(out, dijkstra(&g, s), "source {s}");
+        }
+        // Regrows for a differently-sized split.
+        let small = CsrGraph::from_edge_list(&shapes::path(5, 2));
+        let small_split = CompactSplitCsr::try_new(&small, 2).unwrap();
+        delta_stepping_presplit(&small_split, 0, &mut scratch, None);
+        scratch.copy_distances_into(&mut out);
+        assert_eq!(out, dijkstra(&small, 0));
+    }
+
+    #[test]
+    fn compact_arena_view_matches_duplicating_split() {
+        use mmt_graph::CsrArena;
+        let mut spec = WorkloadSpec::new(GraphClass::Random, WeightDist::Uniform, 8, 8);
+        spec.seed = 41;
+        let g = CsrGraph::from_edge_list(&spec.generate());
+        let delta = adaptive_delta(&g) as u32;
+        let dup = CompactSplitCsr::try_new(&g, delta).unwrap();
+        let view = CsrArena::new(&g).compact_split(delta).unwrap();
+        let mut scratch = StepScratch::<AtomicMinU32>::new(&view);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for s in [0u32, 17, 200] {
+            delta_stepping_presplit(&view, s, &mut scratch, None);
+            scratch.copy_distances_into(&mut a);
+            delta_stepping_presplit(&dup, s, &mut scratch, None);
+            scratch.copy_distances_into(&mut b);
+            assert_eq!(a, b, "source {s}");
+            assert_eq!(a, dijkstra(&g, s), "source {s}");
+        }
+    }
+
+    #[test]
+    fn compact_unreached_vertices_widen_to_inf() {
+        let g = CsrGraph::from_edge_list(&EdgeList::from_triples(4, [(0, 1, 6)]));
+        assert_eq!(compact_solve(&g, 0, 3), vec![0, 6, INF, INF]);
+    }
+
+    #[test]
+    fn compact_near_sentinel_distances_stay_exact() {
+        // A path whose far end sits just below the u32 sentinel: the u32
+        // cell must neither saturate a true distance nor misbucket it.
+        let big = (u32::MAX - 10) / 2;
+        let g = CsrGraph::from_edge_list(&EdgeList::from_triples(3, [(0, 1, big), (1, 2, big)]));
+        let want = dijkstra(&g, 0);
+        assert_eq!(want[2], 2 * big as u64);
+        assert_eq!(compact_solve(&g, 0, adaptive_delta(&g)), want);
+    }
+
+    #[test]
+    fn compact_counters_match_the_wide_cell() {
+        let g = CsrGraph::from_edge_list(&shapes::path(20, 3));
+        let split = CompactSplitCsr::try_new(&g, 6).unwrap();
+        let mut scratch = StepScratch::<AtomicMinU32>::new(&split);
+        let ev = EventCounters::new();
+        delta_stepping_presplit(&split, 0, &mut scratch, Some(&ev));
+        assert_eq!(scratch.to_distances(), dijkstra(&g, 0));
+        assert_eq!(ev.settled.get(), 20);
+        assert_eq!(ev.relaxations.get() as usize, g.num_arcs());
+        assert_eq!(ev.arcs_scanned.get() as usize, g.num_arcs());
     }
 }

@@ -10,16 +10,14 @@
 //!   with uniform weight distributions") used in the paper's Table 1;
 //! * [`delta_stepping`] — the parallel Meyer–Sanders Δ-stepping of Madduri
 //!   et al., the paper's parallel baseline (Tables 5–6, Figure 5);
-//! * [`rho_stepping`] — ρ-stepping (Dong–Gu–Sun–Zhang) on contention-free
-//!   per-thread frontier bins: each step extracts the ~ρ closest frontier
-//!   vertices and relaxes all of their edges, with no shared bucket array;
-//! * [`delta_star`] — Δ*-stepping from the same paper: Δ-bucketed stepping
-//!   with no light/heavy split, run to an inner fixpoint per bucket, on the
-//!   same thread-local bins;
-//! * [`compact_delta`] — the same kernel over all-`u32` structures with
-//!   checked-narrowed saturating `u32` distances (the locality option);
-//! * [`relax_core`] — the shared, unrolled, read-ahead relax inner loop
-//!   every stepping kernel above funnels through;
+//! * [`delta_star`] and [`rho_stepping`] — Δ*- and ρ-stepping
+//!   (Dong–Gu–Sun–Zhang): Δ*-stepping drains each bucket to a fixpoint over
+//!   all arcs, ρ-stepping extracts the ~ρ closest frontier vertices per step
+//!   and relaxes all of their arcs. All three are policies over one private
+//!   stepping loop on contention-free per-thread frontier bins, generic over
+//!   the distance cell (`u64`, or `u32` on certified compact splits);
+//! * [`relax_core`] — the unrolled, read-ahead relax inner loop of that
+//!   stepping loop;
 //! * [`verify`] — an oracle-free certificate checker for SSSP outputs,
 //!   reporting failures as structured [`Divergence`] records;
 //! * [`bellman_ford`] — serial + parallel-frontier Bellman–Ford (the
@@ -35,7 +33,6 @@
 pub mod bellman_ford;
 pub mod bfs;
 pub mod bidirectional;
-pub mod compact_delta;
 pub mod delta_star;
 pub mod delta_stepping;
 pub mod dijkstra;
@@ -43,23 +40,20 @@ pub mod goldberg;
 pub mod mlb;
 pub mod relax_core;
 pub mod rho_stepping;
+mod step;
 pub mod verify;
 
 pub use bellman_ford::{bellman_ford, bellman_ford_frontier};
 pub use bfs::bfs;
 pub use bidirectional::{bidirectional_dijkstra, bidirectional_st, BidiScratch, P2pStats};
-pub use compact_delta::{delta_stepping_compact, delta_stepping_compact_presplit, CompactScratch};
-pub use delta_star::{delta_star_partitioned, delta_star_presplit, delta_star_with_cancel};
+pub use delta_star::delta_star_presplit;
 pub use delta_stepping::{
-    adaptive_delta, default_delta, delta_stepping, delta_stepping_counted, delta_stepping_presplit,
-    delta_stepping_presplit_readahead, delta_stepping_reference, delta_stepping_reference_counted,
-    delta_stepping_st, DeltaConfig, DeltaScratch,
+    adaptive_delta, default_delta, delta_stepping, delta_stepping_presplit, delta_stepping_st,
+    DeltaConfig, DeltaScratch,
 };
 pub use dijkstra::{dijkstra, dijkstra_with_parents};
 pub use goldberg::goldberg_sssp;
-pub use relax_core::{relax_arcs, relax_arcs_compact, RELAX_AHEAD};
-pub use rho_stepping::{
-    default_rho, rho_stepping_partitioned, rho_stepping_presplit, rho_stepping_with_cancel,
-    StepScratch,
-};
+pub use relax_core::{relax_arcs, RELAX_AHEAD};
+pub use rho_stepping::{default_rho, rho_stepping_presplit};
+pub use step::{FitsCell, StepScratch};
 pub use verify::{verify_sssp, verify_sssp_engine, Divergence, DivergenceKind};

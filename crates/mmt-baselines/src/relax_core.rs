@@ -1,4 +1,4 @@
-//! The shared relax inner loop every stepping kernel funnels through.
+//! The shared relax inner loop of the stepping loop.
 //!
 //! A relax phase spends its time in one tight loop: walk a vertex's
 //! adjacency slice, compute `d(u) + w`, `fetch_min` the target's distance
@@ -16,28 +16,26 @@
 //!
 //! Both are behavioural no-ops: same `fetch_min` sequence per arc, same
 //! improvements, and counter accounting is untouched (`arcs_scanned`
-//! counts arcs, not read-ahead touches). [`relax_arcs`] is the `u64`
-//! kernel used by Δ-stepping, ρ-stepping and Δ*-stepping;
-//! [`relax_arcs_compact`] is the saturating-`u32` twin used by the
-//! compact kernel (see `compact_delta` for why saturation is exact).
-//! `bench_layout` measures the read-ahead win/loss as the `*-ra` engine
-//! rows; this module exists so the three kernels share one tuned loop
-//! instead of three drifting copies.
+//! counts arcs, not read-ahead touches). [`relax_arcs`] is generic over
+//! the distance cell: it computes `d(u) + w` in widened `u64`, and the
+//! narrow [`AtomicMinU32`](mmt_platform::AtomicMinU32) saturates a
+//! candidate past its range into the sentinel, which `fetch_min` never
+//! accepts — the same labels as the wide cell on a certified split.
 
 use mmt_graph::types::{Dist, VertexId, Weight};
-use mmt_platform::{AtomicMinU32, AtomicMinU64};
+use mmt_platform::MinCell;
 
-/// Default read-ahead depth for the stepping kernels: deep enough to
-/// cover an L2 miss at typical adjacency lengths, shallow enough that
-/// short slices still get some overlap. PR 8 measured 8 as the knee for
-/// the Δ-stepping readahead engine; the stepping kernels inherit it.
+/// Read-ahead depth of every stepping policy: deep enough to cover an L2
+/// miss at typical adjacency lengths, shallow enough that short slices
+/// still get some overlap. EXPERIMENTS.md records 8 as the knee for
+/// Δ-stepping.
 pub const RELAX_AHEAD: usize = 8;
 
-/// One `u64` relaxation at index `i`, with an `AHEAD`-deep read-ahead
-/// touch of the distance slot a later iteration will `fetch_min`.
+/// One relaxation at index `i`, with an `AHEAD`-deep read-ahead touch of
+/// the distance slot a later iteration will `fetch_min`.
 #[inline(always)]
-fn relax_one<const AHEAD: usize>(
-    dist: &[AtomicMinU64],
+fn relax_one<const AHEAD: usize, C: MinCell>(
+    dist: &[C],
     du: Dist,
     ts: &[VertexId],
     ws: &[Weight],
@@ -58,8 +56,8 @@ fn relax_one<const AHEAD: usize>(
 /// win. The loop is unrolled ×4 with an `AHEAD`-deep read-ahead; `AHEAD
 /// = 0` compiles to the plain loop.
 #[inline]
-pub fn relax_arcs<const AHEAD: usize>(
-    dist: &[AtomicMinU64],
+pub fn relax_arcs<const AHEAD: usize, C: MinCell>(
+    dist: &[C],
     du: Dist,
     ts: &[VertexId],
     ws: &[Weight],
@@ -69,63 +67,14 @@ pub fn relax_arcs<const AHEAD: usize>(
     let len = ts.len();
     let mut i = 0;
     while i + 4 <= len {
-        relax_one::<AHEAD>(dist, du, ts, ws, i, &mut on_improve);
-        relax_one::<AHEAD>(dist, du, ts, ws, i + 1, &mut on_improve);
-        relax_one::<AHEAD>(dist, du, ts, ws, i + 2, &mut on_improve);
-        relax_one::<AHEAD>(dist, du, ts, ws, i + 3, &mut on_improve);
+        relax_one::<AHEAD, C>(dist, du, ts, ws, i, &mut on_improve);
+        relax_one::<AHEAD, C>(dist, du, ts, ws, i + 1, &mut on_improve);
+        relax_one::<AHEAD, C>(dist, du, ts, ws, i + 2, &mut on_improve);
+        relax_one::<AHEAD, C>(dist, du, ts, ws, i + 3, &mut on_improve);
         i += 4;
     }
     while i < len {
-        relax_one::<AHEAD>(dist, du, ts, ws, i, &mut on_improve);
-        i += 1;
-    }
-}
-
-/// One saturating-`u32` relaxation at index `i` (see
-/// [`relax_arcs_compact`]).
-#[inline(always)]
-fn relax_one_compact<const AHEAD: usize>(
-    dist: &[AtomicMinU32],
-    du: u32,
-    ts: &[VertexId],
-    ws: &[Weight],
-    i: usize,
-    on_improve: &mut impl FnMut(VertexId, u32),
-) {
-    if AHEAD > 0 && i + AHEAD < ts.len() {
-        std::hint::black_box(dist[ts[i + AHEAD] as usize].load());
-    }
-    // Saturation can only produce the compact sentinel, which `fetch_min`
-    // never accepts — see the compact_delta module docs for the proof.
-    let nd = du.saturating_add(ws[i]);
-    if dist[ts[i] as usize].fetch_min(nd) {
-        on_improve(ts[i], nd);
-    }
-}
-
-/// The compact (`u32`-distance) twin of [`relax_arcs`]: same unroll and
-/// read-ahead structure over an [`AtomicMinU32`] distance array, with the
-/// checked-narrowing saturating add of the compact kernels.
-#[inline]
-pub fn relax_arcs_compact<const AHEAD: usize>(
-    dist: &[AtomicMinU32],
-    du: u32,
-    ts: &[VertexId],
-    ws: &[Weight],
-    mut on_improve: impl FnMut(VertexId, u32),
-) {
-    debug_assert_eq!(ts.len(), ws.len());
-    let len = ts.len();
-    let mut i = 0;
-    while i + 4 <= len {
-        relax_one_compact::<AHEAD>(dist, du, ts, ws, i, &mut on_improve);
-        relax_one_compact::<AHEAD>(dist, du, ts, ws, i + 1, &mut on_improve);
-        relax_one_compact::<AHEAD>(dist, du, ts, ws, i + 2, &mut on_improve);
-        relax_one_compact::<AHEAD>(dist, du, ts, ws, i + 3, &mut on_improve);
-        i += 4;
-    }
-    while i < len {
-        relax_one_compact::<AHEAD>(dist, du, ts, ws, i, &mut on_improve);
+        relax_one::<AHEAD, C>(dist, du, ts, ws, i, &mut on_improve);
         i += 1;
     }
 }
@@ -135,6 +84,7 @@ mod tests {
     use super::*;
     use mmt_graph::types::INF;
     use mmt_graph::COMPACT_DIST_INF;
+    use mmt_platform::{AtomicMinU32, AtomicMinU64};
 
     fn wide(vals: &[Dist]) -> Vec<AtomicMinU64> {
         vals.iter().map(|&v| AtomicMinU64::new(v)).collect()
@@ -150,7 +100,7 @@ mod tests {
             let ws: Vec<Weight> = (0..len as u32).map(|i| i + 1).collect();
             let dist = wide(&vec![INF; len]);
             let mut improved = Vec::new();
-            relax_arcs::<0>(&dist, 10, &ts, &ws, |v, nd| improved.push((v, nd)));
+            relax_arcs::<0, _>(&dist, 10, &ts, &ws, |v, nd| improved.push((v, nd)));
             let want: Vec<(VertexId, Dist)> =
                 (0..len as u32).map(|i| (i, 10 + i as Dist + 1)).collect();
             assert_eq!(improved, want, "len={len}");
@@ -171,8 +121,8 @@ mod tests {
             let ra = wide(&[100; 5]);
             let mut a = Vec::new();
             let mut b = Vec::new();
-            relax_arcs::<0>(&plain, 50, &ts, &ws, |v, nd| a.push((v, nd)));
-            relax_arcs::<RELAX_AHEAD>(&ra, 50, &ts, &ws, |v, nd| b.push((v, nd)));
+            relax_arcs::<0, _>(&plain, 50, &ts, &ws, |v, nd| a.push((v, nd)));
+            relax_arcs::<RELAX_AHEAD, _>(&ra, 50, &ts, &ws, |v, nd| b.push((v, nd)));
             assert_eq!(a, b, "len={len}");
             for (p, r) in plain.iter().zip(ra.iter()) {
                 assert_eq!(p.load(), r.load());
@@ -180,9 +130,9 @@ mod tests {
         }
     }
 
-    /// The compact loop mirrors the wide loop bit-for-bit on a certified
-    /// domain, and a saturating overflow propagates only the sentinel
-    /// (which fetch_min ignores).
+    /// The narrow cell mirrors the wide one bit-for-bit on a certified
+    /// domain, and a candidate past the `u32` range saturates into the
+    /// sentinel, which `fetch_min` ignores.
     #[test]
     fn compact_matches_wide_and_saturates_to_sentinel() {
         let ts: Vec<VertexId> = vec![0, 1, 2, 3, 4, 1];
@@ -194,24 +144,18 @@ mod tests {
             .collect();
         let mut a = Vec::new();
         let mut b = Vec::new();
-        relax_arcs::<RELAX_AHEAD>(&w64, 4, &ts, &ws, |v, nd| a.push((v, nd)));
-        relax_arcs_compact::<RELAX_AHEAD>(&w32, 4, &ts, &ws, |v, nd| b.push((v, nd as Dist)));
+        relax_arcs::<RELAX_AHEAD, _>(&w64, 4, &ts, &ws, |v, nd| a.push((v, nd)));
+        relax_arcs::<RELAX_AHEAD, _>(&w32, 4, &ts, &ws, |v, nd| b.push((v, nd)));
         assert_eq!(a, b);
         for (x, y) in w64.iter().zip(w32.iter()) {
-            let widened = if y.load() == COMPACT_DIST_INF {
-                INF
-            } else {
-                y.load() as Dist
-            };
-            assert_eq!(x.load(), widened);
+            assert_eq!(x.load(), MinCell::load(y));
         }
 
-        // Near-sentinel: the add saturates, the sentinel never wins.
+        // Near-sentinel: the candidate saturates, the sentinel never wins.
         let sat: Vec<AtomicMinU32> = vec![AtomicMinU32::new(COMPACT_DIST_INF)];
         let mut wins = Vec::new();
-        relax_arcs_compact::<0>(&sat, COMPACT_DIST_INF - 1, &[0], &[100], |v, nd| {
-            wins.push((v, nd))
-        });
+        let du = (COMPACT_DIST_INF - 1) as Dist;
+        relax_arcs::<0, _>(&sat, du, &[0], &[100], |v, nd| wins.push((v, nd)));
         assert!(wins.is_empty(), "saturated relaxation must not improve");
         assert_eq!(sat[0].load(), COMPACT_DIST_INF);
     }

@@ -1,38 +1,18 @@
-//! ρ-stepping (Dong, Gu, Sun, Zhang — arXiv:2105.06145) on the
-//! contention-free frontier bins.
+//! ρ-stepping (Dong, Gu, Sun, Zhang — arXiv:2105.06145) as a policy over
+//! the shared stepping loop (`crate::step`).
 //!
 //! Where Δ-stepping processes one distance-width bucket at a time,
 //! ρ-stepping extracts (approximately) the ρ *closest* frontier vertices
-//! per step and relaxes **all** of their edges — no light/heavy phase
-//! split. The stepping framework's correctness argument makes any
-//! extraction policy sound: a vertex whose tentative distance improves is
-//! re-inserted into the frontier, so the relax loop is a monotone
-//! `fetch_min` fixpoint that converges to the exact distances regardless
-//! of how aggressively vertices were extracted early (and regardless of
-//! thread count — the same property the cross-thread determinism test
-//! pins down).
-//!
-//! The implementation trick is the one the shared-bucket kernels in this
-//! workspace never used (GARDENIA's OpenMP Δ-stepping): each worker owns
-//! a private set of bucket bins ([`mmt_platform::bins::FrontierBins`])
-//! and inserts improved vertices directly into *its own* bins keyed by
-//! `dist / Δ` — the relax phase performs no shared-structure write other
-//! than the `fetch_min` on the distance array itself. A serial merge
-//! phase then votes the next bucket (min over per-lane minima), drains
-//! it from every lane with generation-stamped dedup, filters stale
-//! entries by distance, and the cycle repeats. Two phases, zero bucket
-//! contention.
-//!
-//! [`StepScratch`] carries everything across queries (distances, the
-//! `relaxed_at` re-relax guard, the bins, frontier staging), so after
-//! warm-up a query allocates nothing. The same scratch drives the
-//! Δ*-stepping kernel in [`crate::delta_star`].
+//! per step and relaxes **all** of their arcs — no light/heavy phase
+//! split. A step pulls whole buckets in ascending order until about ρ
+//! vertices are queued; the loop's fixpoint argument makes any such
+//! extraction sound, since a vertex whose label improves is re-inserted
+//! and relaxed again.
 
-use crate::relax_core::{relax_arcs, RELAX_AHEAD};
-use mmt_graph::types::{Dist, VertexId, INF};
-use mmt_graph::{ArcPartition, PartitionedCsr, SplitAdjacency};
-use mmt_platform::bins::{BinLane, FrontierBins};
-use mmt_platform::{AtomicMinU64, CancelToken, EventCounters};
+use crate::step::{step, Arcs, FitsCell, Step, StepPolicy, StepQuery, StepScratch};
+use mmt_graph::types::VertexId;
+use mmt_graph::SplitAdjacency;
+use mmt_platform::{EventCounters, MinCell};
 
 /// Default extraction target: large enough that a step saturates the
 /// pool on the workloads this repo runs, small enough that distance
@@ -43,89 +23,39 @@ pub fn default_rho(n: usize) -> usize {
     (n / 16).max(32)
 }
 
-/// Reusable per-query state for the stepping kernels (ρ and Δ*): the
-/// tentative-distance array, the last-relaxed guard, the per-thread
-/// frontier bins, and the merge staging buffers. Everything retains
-/// capacity across queries; after the first (warm-up) query a solve
-/// performs zero heap allocations.
-#[derive(Debug)]
-pub struct StepScratch {
-    pub(crate) dist: Vec<AtomicMinU64>,
-    /// Distance at which each vertex was last relaxed this query (`INF` =
-    /// never): a vertex re-relaxes only after a strict improvement.
-    pub(crate) relaxed_at: Vec<Dist>,
-    pub(crate) bins: FrontierBins,
-    pub(crate) frontier: Vec<VertexId>,
-    pub(crate) staging: Vec<VertexId>,
-}
+/// ρ-stepping's step: pull buckets from `first` up until about ρ
+/// vertices are queued, then relax all of their arcs. The ring is twice
+/// the window: extraction may span up to one window of buckets above
+/// `first`, and the other half absorbs the pushes those vertices make.
+struct Rho(usize);
 
-impl StepScratch {
-    /// Scratch sized for `split`. Lane count follows the *installed*
-    /// rayon budget (`rayon::current_num_threads()`), so a scratch built
-    /// inside [`mmt_platform::with_pool`] gets one lane per pool worker.
-    pub fn new(split: &impl SplitAdjacency) -> Self {
-        let n = split.n();
-        Self {
-            dist: (0..n).map(|_| AtomicMinU64::new(INF)).collect(),
-            relaxed_at: vec![INF; n],
-            bins: FrontierBins::new(rayon::current_num_threads(), rho_ring_len(split), n),
-            frontier: Vec::new(),
-            staging: Vec::new(),
+impl StepPolicy for Rho {
+    fn ring_len(&self, window: u64) -> u64 {
+        2 * window
+    }
+
+    fn step<C: MinCell, S: SplitAdjacency + Sync>(
+        &self,
+        st: &mut Step<'_, C, S>,
+        first: u64,
+    ) -> bool {
+        let mut bucket = first;
+        loop {
+            st.extract(bucket);
+            if st.frontier_len() >= self.0 {
+                break;
+            }
+            match st.vote(bucket) {
+                // The span cap keeps every push from this step inside the
+                // ring; stopping short of ρ is just a different (equally
+                // correct) extraction.
+                Some(b) if b - first < st.window() => bucket = b,
+                _ => break,
+            }
         }
+        st.relax_frontier(Arcs::All);
+        true
     }
-
-    /// Prepares for a query over `split` with a `ring` bins per lane:
-    /// grows to its dimensions if needed (retaining capacity otherwise)
-    /// and resets per-query state.
-    pub(crate) fn reset(&mut self, split: &impl SplitAdjacency, ring: usize) {
-        let n = split.n();
-        if self.dist.len() != n {
-            self.dist.resize_with(n, || AtomicMinU64::new(INF));
-            self.relaxed_at.resize(n, INF);
-        }
-        for d in &self.dist {
-            d.store(INF);
-        }
-        self.relaxed_at.fill(INF);
-        self.bins.reset(ring, n);
-    }
-
-    /// The distance to `v` computed by the last query.
-    #[inline]
-    pub fn distance(&self, v: VertexId) -> Dist {
-        self.dist[v as usize].load()
-    }
-
-    /// Copies the last query's distances into `out` (cleared first). Does
-    /// not allocate when `out` already has the capacity.
-    pub fn copy_distances_into(&self, out: &mut Vec<Dist>) {
-        out.clear();
-        out.extend(self.dist.iter().map(|d| d.load()));
-    }
-
-    /// The last query's distances as a fresh vector.
-    pub fn to_distances(&self) -> Vec<Dist> {
-        self.dist.iter().map(|d| d.load()).collect()
-    }
-
-    /// Heap bytes currently held (distances, guard, bins, staging).
-    pub fn heap_bytes(&self) -> usize {
-        use mmt_platform::MemFootprint;
-        self.dist.capacity() * std::mem::size_of::<AtomicMinU64>()
-            + self.relaxed_at.heap_bytes()
-            + self.bins.heap_bytes()
-            + self.frontier.capacity() * std::mem::size_of::<VertexId>()
-            + self.staging.capacity() * std::mem::size_of::<VertexId>()
-    }
-}
-
-/// Cyclic window length for ρ-stepping over `split`: twice the Δ-stepping
-/// ring (`C/Δ + 2`). The extra half is the *extraction span* budget — a
-/// step may pull buckets from up to `C/Δ + 2` above the current minimum
-/// while chasing ρ vertices, and every push from those vertices still
-/// lands inside the window (see [`rho_stepping_presplit`]).
-pub(crate) fn rho_ring_len(split: &impl SplitAdjacency) -> usize {
-    2 * (split.max_weight() as u64 / split.delta().max(1) as u64 + 2) as usize
 }
 
 /// ρ-stepping over a pre-split adjacency: see the module docs.
@@ -133,165 +63,22 @@ pub(crate) fn rho_ring_len(split: &impl SplitAdjacency) -> usize {
 /// Distances are left in `scratch` (see [`StepScratch::distance`] /
 /// [`StepScratch::copy_distances_into`]) so steady-state callers decide
 /// where the output goes without a forced allocation. Counter
-/// conventions match [`crate::delta_stepping_presplit`]: `relaxations` =
-/// `arcs_scanned` = edges walked, `settled` = distinct vertices
-/// activated, `bucket_expansions` = parallel relax steps,
-/// `improvements` = successful `fetch_min` insertions.
-pub fn rho_stepping_presplit<S: SplitAdjacency + Sync>(
+/// conventions match [`crate::delta_stepping_presplit`]:
+/// `bucket_expansions` counts relax steps.
+pub fn rho_stepping_presplit<C: MinCell, S: FitsCell<C>>(
     split: &S,
     source: VertexId,
     rho: usize,
-    scratch: &mut StepScratch,
+    scratch: &mut StepScratch<C>,
     counters: Option<&EventCounters>,
 ) {
-    let done = run(split, None, source, rho, scratch, counters, None);
-    debug_assert!(done, "uncancellable run cannot be cancelled");
-}
-
-/// ρ-stepping with *owned arc partitions*: each bin lane relaxes only the
-/// frontier vertices (hence the contiguous CSR arc ranges) its
-/// [`ArcPartition`] lane owns, so a worker's adjacency reads stream
-/// through the same arc pages step after step instead of racing the whole
-/// frontier. Ownership changes where arcs are relaxed, never whether:
-/// distance writes still go through the shared `fetch_min` fixpoint, so
-/// the distances are bit-identical to [`rho_stepping_presplit`] at any
-/// lane count (the determinism tests pin this down).
-pub fn rho_stepping_partitioned<S: SplitAdjacency + Sync>(
-    part: &PartitionedCsr<'_, S>,
-    source: VertexId,
-    rho: usize,
-    scratch: &mut StepScratch,
-    counters: Option<&EventCounters>,
-) {
-    let done = run(
-        part.split(),
-        Some(part.partition()),
+    let query = StepQuery {
         source,
-        rho,
-        scratch,
         counters,
-        None,
-    );
-    debug_assert!(done, "uncancellable run cannot be cancelled");
-}
-
-/// As [`rho_stepping_presplit`], polling `cancel` at every step boundary.
-/// Returns `false` (with the scratch left clean but the distances
-/// unspecified) when the token fired before the solve completed.
-pub fn rho_stepping_with_cancel<S: SplitAdjacency + Sync>(
-    split: &S,
-    source: VertexId,
-    rho: usize,
-    scratch: &mut StepScratch,
-    counters: Option<&EventCounters>,
-    cancel: &CancelToken,
-) -> bool {
-    run(split, None, source, rho, scratch, counters, Some(cancel))
-}
-
-fn run<S: SplitAdjacency + Sync>(
-    split: &S,
-    owner: Option<&ArcPartition>,
-    source: VertexId,
-    rho: usize,
-    scratch: &mut StepScratch,
-    counters: Option<&EventCounters>,
-    cancel: Option<&CancelToken>,
-) -> bool {
-    assert!((source as usize) < split.n(), "source out of range");
-    let ring = rho_ring_len(split);
-    scratch.reset(split, ring);
-    let rho = rho.max(1);
-    let width = split.delta().max(1) as u64;
-    // Extraction may span this many buckets above the step's minimum; the
-    // other `C/Δ + 2` half of the ring absorbs the pushes they generate.
-    let span = (ring / 2) as u64;
-    let StepScratch {
-        dist,
-        relaxed_at,
-        bins,
-        frontier,
-        staging,
-    } = scratch;
-    let dist: &[AtomicMinU64] = dist;
-
-    dist[source as usize].store(0);
-    bins.seed(0, source);
-    let mut floor = 0u64;
-
-    while let Some(first) = bins.vote(floor) {
-        if cancel.is_some_and(|c| c.is_cancelled()) {
-            bins.clear();
-            return false;
-        }
-        floor = first;
-
-        // Merge phase (serial): pull whole buckets in ascending order
-        // until ~ρ vertices are collected, filtering stale entries (the
-        // vertex migrated to a lower bucket) and unimproved re-entries.
-        frontier.clear();
-        let mut bucket = first;
-        loop {
-            staging.clear();
-            bins.drain_bucket(bucket, staging);
-            for &v in staging.iter() {
-                let vi = v as usize;
-                let d = dist[vi].load();
-                if d / width == bucket && d < relaxed_at[vi] {
-                    if relaxed_at[vi] == INF {
-                        if let Some(ev) = counters {
-                            ev.settled.bump();
-                        }
-                    }
-                    relaxed_at[vi] = d;
-                    frontier.push(v);
-                }
-            }
-            if frontier.len() >= rho {
-                break;
-            }
-            match bins.vote(bucket) {
-                // The span cap keeps every push from this step inside the
-                // cyclic window; stopping short of ρ is just a different
-                // (equally correct) extraction policy.
-                Some(b) if b - first < span => bucket = b,
-                _ => break,
-            }
-        }
-        if frontier.is_empty() {
-            continue;
-        }
-
-        // Process phase (parallel): relax ALL edges of every extracted
-        // vertex; improved targets go into the worker's own bins only.
-        if let Some(ev) = counters {
-            ev.bucket_expansions.bump();
-            let arcs = frontier
-                .iter()
-                .map(|&v| split.degree(v) as u64)
-                .sum::<u64>();
-            ev.arcs_scanned.add(arcs);
-            ev.relaxations.add(arcs);
-        }
-        let before = bins.pending();
-        let relax = |&u: &VertexId, lane: &mut BinLane| {
-            let du = dist[u as usize].load();
-            for (ts, ws) in [split.light(u), split.heavy(u)] {
-                relax_arcs::<RELAX_AHEAD>(dist, du, ts, ws, |v, nd| {
-                    debug_assert!(nd / width < first + ring as u64);
-                    lane.push(nd / width, v);
-                });
-            }
-        };
-        match owner {
-            None => bins.scatter(frontier, relax),
-            Some(p) => bins.scatter_owned(frontier, |&u| p.owner(u), relax),
-        }
-        if let Some(ev) = counters {
-            ev.improvements.add((bins.pending() - before) as u64);
-        }
-    }
-    true
+        ..StepQuery::default()
+    };
+    let done = step(&Rho(rho.max(1)), split, scratch, &query);
+    debug_assert!(done, "an uncancellable solve completes");
 }
 
 #[cfg(test)]
@@ -300,8 +87,9 @@ mod tests {
     use crate::delta_stepping::adaptive_delta;
     use crate::dijkstra::dijkstra;
     use mmt_graph::gen::{shapes, GraphClass, WeightDist, WorkloadSpec};
-    use mmt_graph::types::EdgeList;
+    use mmt_graph::types::{Dist, EdgeList, INF};
     use mmt_graph::{CsrGraph, SplitCsr};
+    use mmt_platform::CancelToken;
 
     fn solve(g: &CsrGraph, s: VertexId, delta: u32, rho: usize) -> Vec<Dist> {
         let split = SplitCsr::new(g, delta.max(1));
@@ -428,35 +216,12 @@ mod tests {
         assert!(ev.improvements.get() >= 19);
     }
 
+    /// The determinism law: the same seeded workload solved at 1, 2 and 4
+    /// threads, under every pinning policy, yields bit-identical distances
+    /// — pinning and lane count change where work runs, never what the
+    /// fixpoint converges to.
     #[test]
-    fn partitioned_matches_unpartitioned_at_every_lane_count() {
-        use mmt_graph::PartitionedCsr;
-        let mut spec = WorkloadSpec::new(GraphClass::Rmat, WeightDist::PolyLog, 8, 10);
-        spec.seed = 51;
-        let g = CsrGraph::from_edge_list(&spec.generate());
-        let delta = adaptive_delta(&g).min(u32::MAX as u64) as u32;
-        let split = SplitCsr::new(&g, delta);
-        let mut scratch = StepScratch::new(&split);
-        for s in [0u32, 17, 200] {
-            let want = dijkstra(&g, s);
-            rho_stepping_presplit(&split, s, 64, &mut scratch, None);
-            assert_eq!(scratch.to_distances(), want, "unpartitioned source={s}");
-            for lanes in [1usize, 2, 3, 8] {
-                let part = PartitionedCsr::new(&split, lanes);
-                rho_stepping_partitioned(&part, s, 64, &mut scratch, None);
-                assert_eq!(scratch.to_distances(), want, "lanes={lanes} source={s}");
-            }
-        }
-    }
-
-    /// The tentpole determinism law: the same seeded workload solved at 1,
-    /// 2 and 4 threads, under every pinning policy, with the partition
-    /// aligned to the pool, yields bit-identical distances — ownership and
-    /// pinning change where work runs, never what the fixpoint converges
-    /// to.
-    #[test]
-    fn distances_identical_across_threads_pins_and_partitions() {
-        use mmt_graph::PartitionedCsr;
+    fn distances_identical_across_threads_and_pins() {
         use mmt_platform::{with_pinned_pool, PinPolicy};
         let mut spec = WorkloadSpec::new(GraphClass::Random, WeightDist::PolyLog, 8, 9);
         spec.seed = 2007;
@@ -468,8 +233,7 @@ mod tests {
                 let got = with_pinned_pool(threads, pin, || {
                     let split = SplitCsr::new(&g, delta);
                     let mut scratch = StepScratch::new(&split);
-                    let part = PartitionedCsr::new(&split, threads);
-                    rho_stepping_partitioned(&part, 7, 64, &mut scratch, None);
+                    rho_stepping_presplit(&split, 7, 64, &mut scratch, None);
                     scratch.to_distances()
                 });
                 assert_eq!(got, want, "pin={pin:?} threads={threads}");
@@ -484,23 +248,14 @@ mod tests {
         let mut scratch = StepScratch::new(&split);
         let token = CancelToken::new();
         token.cancel();
-        assert!(!rho_stepping_with_cancel(
-            &split,
-            0,
-            8,
-            &mut scratch,
-            None,
-            &token
-        ));
+        let query = |cancel| StepQuery {
+            cancel,
+            ..StepQuery::default()
+        };
+        assert!(!step(&Rho(8), &split, &mut scratch, &query(Some(&token))));
         // A fresh token completes, on the same scratch.
-        assert!(rho_stepping_with_cancel(
-            &split,
-            0,
-            8,
-            &mut scratch,
-            None,
-            &CancelToken::new()
-        ));
+        let live = CancelToken::new();
+        assert!(step(&Rho(8), &split, &mut scratch, &query(Some(&live))));
         assert_eq!(scratch.to_distances(), dijkstra(&g, 0));
     }
 }

@@ -6,13 +6,13 @@
 //! *same answers* as the 1-thread row.
 
 use mmt_baselines::{
-    adaptive_delta, default_rho, delta_star_presplit, delta_stepping_presplit,
-    delta_stepping_presplit_readahead, dijkstra, rho_stepping_presplit, DeltaScratch, StepScratch,
+    adaptive_delta, default_rho, delta_star_presplit, delta_stepping_presplit, dijkstra,
+    rho_stepping_presplit, DeltaScratch, StepScratch,
 };
 use mmt_graph::gen::{GraphClass, WeightDist, WorkloadSpec};
 use mmt_graph::types::Dist;
-use mmt_graph::{CsrGraph, SplitCsr};
-use mmt_platform::with_pool;
+use mmt_graph::{CompactSplitCsr, CsrGraph, SplitCsr};
+use mmt_platform::{with_pool, AtomicMinU32};
 
 const SEED: u64 = 0x5354_4550; // "STEP"
 
@@ -36,6 +36,8 @@ fn solve_all(g: &CsrGraph, split: &SplitCsr, sources: &[u32]) -> Vec<(&'static s
     let mut out = Vec::new();
     let mut step = StepScratch::new(split);
     let mut delta = DeltaScratch::new(split);
+    let compact = CompactSplitCsr::try_new(g, split.delta()).expect("workloads narrow");
+    let mut narrow = StepScratch::<AtomicMinU32>::new(&compact);
     for &s in sources {
         rho_stepping_presplit(split, s, default_rho(g.n()), &mut step, None);
         out.push(("rho", step.to_distances()));
@@ -43,8 +45,8 @@ fn solve_all(g: &CsrGraph, split: &SplitCsr, sources: &[u32]) -> Vec<(&'static s
         out.push(("delta-star", step.to_distances()));
         delta_stepping_presplit(split, s, &mut delta, None);
         out.push(("delta-presplit", delta.to_distances()));
-        delta_stepping_presplit_readahead(split, s, &mut delta, None);
-        out.push(("delta-presplit-ra", delta.to_distances()));
+        delta_stepping_presplit(&compact, s, &mut narrow, None);
+        out.push(("delta-u32", narrow.to_distances()));
     }
     out
 }

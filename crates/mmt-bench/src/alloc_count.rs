@@ -1,9 +1,8 @@
 //! A counting global allocator (behind the `count-alloc` feature).
 //!
-//! The hot-path optimisation claim — "the optimized Δ-stepping performs
-//! strictly fewer allocations per query than the seed kernel, and the
-//! batched serving path allocates nothing in steady state" — needs a
-//! measurement, not an argument. With `--features count-alloc` this module
+//! The hot-path claim — "a warm one-lane stepping solve allocates nothing,
+//! and the batched serving path allocates nothing in steady state" — needs
+//! a measurement, not an argument. With `--features count-alloc` this module
 //! installs a [`GlobalAlloc`] wrapper around [`System`] that counts every
 //! allocation and reallocation; [`measure`] brackets a closure with
 //! before/after snapshots. Without the feature the crate compiles with

@@ -147,7 +147,7 @@ fn main() -> ExitCode {
 
 /// Relax/s may legitimately swing between machines and runs, so the gate
 /// only fails on a >2x collapse — wide enough for shared-runner noise,
-/// tight enough to catch a hot path regressing to the seed kernel.
+/// tight enough to catch a hot path losing its pre-split or its scratch.
 const DIFF_TOLERANCE: f64 = 2.0;
 
 fn run_diff(base_path: &str, cur_path: &str) -> ExitCode {

@@ -1,19 +1,18 @@
 //! The reproducible hot-path baseline behind `bench_hotpath`.
 //!
 //! Four fixed-seed workloads (Rand/RMAT × UWD/PWD) are run through the
-//! SSSP hot paths this repo optimises — the seed's collect()-based
-//! Δ-stepping, the pre-split allocation-free Δ-stepping, parallel Thorup
-//! over a shared CH, and the pooled batch engine — and the result is one
-//! machine-readable `BENCH_hotpath.json` (wall time, relaxations/sec,
-//! peak RSS, and — with `--features count-alloc` — allocations per query)
-//! that validates against the checked-in schema
+//! SSSP hot paths this repo optimises — Δ-stepping with its split and
+//! scratch built per query, the pre-split allocation-free Δ-stepping,
+//! parallel Thorup over a shared CH, and the pooled batch engine — and the
+//! result is one machine-readable `BENCH_hotpath.json` (wall time,
+//! relaxations/sec, peak RSS, and — with `--features count-alloc` —
+//! allocations per query) that validates against the checked-in schema
 //! (`schema/BENCH_hotpath.schema.json`). CI runs the `--smoke` shape of
 //! this on every push, so the artifact format can never silently rot.
 
 use crate::json::{self, Json};
 use mmt_baselines::{
-    adaptive_delta, default_delta, delta_stepping_counted, delta_stepping_presplit,
-    delta_stepping_reference_counted, DeltaConfig, DeltaScratch,
+    adaptive_delta, default_delta, delta_stepping_presplit, DeltaConfig, DeltaScratch,
 };
 use mmt_graph::gen::{GraphClass, WeightDist, WorkloadSpec};
 use mmt_graph::types::Weight;
@@ -37,8 +36,10 @@ pub const SCHEMA_TEXT: &str = include_str!("../schema/BENCH_hotpath.schema.json"
 /// offset-view arc-byte table per Δ count. Version 4 added the `threads`
 /// and `host_logical_cores` header fields so 1-core-container numbers are
 /// self-describing. Version 5 added the `pin_policy` and `numa_nodes`
-/// topology header shared by all four artifacts.
-pub const FORMAT_VERSION: u64 = 5;
+/// topology header shared by all four artifacts. Version 6 retired the
+/// `delta-reference` row with the seed kernel it measured; the
+/// `delta-stepping` row now builds its split and scratch per query.
+pub const FORMAT_VERSION: u64 = 6;
 
 /// Run shape: scale, repetitions, sources per workload.
 #[derive(Debug, Clone, Copy)]
@@ -403,44 +404,19 @@ fn run_workload(spec: WorkloadSpec, opts: HotpathOptions) -> WorkloadSamples {
 
     let mut engines = Vec::new();
 
-    // Seed kernel: per-phase collect() + sort/dedup, fresh state per query.
+    // The one-shot path: auto-Δ, with the split and scratch built per
+    // query, as `delta_stepping` does.
     {
         let counters = EventCounters::new();
-        let cfg = DeltaConfig::auto(g);
+        let delta = DeltaConfig::auto(g).delta().min(u32::MAX as u64) as Weight;
         let t0 = Instant::now();
         let ((), allocs, bytes) = measure_allocs(|| {
             for _ in 0..opts.iterations {
                 for &s in &sources {
-                    std::hint::black_box(delta_stepping_reference_counted(
-                        g,
-                        s,
-                        cfg,
-                        Some(&counters),
-                    ));
-                }
-            }
-        });
-        let wall = t0.elapsed().as_secs_f64();
-        engines.push(finish_sample(
-            "delta-reference",
-            queries,
-            wall,
-            &counters,
-            allocs,
-            bytes,
-        ));
-    }
-
-    // Auto-Δ on the plain CSR (the pre-PR default path, now pre-split
-    // internally): the like-for-like midpoint between seed and presplit.
-    {
-        let counters = EventCounters::new();
-        let cfg = DeltaConfig::auto(g);
-        let t0 = Instant::now();
-        let ((), allocs, bytes) = measure_allocs(|| {
-            for _ in 0..opts.iterations {
-                for &s in &sources {
-                    std::hint::black_box(delta_stepping_counted(g, s, cfg, Some(&counters)));
+                    let split = SplitCsr::new(g, delta);
+                    let mut scratch = DeltaScratch::new(&split);
+                    delta_stepping_presplit(&split, s, &mut scratch, Some(&counters));
+                    std::hint::black_box(scratch.to_distances());
                 }
             }
         });
@@ -837,7 +813,7 @@ mod tests {
         });
         assert_eq!(report.workloads.len(), 4);
         for w in &report.workloads {
-            assert_eq!(w.engines.len(), 5);
+            assert_eq!(w.engines.len(), 4);
             assert!(w.engines.iter().all(|e| e.wall_secs > 0.0));
             assert!(w.engines.iter().all(|e| e.relaxations > 0));
             assert!(
@@ -949,62 +925,48 @@ mod tests {
 
     #[cfg(feature = "count-alloc")]
     #[test]
-    fn presplit_allocates_strictly_less_than_the_seed_kernel() {
-        let report = run(HotpathOptions {
-            scale: 8,
-            iterations: 2,
-            sources: 3,
-            smoke: true,
-        });
-        for w in &report.workloads {
-            let per = |name: &str| {
-                w.engines
-                    .iter()
-                    .find(|e| e.name == name)
-                    .map(|e| e.allocs_per_query)
-                    .unwrap()
-            };
-            let reference = per("delta-reference");
-            let presplit = per("delta-presplit");
-            assert!(
-                presplit < reference,
-                "{}: presplit {presplit} allocs/query vs seed {reference}",
-                w.name
-            );
-        }
-    }
-
-    #[cfg(feature = "count-alloc")]
-    #[test]
     fn one_lane_stepping_allocates_nothing_per_warm_query() {
-        use mmt_baselines::{default_rho, delta_star_presplit, rho_stepping_presplit, StepScratch};
-        use mmt_graph::CsrGraph;
+        use mmt_baselines::{
+            default_rho, delta_star_presplit, delta_stepping_st, rho_stepping_presplit, StepScratch,
+        };
+        use mmt_graph::{CompactSplitCsr, CsrGraph};
+        use mmt_platform::AtomicMinU32;
         for class in [GraphClass::Random, GraphClass::Road] {
             let spec = WorkloadSpec::new(class, WeightDist::Uniform, 12, 12);
             let g = CsrGraph::from_edge_list(&spec.generate());
-            let split = SplitCsr::new(&g, adaptive_delta(&g).clamp(1, u32::MAX as u64) as u32);
+            let delta = adaptive_delta(&g).clamp(1, u32::MAX as u64) as u32;
+            let split = SplitCsr::new(&g, delta);
+            let compact = CompactSplitCsr::try_new(&g, delta).expect("2^12 graphs narrow");
             let sources: Vec<u32> = (0..4).map(|i| (i * g.n() / 4) as u32).collect();
             let rho = default_rho(g.n());
             mmt_platform::with_pool(1, || {
                 let mut delta = DeltaScratch::new(&split);
                 let mut steps = StepScratch::new(&split);
                 let mut star = StepScratch::new(&split);
+                let mut early = DeltaScratch::new(&split);
+                let mut narrow = StepScratch::<AtomicMinU32>::new(&compact);
                 let mut solve = |kernel: usize| {
-                    for &s in &sources {
+                    for (i, &s) in sources.iter().enumerate() {
                         match kernel {
                             0 => delta_stepping_presplit(&split, s, &mut delta, None),
                             1 => rho_stepping_presplit(&split, s, rho, &mut steps, None),
-                            _ => delta_star_presplit(&split, s, &mut star, None),
+                            2 => delta_star_presplit(&split, s, &mut star, None),
+                            3 => {
+                                let t = sources[(i + 1) % sources.len()] + 1;
+                                delta_stepping_st(&split, s, t, &mut early, None, None);
+                            }
+                            _ => delta_stepping_presplit(&compact, s, &mut narrow, None),
                         }
                     }
                 };
-                for (kernel, name) in ["delta", "rho", "delta-star"].into_iter().enumerate() {
+                let kernels = ["delta", "rho", "delta-star", "delta-early", "delta-u32"];
+                for (kernel, name) in kernels.into_iter().enumerate() {
                     solve(kernel);
                     let ((), allocs) = crate::alloc_count::measure_thread(|| solve(kernel));
                     assert_eq!(
                         allocs,
                         0,
-                        "{}: one-lane {name} allocated on warm sources",
+                        "{}: one-lane {name} allocated on warm queries",
                         spec.name()
                     );
                 }

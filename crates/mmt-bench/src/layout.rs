@@ -8,14 +8,10 @@
 //!
 //! * `delta-u64` — the pre-split Δ-stepping hot path on the natural,
 //!   degree-sorted, BFS, and CH-DFS relabeled graphs;
-//! * `delta-u64-ra` — the same kernel with the unrolled read-ahead on the
-//!   bucket-scan inner loop, so its win/loss versus `delta-u64` is
-//!   recorded honestly per layout (even when negative);
-//! * `delta-u32` — the compact all-`u32` kernel on the same layouts
-//!   (skipped per workload when checked narrowing refuses);
-//! * `rho-u64` / `rho-part` — ρ-stepping on every layout, plain and with
-//!   owned arc partitions (one contiguous vertex range per bin lane), so
-//!   the partition's effect is recorded per ordering — win or loss;
+//! * `delta-u32` — the same Δ-stepping on the `u32` distance cell over the
+//!   all-`u32` compact split (skipped per workload when checked narrowing
+//!   refuses);
+//! * `rho-u64` — ρ-stepping on every layout;
 //! * `thorup` — parallel Thorup on the natural and CH-DFS layouts (the
 //!   ordering that makes its components index-contiguous);
 //! * `thorup-u32` — the same two layouts on the compact `u32`-cell
@@ -31,22 +27,21 @@
 //!
 //! The workloads reuse the `bench_hotpath` families (Rand/RMAT × UWD/PWD,
 //! seed 0x2007) with the weight exponent capped at 2^10 so the undirected
-//! weight sum stays inside the compact kernel's `u32` budget at every
+//! weight sum stays inside the `u32` cell's budget at every
 //! scale this harness runs at — otherwise the u32 column would silently
 //! vanish exactly at the scales where locality matters.
 
 use crate::hotpath::counters_json;
 use crate::json::{self, Json};
 use mmt_baselines::{
-    adaptive_delta, default_rho, delta_stepping_compact_presplit, delta_stepping_presplit,
-    delta_stepping_presplit_readahead, rho_stepping_partitioned, rho_stepping_presplit,
-    CompactScratch, DeltaScratch, StepScratch,
+    adaptive_delta, default_rho, delta_stepping_presplit, rho_stepping_presplit, FitsCell,
+    StepScratch,
 };
 use mmt_graph::compact::CompactSplitCsr;
 use mmt_graph::gen::{GraphClass, WeightDist, WorkloadSpec};
 use mmt_graph::types::{Dist, VertexId, Weight};
-use mmt_graph::{CsrGraph, PartitionedCsr, SplitCsr, VertexPermutation};
-use mmt_platform::{CountersSnapshot, EventCounters};
+use mmt_graph::{CsrGraph, SplitCsr, VertexPermutation};
+use mmt_platform::{AtomicMinU32, AtomicMinU64, CountersSnapshot, EventCounters, MinCell};
 use mmt_thorup::{CompactThorupInstance, GraphLayout, InstancePool, LayoutKind, ThorupSolver};
 use std::sync::Arc;
 use std::time::Instant;
@@ -58,8 +53,10 @@ pub const SCHEMA_TEXT: &str = include_str!("../schema/BENCH_layout.schema.json")
 /// `threads` and `host_logical_cores` header fields and the
 /// `delta-u64-ra` (read-ahead) sample rows. Version 3 added the
 /// `pin_policy` / `numa_nodes` topology header and the `rho-u64`,
-/// `rho-part` and `thorup-u32` sample rows.
-pub const FORMAT_VERSION: u64 = 3;
+/// `rho-part` and `thorup-u32` sample rows. Version 4 retired the
+/// `delta-u64-ra` rows (every stepping policy now relaxes with read-ahead)
+/// and the `rho-part` rows with the owned-partition kernel.
+pub const FORMAT_VERSION: u64 = 4;
 
 /// Run shape: scale, repetitions, sources per workload.
 #[derive(Debug, Clone, Copy)]
@@ -101,7 +98,8 @@ impl LayoutOptions {
 /// One `(engine, layout)` measurement on one workload.
 #[derive(Debug, Clone)]
 pub struct LayoutSample {
-    /// Kernel under test: `delta-u64`, `delta-u32`, or `thorup`.
+    /// Kernel under test: `delta-u64`, `delta-u32`, `rho-u64`, `thorup`
+    /// or `thorup-u32`.
     pub engine: &'static str,
     /// Ordering: `natural`, `degree`, `bfs`, or `chdfs`.
     pub layout: &'static str,
@@ -225,52 +223,36 @@ fn run_workload(spec: WorkloadSpec, opts: LayoutOptions) -> LayoutWorkload {
             Some(p) => (Arc::new(graph.permuted(p)), t0.elapsed().as_secs_f64()),
         };
 
-        samples.push(measure_delta_wide(
+        let split = SplitCsr::new(&pg, delta_w);
+        samples.push(measure_delta::<AtomicMinU64, _>(
             "delta-u64",
-            delta_stepping_presplit,
-            &pg,
+            &split,
             perm.as_ref(),
             kind,
             &sources,
             opts.iterations,
-            delta_w,
             permute_secs,
         ));
-        samples.push(measure_delta_wide(
-            "delta-u64-ra",
-            delta_stepping_presplit_readahead,
-            &pg,
-            perm.as_ref(),
-            kind,
-            &sources,
-            opts.iterations,
-            delta_w,
-            permute_secs,
-        ));
-        match measure_delta_compact(
-            &pg,
-            perm.as_ref(),
-            kind,
-            &sources,
-            opts.iterations,
-            delta_w,
-            permute_secs,
-        ) {
-            Some(s) => samples.push(s),
-            None => compact_ok = false,
-        }
-        for partitioned in [false, true] {
-            samples.push(measure_rho(
-                &pg,
+        match CompactSplitCsr::try_new(&pg, delta_w) {
+            Ok(compact) => samples.push(measure_delta::<AtomicMinU32, _>(
+                "delta-u32",
+                &compact,
                 perm.as_ref(),
                 kind,
                 &sources,
                 opts.iterations,
-                delta_w,
                 permute_secs,
-                partitioned,
-            ));
+            )),
+            Err(_) => compact_ok = false,
         }
+        samples.push(measure_rho(
+            &split,
+            perm.as_ref(),
+            kind,
+            &sources,
+            opts.iterations,
+            permute_secs,
+        ));
         if matches!(kind, LayoutKind::Natural | LayoutKind::ChDfs) {
             samples.push(measure_thorup(kind, &graph, &ch, &sources, opts.iterations));
             match measure_thorup_compact(kind, &graph, &ch, &sources, opts.iterations) {
@@ -294,28 +276,26 @@ fn map_source(perm: Option<&VertexPermutation>, s: VertexId) -> VertexId {
     perm.map_or(s, |p| p.to_new(s))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn measure_delta_wide(
+/// Δ-stepping on one layout, on the cell `C`: `delta-u64` over the
+/// wide split, `delta-u32` over the certified compact one.
+fn measure_delta<C: MinCell, S: FitsCell<C>>(
     engine: &'static str,
-    kernel: fn(&SplitCsr, VertexId, &mut DeltaScratch, Option<&EventCounters>),
-    pg: &CsrGraph,
+    split: &S,
     perm: Option<&VertexPermutation>,
     kind: LayoutKind,
     sources: &[VertexId],
     iterations: usize,
-    delta_w: Weight,
     permute_secs: f64,
 ) -> LayoutSample {
-    let split = SplitCsr::new(pg, delta_w);
-    let mut scratch = DeltaScratch::new(&split);
-    let mut internal: Vec<Dist> = Vec::with_capacity(pg.n());
-    let mut out: Vec<Dist> = Vec::with_capacity(pg.n());
-    kernel(&split, map_source(perm, sources[0]), &mut scratch, None);
+    let mut scratch = StepScratch::<C>::new(split);
+    let mut internal: Vec<Dist> = Vec::with_capacity(split.n());
+    let mut out: Vec<Dist> = Vec::with_capacity(split.n());
+    delta_stepping_presplit(split, map_source(perm, sources[0]), &mut scratch, None);
     let counters = EventCounters::new();
     let t0 = Instant::now();
     for _ in 0..iterations {
         for &s in sources {
-            kernel(&split, map_source(perm, s), &mut scratch, Some(&counters));
+            delta_stepping_presplit(split, map_source(perm, s), &mut scratch, Some(&counters));
             // Materialise the answer in original vertex ids: the facade
             // cost belongs inside the measurement.
             match perm {
@@ -338,85 +318,26 @@ fn measure_delta_wide(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn measure_delta_compact(
-    pg: &CsrGraph,
-    perm: Option<&VertexPermutation>,
-    kind: LayoutKind,
-    sources: &[VertexId],
-    iterations: usize,
-    delta_w: Weight,
-    permute_secs: f64,
-) -> Option<LayoutSample> {
-    let split = CompactSplitCsr::try_new(pg, delta_w).ok()?;
-    let mut scratch = CompactScratch::new(&split);
-    let mut internal: Vec<Dist> = Vec::with_capacity(pg.n());
-    let mut out: Vec<Dist> = Vec::with_capacity(pg.n());
-    delta_stepping_compact_presplit(&split, map_source(perm, sources[0]), &mut scratch, None);
-    let counters = EventCounters::new();
-    let t0 = Instant::now();
-    for _ in 0..iterations {
-        for &s in sources {
-            delta_stepping_compact_presplit(
-                &split,
-                map_source(perm, s),
-                &mut scratch,
-                Some(&counters),
-            );
-            match perm {
-                None => scratch.copy_distances_into(&mut out),
-                Some(p) => {
-                    scratch.copy_distances_into(&mut internal);
-                    p.scatter_to_original(&internal, &mut out);
-                }
-            }
-            std::hint::black_box(out[s as usize]);
-        }
-    }
-    Some(LayoutSample {
-        engine: "delta-u32",
-        layout: kind.short_name(),
-        queries: sources.len() * iterations,
-        wall_secs: t0.elapsed().as_secs_f64(),
-        permute_secs,
-        counters: counters.snapshot(),
-    })
-}
-
-/// ρ-stepping on one layout, plain (`rho-u64`) or with owned arc
-/// partitions (`rho-part`, one contiguous vertex range per bin lane).
-/// Both run on the same pre-split adjacency, so their delta isolates the
-/// owner-routing scatter — the fixpoint guarantees identical distances.
-#[allow(clippy::too_many_arguments)]
+/// ρ-stepping on one layout (`rho-u64`).
 fn measure_rho(
-    pg: &CsrGraph,
+    split: &SplitCsr,
     perm: Option<&VertexPermutation>,
     kind: LayoutKind,
     sources: &[VertexId],
     iterations: usize,
-    delta_w: Weight,
     permute_secs: f64,
-    partitioned: bool,
 ) -> LayoutSample {
-    let split = SplitCsr::new(pg, delta_w.max(1));
-    let part = PartitionedCsr::new(&split, rayon::current_num_threads());
-    let rho = default_rho(pg.n());
-    let mut scratch = StepScratch::new(&split);
-    let mut internal: Vec<Dist> = Vec::with_capacity(pg.n());
-    let mut out: Vec<Dist> = Vec::with_capacity(pg.n());
-    let solve = |s: VertexId, counters: Option<&EventCounters>, scratch: &mut StepScratch| {
-        if partitioned {
-            rho_stepping_partitioned(&part, s, rho, scratch, counters);
-        } else {
-            rho_stepping_presplit(&split, s, rho, scratch, counters);
-        }
-    };
-    solve(map_source(perm, sources[0]), None, &mut scratch); // warm-up
+    let rho = default_rho(split.n());
+    let mut scratch = StepScratch::new(split);
+    let mut internal: Vec<Dist> = Vec::with_capacity(split.n());
+    let mut out: Vec<Dist> = Vec::with_capacity(split.n());
+    rho_stepping_presplit(split, map_source(perm, sources[0]), rho, &mut scratch, None); // warm-up
     let counters = EventCounters::new();
     let t0 = Instant::now();
     for _ in 0..iterations {
         for &s in sources {
-            solve(map_source(perm, s), Some(&counters), &mut scratch);
+            let s_in = map_source(perm, s);
+            rho_stepping_presplit(split, s_in, rho, &mut scratch, Some(&counters));
             match perm {
                 None => scratch.copy_distances_into(&mut out),
                 Some(p) => {
@@ -428,7 +349,7 @@ fn measure_rho(
         }
     }
     LayoutSample {
-        engine: if partitioned { "rho-part" } else { "rho-u64" },
+        engine: "rho-u64",
         layout: kind.short_name(),
         queries: sources.len() * iterations,
         wall_secs: t0.elapsed().as_secs_f64(),
@@ -485,7 +406,7 @@ fn measure_thorup(
 /// Thorup on the compact `u32`-cell instance (`thorup-u32`), same
 /// layouts as the wide `thorup` rows. Returns `None` when the checked
 /// narrowing refuses the graph — the caller clears `compact_ok`, same as
-/// the compact Δ kernel.
+/// the `delta-u32` rows.
 fn measure_thorup_compact(
     kind: LayoutKind,
     graph: &Arc<CsrGraph>,
@@ -621,9 +542,9 @@ mod tests {
         assert_eq!(report.workloads.len(), 4);
         for w in &report.workloads {
             assert!(w.compact_ok, "small smoke graphs must narrow");
-            // 4 layouts x (u64 + u64-ra + u32 + rho-u64 + rho-part)
+            // 4 layouts x (u64 + u32 + rho-u64)
             // + (thorup + thorup-u32) on natural + chdfs.
-            assert_eq!(w.samples.len(), 24);
+            assert_eq!(w.samples.len(), 16);
             for s in &w.samples {
                 assert!(s.wall_secs > 0.0, "{} {}", s.engine, s.layout);
                 assert!(s.counters.relaxations > 0);
@@ -631,7 +552,7 @@ mod tests {
             }
             // Arc scans are layout-invariant per kernel: the permutation
             // moves reads around, it cannot change their number.
-            for engine in ["delta-u64", "delta-u64-ra", "delta-u32"] {
+            for engine in ["delta-u64", "delta-u32"] {
                 // (rho rows are excluded: ρ re-scans a frontier vertex
                 // per extraction, and extraction grouping is
                 // layout-sensitive.)
@@ -649,9 +570,9 @@ mod tests {
                 .find(|s| s.engine == "delta-u64" && s.layout == "natural")
                 .unwrap();
             assert_eq!(natural.permute_secs, 0.0);
-            // The partitioned and plain ρ rows walk identical graphs and
-            // the u32 Thorup rows mirror the wide ones.
-            for (eng, want) in [("rho-u64", 4), ("rho-part", 4), ("thorup-u32", 2)] {
+            // ρ runs on every layout and the u32 Thorup rows mirror the
+            // wide ones.
+            for (eng, want) in [("rho-u64", 4), ("thorup-u32", 2)] {
                 let rows = w.samples.iter().filter(|s| s.engine == eng).count();
                 assert_eq!(rows, want, "{eng}");
             }

@@ -49,7 +49,7 @@ pub trait SplitAdjacency {
 
 /// Marker for split representations certified safe for saturating `u32`
 /// tentative distances (arc count fits `u32`, undirected weight sum stays
-/// below [`COMPACT_DIST_INF`]). The compact Δ-stepping kernel only
+/// below [`COMPACT_DIST_INF`]). Stepping on the `u32` distance cell only
 /// accepts these.
 pub trait CompactCertified: SplitAdjacency {}
 

@@ -1,4 +1,4 @@
-//! Compact (all-`u32`) pre-split CSR for the narrow delta-stepping kernel.
+//! Compact (all-`u32`) pre-split CSR for stepping on `u32` distance cells.
 //!
 //! The u64 structures in [`crate::split`] are sized for the worst case; on
 //! the workloads the paper actually benchmarks, arc counts and shortest-path
@@ -19,7 +19,7 @@
 use crate::csr::CsrGraph;
 use crate::types::{Dist, VertexId, Weight, INF};
 
-/// The `u32` "infinity" sentinel compact kernels use for unreached vertices.
+/// The `u32` "infinity" sentinel of narrow distance cells (unreached).
 /// Maps to [`INF`] on the way back out to the `u64` world.
 pub const COMPACT_DIST_INF: u32 = u32::MAX;
 

@@ -20,9 +20,6 @@
 //! * [`arena`] — an `Arc`-shared, weight-sorted CSR arena whose Δ-splits
 //!   are `O(n)` offset views instead of `O(n + m)` duplicated copies — the
 //!   representation the multi-graph registry serves tenants from;
-//! * [`partition`] — owned arc partitions: contiguous per-worker vertex
-//!   ranges balanced by arc count, the ownership map behind the
-//!   topology-aware stepping kernels;
 //! * [`stats`] — degree/weight summaries used by the bench harness.
 
 #![forbid(unsafe_code)]
@@ -35,7 +32,6 @@ pub mod csr;
 pub mod dimacs;
 pub mod gen;
 pub mod order;
-pub mod partition;
 pub mod paths;
 pub mod split;
 pub mod stats;
@@ -47,6 +43,5 @@ pub use compact::{CompactError, CompactSplitCsr, COMPACT_DIST_INF};
 pub use csr::CsrGraph;
 pub use gen::{GraphClass, WeightDist, WorkloadSpec};
 pub use order::VertexPermutation;
-pub use partition::{ArcPartition, PartitionedCsr};
 pub use split::SplitCsr;
 pub use types::{Dist, Edge, EdgeList, VertexId, Weight, INF};

@@ -115,8 +115,8 @@ impl Clone for AtomicMinU64 {
 
 /// A `u32` cell supporting an atomic *lower-or-leave* update.
 ///
-/// The 32-bit sibling of [`AtomicMinU64`], used by the compact delta-stepping
-/// layout where the graph's weight sum is known to fit in `u32`. Halving the
+/// The 32-bit sibling of [`AtomicMinU64`], used by the `u32`-cell stepping
+/// and Thorup solves where the graph's weight sum is known to fit in `u32`. Halving the
 /// tentative-distance width halves the bytes touched per relaxation, which is
 /// the whole point of the compact layout; the semantics (strict-lowering
 /// return, relaxed fast path, `AcqRel` success ordering) are identical to the

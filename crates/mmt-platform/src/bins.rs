@@ -1,17 +1,13 @@
-//! Contention-free frontier bins for the parallel stepping kernels.
+//! Contention-free frontier bins for the parallel stepping loop.
 //!
-//! The Δ-stepping hot path scatters relaxation *requests* into shared
-//! lane buffers and re-buckets them serially — every improved vertex
-//! crosses the merge phase as a `(vertex, dist)` pair and the bucket
-//! structure itself stays serial. The stepping algorithms of Dong, Gu,
-//! Sun and Zhang (ρ-stepping / Δ*-stepping, arXiv:2105.06145) and the
-//! GARDENIA OpenMP Δ-stepping kernel go one step further: each worker
-//! owns a full set of *bucket bins* and inserts improved vertices
-//! directly into its own bins keyed by the new distance — no shared
-//! bucket array, no atomic bucket pushes, no contention in the relax
-//! phase at all. The next bucket to process is then found by a
-//! reduce-style vote: each lane reports its smallest non-empty bin and
-//! the minimum wins.
+//! The stepping algorithms of Dong, Gu, Sun and Zhang (Δ-, Δ*- and
+//! ρ-stepping, arXiv:2105.06145) and the GARDENIA OpenMP Δ-stepping kernel
+//! share one substrate: each worker owns a full set of *bucket bins* and
+//! inserts improved vertices directly into its own bins keyed by the new
+//! distance — no shared bucket array, no atomic bucket pushes, no
+//! contention in the relax phase at all. The next bucket to process is
+//! then found by a reduce-style vote: each lane reports its smallest
+//! non-empty bin and the minimum wins.
 //!
 //! [`FrontierBins`] is that substrate. The safety story is structural,
 //! not asserted: the **only** insertion API is [`BinLane::push`], and a
@@ -19,8 +15,7 @@
 //! of its own lane inside [`FrontierBins::scatter`] — a cross-thread or
 //! shared-bucket push is unrepresentable, not merely untested.
 //!
-//! Bins are ring-indexed by absolute bucket number (the same cyclic
-//! window discipline as the Δ-stepping scratch): callers guarantee all
+//! Bins are ring-indexed by absolute bucket number: callers guarantee all
 //! live entries sit within `ring_len` buckets of the current minimum.
 //! Entries are never *removed* when a vertex migrates to a lower bucket;
 //! stale copies are skipped at process time by the kernel's distance
@@ -32,7 +27,6 @@
 use crate::mem::MemFootprint;
 use crate::scratch::{scatter_lanes, GenerationStamps};
 use parking_lot::Mutex;
-use rayon::prelude::*;
 
 /// One worker's private set of bucket bins.
 ///
@@ -164,43 +158,13 @@ impl FrontierBins {
     /// exclusive `&mut` access to one [`BinLane`] for its whole
     /// contiguous chunk — the relax phase writes only thread-local bins.
     /// Each lane's mutex is taken once per scatter, not once per item.
-    /// With one lane (as in [`scatter_owned`](Self::scatter_owned)) the
-    /// whole list runs inline on the calling thread.
+    /// With one lane the whole list runs inline on the calling thread.
     pub fn scatter<I, F>(&self, items: &[I], f: F)
     where
         I: Sync,
         F: Fn(&I, &mut BinLane) + Sync,
     {
         scatter_lanes(&self.lanes, items, f);
-    }
-
-    /// As [`scatter`](Self::scatter), but with an *owner-stable* lane
-    /// assignment: `owner(item)` decides the lane (mod the lane count),
-    /// not the item's position in the frontier. A worker therefore
-    /// processes the same slice of the vertex space on every call — the
-    /// owned-arc-partition discipline, where each worker's relax loop
-    /// walks only arc ranges it owns and its distance writes stay in the
-    /// same cache neighbourhood across buckets. Every lane scans the
-    /// whole (small) frontier and handles only its own items; the arc
-    /// work — the expensive part — is disjoint by construction.
-    pub fn scatter_owned<I, O, F>(&self, items: &[I], owner: O, f: F)
-    where
-        I: Sync,
-        O: Fn(&I) -> usize + Sync,
-        F: Fn(&I, &mut BinLane) + Sync,
-    {
-        if items.is_empty() || self.lanes.len() == 1 {
-            return scatter_lanes(&self.lanes, items, f);
-        }
-        let lanes = self.lanes.len();
-        (0..lanes).into_par_iter().for_each(|lane| {
-            let mut bin_lane = self.lanes[lane].lock();
-            for item in items {
-                if owner(item) % lanes == lane {
-                    f(item, &mut bin_lane);
-                }
-            }
-        });
     }
 
     /// The reduce-style next-bucket vote: every lane reports its smallest
@@ -299,29 +263,6 @@ mod tests {
         }
         seen.sort_unstable();
         assert_eq!(seen, items);
-    }
-
-    #[test]
-    fn scatter_owned_routes_by_owner_and_processes_each_item_once() {
-        let mut bins = FrontierBins::new(4, 16, 256);
-        let items: Vec<u32> = (0..200).collect();
-        // Owner = vertex / 50: four contiguous vertex ranges, one per lane.
-        bins.scatter_owned(
-            &items,
-            |&v| (v / 50) as usize,
-            |&v, lane| lane.push((v % 10) as u64, v),
-        );
-        assert_eq!(bins.pending(), 200, "every item handled exactly once");
-        let mut seen = Vec::new();
-        for b in 0..10u64 {
-            bins.drain_bucket(b, &mut seen);
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, items);
-        // Owners past the lane count wrap instead of dropping items.
-        bins.reset(16, 256);
-        bins.scatter_owned(&items, |&v| v as usize * 31, |&v, lane| lane.push(0, v));
-        assert_eq!(bins.pending(), 200);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   atomic bitset for settled-vertex tracking;
 //! * [`bins`] — contention-free per-thread bucket bins (thread-local
 //!   growable bins, reduce-style next-bucket vote, generation-stamped
-//!   merge dedup) backing the ρ-stepping and Δ*-stepping kernels;
+//!   merge dedup) backing the Δ-, Δ*- and ρ-stepping loop;
 //! * [`counters`] — cache-padded event counters used for instrumentation
 //!   (relaxation counts, loop-setup counts for the toVisit study);
 //! * [`cancel`] — cooperative cancellation tokens (deadlines, dropped
@@ -25,7 +25,7 @@
 //! * [`mem`] — byte-accounting helpers used to reproduce the "memory per
 //!   instance" column of the paper's Table 2, plus peak-RSS readout for the
 //!   hot-path benchmark;
-//! * [`scratch`] — reusable scratch memory (per-worker relax buffers,
+//! * [`scratch`] — reusable scratch memory (per-worker lane buffers,
 //!   recycled vector pools, generation-stamped membership arrays) that keeps
 //!   the SSSP inner loops allocation-free after warm-up;
 //! * [`fault`] — seeded, deterministic fault injection (worker panics,

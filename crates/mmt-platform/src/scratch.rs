@@ -7,17 +7,17 @@
 //! sort+dedup passes over them. This module centralises the three reusable
 //! structures that remove that churn:
 //!
-//! * [`ShardBuffers`] — per-worker append-only relax buffers. A parallel
+//! * [`ShardBuffers`] — per-worker append-only lane buffers. A parallel
 //!   phase scatters into lane-local vectors (one uncontended lock per lane
-//!   per phase), and the phase owner drains them serially into buckets.
-//!   Capacity is retained across phases and across queries.
+//!   per phase) through the same lane scatter as
+//!   [`FrontierBins`](crate::bins::FrontierBins).
 //! * [`BufferPool`] — a recycling pool of plain `Vec<T>` scratch vectors
 //!   (toVisit lists, per-query distance copies). `acquire` reuses a warm
 //!   buffer when one is idle; the `created` counter makes "zero steady-state
 //!   allocations" testable.
-//! * [`GenerationStamps`] — an `O(1)`-clear membership array keyed by a
-//!   caller-supplied generation (bucket epoch, phase counter). Replaces both
-//!   the sort+dedup over relax requests and per-round `bool` array clears.
+//! * [`GenerationStamps`] — an `O(1)`-clear membership array: advancing the
+//!   generation clears every slot at once. The frontier bins dedup each
+//!   bucket drain with it instead of a sort+dedup or a `bool` array clear.
 //!
 //! The vendored rayon shim spawns scoped threads per parallel call — there
 //! is no persistent worker pool, so `thread_local!` storage would never be
@@ -35,9 +35,8 @@ use crate::mem::MemFootprint;
 /// Per-worker append-only buffers for parallel scatter phases.
 ///
 /// A phase calls [`scatter`](Self::scatter) to run a closure over a work
-/// list in parallel; each worker appends into its own lane. The phase owner
-/// then calls [`drain`](Self::drain) to consume everything serially. Lane
-/// vectors keep their capacity, so after warm-up a phase performs no heap
+/// list in parallel; each worker appends into its own lane. Lane vectors
+/// keep their capacity, so after warm-up a phase performs no heap
 /// allocation beyond what the closure itself does.
 #[derive(Debug)]
 pub struct ShardBuffers<T: Send> {
@@ -69,22 +68,6 @@ impl<T: Send> ShardBuffers<T> {
         F: Fn(&I, &mut Vec<T>) + Sync,
     {
         scatter_lanes(&self.lanes, items, f);
-    }
-
-    /// Serially consumes every buffered item, preserving lane order.
-    /// Lane capacity is retained for the next scatter.
-    pub fn drain(&mut self, mut f: impl FnMut(T)) {
-        for lane in &mut self.lanes {
-            for item in lane.get_mut().drain(..) {
-                f(item);
-            }
-        }
-    }
-
-    /// Total items currently buffered across all lanes (requires exclusive
-    /// access, so it never races a scatter).
-    pub fn buffered(&mut self) -> usize {
-        self.lanes.iter_mut().map(|l| l.get_mut().len()).sum()
     }
 }
 
@@ -174,9 +157,7 @@ impl<T: Send> BufferPool<T> {
 /// Each slot remembers the last generation it was stamped with; membership
 /// in the current generation is `stamp == gen`. Advancing the generation
 /// invalidates every slot at once — no per-round `fill(false)` pass. The
-/// caller picks what a generation means: the delta-stepping kernel uses the
-/// absolute bucket index for "already queued in that bucket" dedup, and the
-/// phase counter for "already relaxed this phase" re-scan suppression.
+/// frontier bins advance it once per bucket drain.
 ///
 /// Generation `0` is reserved as "never stamped"; [`advance`](Self::advance)
 /// therefore starts handing out `1`.
@@ -243,29 +224,6 @@ impl GenerationStamps {
     pub fn is_marked(&self, i: usize) -> bool {
         self.stamps[i] == self.gen
     }
-
-    /// Stamps slot `i` with an arbitrary caller-chosen stamp (e.g. an
-    /// absolute bucket index). Returns `true` when the stamp changed.
-    /// Stamp `0` means "none" — use [`unmark`](Self::unmark) for that.
-    #[inline]
-    pub fn mark_with(&mut self, i: usize, stamp: u64) -> bool {
-        debug_assert_ne!(stamp, 0, "stamp 0 is reserved for `unmarked`");
-        let changed = self.stamps[i] != stamp;
-        self.stamps[i] = stamp;
-        changed
-    }
-
-    /// The raw stamp at slot `i` (`0` = never stamped / unmarked).
-    #[inline]
-    pub fn stamp_of(&self, i: usize) -> u64 {
-        self.stamps[i]
-    }
-
-    /// Clears slot `i` regardless of generation.
-    #[inline]
-    pub fn unmark(&mut self, i: usize) {
-        self.stamps[i] = 0;
-    }
 }
 
 impl MemFootprint for GenerationStamps {
@@ -279,16 +237,23 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
+    /// Every buffered item in lane order, leaving the lanes empty.
+    fn drain<T: Send>(bufs: &mut ShardBuffers<T>) -> Vec<T> {
+        bufs.lanes
+            .iter_mut()
+            .flat_map(|l| std::mem::take(l.get_mut()))
+            .collect()
+    }
+
     #[test]
     fn scatter_reaches_every_item_and_drain_empties() {
         let mut bufs: ShardBuffers<u64> = ShardBuffers::new(4);
         let items: Vec<u64> = (0..1000).collect();
         bufs.scatter(&items, |&x, lane| lane.push(x * 2));
-        assert_eq!(bufs.buffered(), 1000);
-        let mut sum = 0u64;
-        bufs.drain(|x| sum += x);
-        assert_eq!(sum, 2 * (0..1000u64).sum::<u64>());
-        assert_eq!(bufs.buffered(), 0);
+        let drained = drain(&mut bufs);
+        assert_eq!(drained.len(), 1000);
+        assert_eq!(drained.iter().sum::<u64>(), 2 * (0..1000u64).sum::<u64>());
+        assert!(drain(&mut bufs).is_empty());
     }
 
     #[test]
@@ -296,12 +261,13 @@ mod tests {
         let mut bufs: ShardBuffers<u32> = ShardBuffers::new(2);
         let items: Vec<u32> = (0..512).collect();
         bufs.scatter(&items, |&x, lane| lane.push(x));
-        bufs.drain(|_| {});
+        for lane in &mut bufs.lanes {
+            lane.get_mut().clear();
+        }
         let warm = bufs.heap_bytes();
         assert!(warm > 0);
         // Same-size round: no lane may grow.
         bufs.scatter(&items, |&x, lane| lane.push(x));
-        bufs.drain(|_| {});
         assert_eq!(bufs.heap_bytes(), warm);
     }
 
@@ -309,7 +275,7 @@ mod tests {
     fn scatter_on_empty_input_is_a_noop() {
         let mut bufs: ShardBuffers<u8> = ShardBuffers::new(3);
         bufs.scatter(&[] as &[u8], |&x, lane| lane.push(x));
-        assert_eq!(bufs.buffered(), 0);
+        assert!(drain(&mut bufs).is_empty());
     }
 
     #[test]
@@ -318,10 +284,8 @@ mod tests {
         assert_eq!(bufs.lane_count(), 1);
         let items: Vec<usize> = (0..10).collect();
         bufs.scatter(&items, |&x, lane| lane.push(x));
-        let mut out = Vec::new();
-        bufs.drain(|x| out.push(x));
         // One lane ⇒ order preserved exactly.
-        assert_eq!(out, items);
+        assert_eq!(drain(&mut bufs), items);
     }
 
     #[test]
@@ -385,18 +349,6 @@ mod tests {
         g.advance();
         assert!(!g.is_marked(3), "advance clears in O(1)");
         assert!(g.mark(3));
-    }
-
-    #[test]
-    fn generation_stamps_custom_stamps() {
-        let mut g = GenerationStamps::new(4);
-        assert_eq!(g.stamp_of(2), 0);
-        assert!(g.mark_with(2, 17));
-        assert!(!g.mark_with(2, 17), "same stamp is a no-op");
-        assert!(g.mark_with(2, 18));
-        assert_eq!(g.stamp_of(2), 18);
-        g.unmark(2);
-        assert_eq!(g.stamp_of(2), 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! (`u64`) shape every existing caller uses, and [`CompactThorupInstance`]
 //! halves both arrays to `u32` cells for graphs whose weight sum certifies
 //! that no finite distance can reach the narrow sentinel — the Thorup-side
-//! twin of the compact Δ-stepping kernel's locality argument. Solver
+//! twin of the `u32`-cell Δ-stepping's locality argument. Solver
 //! behaviour is bit-identical across widths (the `MinCell` bijection
 //! contract); only the bytes per touched cell change.
 

@@ -418,7 +418,7 @@ pub struct ServiceMetrics {
     queue_wait_us: AtomicLog2Histogram,
     /// One entry per registered graph, fixed at build time.
     graphs: Mutex<Vec<Arc<GraphStats>>>,
-    /// Test probes: most Δ-early relax lanes and batch instances a worker held.
+    /// Test probes: most Δ-early bin lanes and batch instances a worker held.
     #[cfg(test)]
     delta_lanes: std::sync::atomic::AtomicUsize,
     #[cfg(test)]
@@ -1215,26 +1215,6 @@ impl QueryServiceBuilder {
             next_query: AtomicU64::new(0),
         })
     }
-
-    /// Spawns the workers and starts a single-graph service.
-    ///
-    /// Fails with [`ServiceError::Input`] when the hierarchy was built
-    /// for a different graph.
-    #[deprecated(
-        note = "use build_registry: register the graph in a GraphRegistry and route \
-                requests with QueryRequest::on"
-    )]
-    pub fn build(
-        self,
-        graph: Arc<CsrGraph>,
-        ch: Arc<ComponentHierarchy>,
-    ) -> Result<QueryService, ServiceError> {
-        let mut registry = GraphRegistry::new();
-        registry
-            .register("default", &graph, ch)
-            .map_err(ServiceError::Input)?;
-        self.build_registry(registry)
-    }
 }
 
 /// One graph's serving lane: a bounded queue and a worker pool. Closed
@@ -1336,72 +1316,6 @@ impl QueryService {
         self.submit_targeted(request.into(), /*blocking=*/ false)
     }
 
-    /// As [`submit`](Self::submit) with a per-request deadline.
-    #[deprecated(note = "use submit(QueryRequest::new(source).deadline(deadline))")]
-    pub fn submit_with_deadline(
-        &self,
-        source: VertexId,
-        deadline: Duration,
-    ) -> Result<QueryHandle, ServiceError> {
-        self.submit(QueryRequest::new(source).deadline(deadline))
-    }
-
-    /// As [`try_submit`](Self::try_submit) with a per-request deadline.
-    #[deprecated(note = "use try_submit(QueryRequest::new(source).deadline(deadline))")]
-    pub fn try_submit_with_deadline(
-        &self,
-        source: VertexId,
-        deadline: Duration,
-    ) -> Result<QueryHandle, ServiceError> {
-        self.try_submit(QueryRequest::new(source).deadline(deadline))
-    }
-
-    /// Enqueues a point-to-point query, blocking while the queue is full.
-    #[deprecated(note = "use submit_p2p(QueryRequest::new(source).target(target))")]
-    pub fn submit_target(
-        &self,
-        source: VertexId,
-        target: VertexId,
-    ) -> Result<TargetHandle, ServiceError> {
-        self.submit_p2p(QueryRequest::new(source).target(target))
-    }
-
-    /// Non-blocking point-to-point submit.
-    #[deprecated(note = "use try_submit_p2p(QueryRequest::new(source).target(target))")]
-    pub fn try_submit_target(
-        &self,
-        source: VertexId,
-        target: VertexId,
-    ) -> Result<TargetHandle, ServiceError> {
-        self.try_submit_p2p(QueryRequest::new(source).target(target))
-    }
-
-    /// Point-to-point submit with a per-request deadline.
-    #[deprecated(
-        note = "use submit_p2p(QueryRequest::new(source).target(target).deadline(deadline))"
-    )]
-    pub fn submit_target_with_deadline(
-        &self,
-        source: VertexId,
-        target: VertexId,
-        deadline: Duration,
-    ) -> Result<TargetHandle, ServiceError> {
-        self.submit_p2p(QueryRequest::new(source).target(target).deadline(deadline))
-    }
-
-    /// Non-blocking point-to-point submit with a per-request deadline.
-    #[deprecated(
-        note = "use try_submit_p2p(QueryRequest::new(source).target(target).deadline(deadline))"
-    )]
-    pub fn try_submit_target_with_deadline(
-        &self,
-        source: VertexId,
-        target: VertexId,
-        deadline: Duration,
-    ) -> Result<TargetHandle, ServiceError> {
-        self.try_submit_p2p(QueryRequest::new(source).target(target).deadline(deadline))
-    }
-
     /// Enqueues one full SSSP query per source as a single batch, blocking
     /// while the shard's queue is full. Takes anything convertible into a
     /// [`BatchRequest`] — a bare source slice routes to the first
@@ -1418,17 +1332,6 @@ impl QueryService {
         request: impl Into<BatchRequest>,
     ) -> Result<BatchHandle, ServiceError> {
         self.submit_batch_inner(request.into())
-    }
-
-    /// As [`submit_batch`](Self::submit_batch) with a deadline applied to
-    /// every member.
-    #[deprecated(note = "use submit_batch(BatchRequest::new(sources).deadline(deadline))")]
-    pub fn submit_batch_with_deadline(
-        &self,
-        sources: &[VertexId],
-        deadline: Duration,
-    ) -> Result<BatchHandle, ServiceError> {
-        self.submit_batch(BatchRequest::new(sources.to_vec()).deadline(deadline))
     }
 
     /// The registry this service serves from. Lifecycle operations
@@ -1908,7 +1811,7 @@ enum WorkerExit {
 /// The pool therefore returns to full strength without growing new OS
 /// threads, and a panic storm cannot deadlock the bounded queue. Each
 /// incarnation runs on one lane (the service's parallelism is across
-/// queries and shards): a Δ-early scratch gets one relax lane and a
+/// queries and shards): a Δ-early scratch gets one bin lane and a
 /// coalesced batch solves its members in turn, forking nothing.
 fn worker_thread(shared: &WorkerShared) {
     loop {
@@ -3428,34 +3331,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_single_graph_shim_is_byte_identical() {
-        // The old build(graph, ch) surface must keep answering — through
-        // the registry — with exactly the bytes the new path produces.
-        let (g, ch) = fixture(7);
-        let old = QueryService::builder()
-            .workers(1)
-            .build(Arc::clone(&g), Arc::clone(&ch))
-            .unwrap();
-        let new = QueryService::builder()
-            .workers(1)
-            .build_registry(single_registry(&g, ch))
-            .unwrap();
-        for s in [0u32, 3, 17] {
-            let via_old = old.submit(s).unwrap().wait().unwrap();
-            let via_new = new.submit(s).unwrap().wait().unwrap();
-            assert_eq!(via_old, via_new, "source {s}");
-            assert_eq!(
-                old.submit_target(s, 1).unwrap().wait().unwrap(),
-                new.submit_p2p(QueryRequest::new(s).target(1))
-                    .unwrap()
-                    .wait()
-                    .unwrap()
-            );
-        }
-    }
-
-    #[test]
     fn evict_graph_resolves_queued_and_keeps_other_tenants() {
         let (g_a, ch_a) = fixture(6);
         let (g_b, ch_b) = fixture(7);
@@ -3606,7 +3481,7 @@ mod tests {
     #[test]
     fn workers_solve_on_one_lane() {
         // Whatever the host's thread count, a worker's Δ-early scratch has
-        // one relax lane and a coalesced batch of eight solves its members
+        // one bin lane and a coalesced batch of eight solves its members
         // in turn through a single pooled instance. (With the host's
         // budget, two members' solves would overlap and hold two.)
         let (g, ch) = fixture(12);

@@ -96,22 +96,13 @@ mod target_tests {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThorupConfig {
     /// How `toVisit` sets are gathered (Table 6's experiment).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use ThorupConfig::new().with_strategy(..) and .strategy()"
-    )]
-    pub strategy: ToVisitStrategy,
+    strategy: ToVisitStrategy,
     /// Run child visits within a bucket sequentially even when the gather
     /// found several (used by the multi-query engine to dedicate the pool
     /// to cross-query parallelism).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use ThorupConfig::new().with_serial_visits(..) and .serial_visits()"
-    )]
-    pub serial_visits: bool,
+    serial_visits: bool,
 }
 
-#[allow(deprecated)]
 impl ThorupConfig {
     /// The default configuration (selective-default gathers, parallel
     /// child visits).

@@ -8,12 +8,12 @@
 use crate::case::GraphCase;
 use mmt_baselines::{
     bellman_ford_frontier, bidirectional_dijkstra, bidirectional_st, default_rho,
-    delta_star_presplit, delta_stepping, delta_stepping_compact, delta_stepping_presplit,
-    delta_stepping_reference, delta_stepping_st, dijkstra, goldberg_sssp, rho_stepping_partitioned,
-    rho_stepping_presplit, BidiScratch, DeltaConfig, DeltaScratch, StepScratch,
+    delta_star_presplit, delta_stepping, delta_stepping_presplit, delta_stepping_st, dijkstra,
+    goldberg_sssp, rho_stepping_presplit, BidiScratch, DeltaConfig, DeltaScratch, StepScratch,
 };
 use mmt_graph::types::{Dist, VertexId};
-use mmt_graph::{CsrArena, PartitionedCsr, SplitCsr, VertexPermutation};
+use mmt_graph::{CompactSplitCsr, CsrArena, SplitCsr, VertexPermutation};
+use mmt_platform::AtomicMinU32;
 use mmt_thorup::{
     BatchSolver, GraphLayout, GraphRegistry, LayoutKind, LayoutSolver, QueryRequest, QueryService,
     SerialThorup, ThorupSolver,
@@ -112,20 +112,6 @@ impl SsspEngine for PresplitDeltaEngine {
         delta_stepping_presplit(&split, source, &mut scratch, None);
         delta_stepping_presplit(&split, source, &mut scratch, None);
         scratch.to_distances()
-    }
-}
-
-/// The seed's collect()-based Δ-stepping kernel, kept as the allocation
-/// baseline; differentially tested so the comparison stays meaningful.
-pub struct ReferenceDeltaEngine;
-
-impl SsspEngine for ReferenceDeltaEngine {
-    fn name(&self) -> &'static str {
-        "delta-reference"
-    }
-
-    fn solve(&self, case: &GraphCase, source: VertexId) -> Vec<Dist> {
-        delta_stepping_reference(&case.graph, source, DeltaConfig::auto(&case.graph))
     }
 }
 
@@ -234,9 +220,9 @@ impl SsspEngine for P2pBidiEngine {
 
 /// The served `p2p-delta-early` solver ([`delta_stepping_st`]): Δ-stepping
 /// that stops once the target's bucket settles. One pre-split CSR and ONE
-/// reused [`DeltaScratch`] answer every pair, so the early-exit paths'
-/// stamp-epoch bookkeeping is held to the oracle across back-to-back
-/// queries, unreachable targets and `t == source` alike.
+/// reused [`DeltaScratch`] answer every pair, so the bins an early exit
+/// leaves behind are held to the oracle across back-to-back queries,
+/// unreachable targets and `t == source` alike.
 pub struct P2pDeltaEarlyEngine;
 
 impl SsspEngine for P2pDeltaEarlyEngine {
@@ -420,10 +406,11 @@ impl SsspEngine for CoalescedServiceEngine {
     }
 }
 
-/// The compact all-`u32` Δ-stepping kernel with checked narrowing. When the
-/// graph refuses to narrow (arc count or weight sum too large) it falls back
-/// to the wide kernel — the narrowing path must never be silently lossy, and
-/// the differential runner holds the result to the oracle either way.
+/// Δ-stepping on the `u32` distance cell over a checked-narrowed compact
+/// split. When the graph refuses to narrow (arc count or weight sum too
+/// large) it falls back to the wide cell — the narrowing path must never be
+/// silently lossy, and the differential runner holds the result to the
+/// oracle either way.
 pub struct CompactDeltaEngine;
 
 impl SsspEngine for CompactDeltaEngine {
@@ -433,8 +420,13 @@ impl SsspEngine for CompactDeltaEngine {
 
     fn solve(&self, case: &GraphCase, source: VertexId) -> Vec<Dist> {
         let cfg = DeltaConfig::auto(&case.graph);
-        match delta_stepping_compact(&case.graph, source, cfg, None) {
-            Ok(d) => d,
+        let delta = cfg.delta().min(u32::MAX as u64) as mmt_graph::types::Weight;
+        match CompactSplitCsr::try_new(&case.graph, delta) {
+            Ok(split) => {
+                let mut scratch = StepScratch::<AtomicMinU32>::new(&split);
+                delta_stepping_presplit(&split, source, &mut scratch, None);
+                scratch.to_distances()
+            }
             Err(_) => delta_stepping(&case.graph, source, cfg),
         }
     }
@@ -486,7 +478,7 @@ impl SsspEngine for DeltaStarEngine {
 }
 
 /// The compact all-`u32` Thorup instance: `dist`/`mind` cells narrowed with
-/// the same weight-sum certification as the compact Δ kernel, falling back
+/// the same weight-sum certification as `delta-compact`, falling back
 /// to the wide instance when the graph refuses to narrow. Either way the
 /// answer is held to the oracle — narrowing must be exact, never saturating.
 pub struct CompactThorupEngine;
@@ -504,32 +496,6 @@ impl SsspEngine for CompactThorupEngine {
     }
 }
 
-/// ρ-stepping over owned arc partitions: relax work for each frontier
-/// vertex is claimed by the one bin lane whose contiguous vertex range
-/// owns it, instead of being struck off a shared frontier. A lane count
-/// that never divides the host's worker count evenly keeps the
-/// owner-routing path honest, and the fetch-min fixpoint must land on the
-/// same distances as the unpartitioned kernel — and the oracle.
-pub struct PartitionedRhoEngine;
-
-impl SsspEngine for PartitionedRhoEngine {
-    fn name(&self) -> &'static str {
-        "rho-partitioned"
-    }
-
-    fn solve(&self, case: &GraphCase, source: VertexId) -> Vec<Dist> {
-        let cfg = DeltaConfig::adaptive(&case.graph);
-        let delta = cfg.delta().min(u32::MAX as u64) as mmt_graph::types::Weight;
-        let split = SplitCsr::new(&case.graph, delta.max(1));
-        let part = PartitionedCsr::new(&split, 3);
-        let mut scratch = StepScratch::new(&split);
-        let rho = default_rho(case.n());
-        rho_stepping_partitioned(&part, source, rho, &mut scratch, None);
-        rho_stepping_partitioned(&part, source, rho, &mut scratch, None);
-        scratch.to_distances()
-    }
-}
-
 /// Every engine in the workspace, oracle excluded. The order is stable so
 /// divergence reports are reproducible run to run.
 pub fn all_engines() -> Vec<Box<dyn SsspEngine>> {
@@ -539,7 +505,6 @@ pub fn all_engines() -> Vec<Box<dyn SsspEngine>> {
         Box::new(BatchThorupEngine),
         Box::new(DeltaSteppingEngine),
         Box::new(PresplitDeltaEngine),
-        Box::new(ReferenceDeltaEngine),
         Box::new(BellmanFordEngine),
         Box::new(MlbEngine),
         Box::new(BidirectionalEngine),
@@ -550,7 +515,6 @@ pub fn all_engines() -> Vec<Box<dyn SsspEngine>> {
         Box::new(CompactDeltaEngine),
         Box::new(ArenaDeltaEngine),
         Box::new(RhoSteppingEngine),
-        Box::new(PartitionedRhoEngine),
         Box::new(DeltaStarEngine),
         Box::new(CompactThorupEngine),
         Box::new(RegistryServiceEngine),
@@ -584,9 +548,9 @@ mod tests {
     }
 
     #[test]
-    fn engine_table_has_twenty_one_engines_with_unique_names() {
+    fn engine_table_has_nineteen_engines_with_unique_names() {
         let engines = all_engines();
-        assert_eq!(engines.len(), 21, "engine table size");
+        assert_eq!(engines.len(), 19, "engine table size");
         let names: std::collections::BTreeSet<_> = engines.iter().map(|e| e.name()).collect();
         assert_eq!(names.len(), engines.len(), "duplicate engine name");
         assert!(names.contains("p2p-bidi"));
