@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mmt_bench::{scale_from_env, Workload};
 use mmt_ch::build_parallel;
 use mmt_graph::gen::{GraphClass, WeightDist, WorkloadSpec};
-use mmt_thorup::{BatchMode, GraphRegistry, QueryEngine, QueryRequest, QueryService, ThorupSolver};
+use mmt_thorup::{BatchSolver, GraphRegistry, QueryRequest, QueryService, ThorupSolver};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
@@ -50,9 +50,9 @@ fn bench(c: &mut Criterion) {
     });
 
     let solver = ThorupSolver::new(&graph, &ch);
-    let engine = QueryEngine::new(solver);
+    let batch = BatchSolver::new(&solver);
     group.bench_function(format!("{name}/batch_16_queries"), |b| {
-        b.iter(|| black_box(engine.solve_batch(&sources, BatchMode::Simultaneous)))
+        b.iter(|| black_box(batch.solve_batch(&sources)))
     });
 
     group.bench_function(format!("{name}/service_targeted_burst"), |b| {

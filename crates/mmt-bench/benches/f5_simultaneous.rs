@@ -8,7 +8,7 @@ use mmt_baselines::{delta_stepping, DeltaConfig};
 use mmt_bench::{scale_from_env, Workload};
 use mmt_ch::build_parallel;
 use mmt_graph::gen::{GraphClass, WeightDist, WorkloadSpec};
-use mmt_thorup::{BatchMode, QueryEngine, ThorupSolver};
+use mmt_thorup::{BatchSolver, ThorupSolver};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -23,16 +23,21 @@ fn bench(c: &mut Criterion) {
         let spec = WorkloadSpec::new(GraphClass::Random, WeightDist::Uniform, log_n, log_n);
         let w = Workload::generate(spec);
         let ch = build_parallel(&w.edges);
-        let engine = QueryEngine::new(ThorupSolver::new(&w.graph, &ch));
+        let solver = ThorupSolver::new(&w.graph, &ch);
+        let batch = BatchSolver::new(&solver);
         let cfg = DeltaConfig::auto(&w.graph);
         let name = spec.name();
         for k in [1usize, 4, 16] {
             let sources = w.sources(k);
             group.bench_function(format!("{name}/k={k}/simul_thorup"), |b| {
-                b.iter(|| black_box(engine.solve_batch(&sources, BatchMode::Simultaneous)))
+                b.iter(|| black_box(batch.solve_batch(&sources)))
             });
             group.bench_function(format!("{name}/k={k}/seq_thorup"), |b| {
-                b.iter(|| black_box(engine.solve_batch(&sources, BatchMode::Sequential)))
+                b.iter(|| {
+                    for &s in &sources {
+                        black_box(solver.solve(s));
+                    }
+                })
             });
             group.bench_function(format!("{name}/k={k}/seq_delta"), |b| {
                 b.iter(|| {

@@ -27,15 +27,11 @@ fn bench(c: &mut Criterion) {
             b.iter(|| black_box(build_serial(&w.edges, ChMode::Collapsed)))
         });
         let ch = build_serial(&w.edges, ChMode::Collapsed);
-        let mut engine = mmt_thorup::SerialThorup::new(&w.graph, &ch);
-        let src = w.source();
-        group.bench_function(format!("{name}/thorup_serial"), |b| {
-            b.iter(|| black_box(engine.solve(src)))
-        });
-        // The concurrent solver pinned to serial config, for comparison.
+        // Child visits in turn: the solve is its instance's only writer.
         let solver = ThorupSolver::new(&w.graph, &ch).with_config(ThorupConfig::serial());
         let inst = ThorupInstance::new(&ch);
-        group.bench_function(format!("{name}/thorup_atomic_1thread"), |b| {
+        let src = w.source();
+        group.bench_function(format!("{name}/thorup_serial"), |b| {
             b.iter(|| {
                 inst.reset(&ch);
                 solver.solve_into(&inst, src);

@@ -16,9 +16,7 @@ use mmt_graph::gen::{GraphClass, WeightDist, WorkloadSpec};
 use mmt_platform::pool::sweep_points;
 use mmt_platform::timing::fmt_seconds;
 use mmt_platform::{available_threads, with_pool, RunStats, Table};
-use mmt_thorup::{
-    BatchMode, QueryEngine, ThorupConfig, ThorupInstance, ThorupSolver, ToVisitStrategy,
-};
+use mmt_thorup::{BatchSolver, ThorupConfig, ThorupInstance, ThorupSolver, ToVisitStrategy};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -72,7 +70,9 @@ fn avg(runs: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// Table 1: serial Thorup vs the DIMACS reference solver (multilevel
-/// buckets), plus the serial CH preprocessing time.
+/// buckets), plus the serial CH preprocessing time. A serial Thorup query
+/// re-arms its instance, solves with child visits in turn and copies its
+/// distances out, as the reference solver returns its own.
 fn table1(scale: u32, runs: usize) {
     let mut t = Table::new(
         "Table 1 — Thorup sequential performance vs DIMACS reference solver",
@@ -89,10 +89,13 @@ fn table1(scale: u32, runs: usize) {
         let spec = WorkloadSpec::new(GraphClass::Random, WeightDist::Uniform, log_n, log_n);
         let w = Workload::generate(spec);
         let (ch, ch_secs) = RunStats::time_once(|| build_serial(&w.edges, ChMode::Collapsed));
-        let mut engine = mmt_thorup::SerialThorup::new(&w.graph, &ch);
+        let solver = ThorupSolver::new(&w.graph, &ch).with_config(ThorupConfig::serial());
+        let inst = ThorupInstance::new(&ch);
         let src = w.source();
         let thorup = avg(runs, || {
-            std::hint::black_box(engine.solve(src));
+            inst.reset(&ch);
+            solver.solve_into(&inst, src);
+            std::hint::black_box(inst.distances());
         });
         let dimacs = avg(runs, || {
             std::hint::black_box(goldberg_sssp(&w.graph, src));
@@ -403,15 +406,16 @@ fn write_dat(name: &str, xlabel: &str, xs: &[f64], series: &[(String, Vec<f64>)]
     println!("(wrote {name}.dat/.gp to {})", dir.display());
 }
 
-/// Figure 5: k simultaneous shared-CH Thorup queries vs k sequential
-/// Δ-stepping runs vs k sequential Thorup runs, at two graph sizes.
+/// Figure 5: k simultaneous shared-CH Thorup queries (one
+/// [`BatchSolver`] batch) vs k sequential Δ-stepping runs vs k sequential
+/// Thorup runs (one default-config solve per source), at two graph sizes.
 fn fig5(scale: u32, threads: usize, record: &mut RunRecord) {
     for log_n in [scale.saturating_sub(2), scale + 1] {
         let spec = WorkloadSpec::new(GraphClass::Random, WeightDist::Uniform, log_n, log_n);
         let w = Workload::generate(spec);
         let ch = build_parallel(&w.edges);
         let solver = ThorupSolver::new(&w.graph, &ch);
-        let engine = QueryEngine::new(solver);
+        let batch = BatchSolver::new(&solver);
         let cfg = DeltaConfig::auto(&w.graph);
         let mut t = Table::new(
             format!(
@@ -436,11 +440,13 @@ fn fig5(scale: u32, threads: usize, record: &mut RunRecord) {
             let sources = w.sources(k);
             let (simul, seq_th, seq_ds) = with_pool(threads, || {
                 let simul = RunStats::time_once(|| {
-                    std::hint::black_box(engine.solve_batch(&sources, BatchMode::Simultaneous));
+                    std::hint::black_box(batch.solve_batch(&sources));
                 })
                 .1;
                 let seq_th = RunStats::time_once(|| {
-                    std::hint::black_box(engine.solve_batch(&sources, BatchMode::Sequential));
+                    for &s in &sources {
+                        std::hint::black_box(solver.solve(s));
+                    }
                 })
                 .1;
                 let seq_ds = RunStats::time_once(|| {
@@ -460,7 +466,7 @@ fn fig5(scale: u32, threads: usize, record: &mut RunRecord) {
                 // The paper's §5.2 memory argument: k shared-CH instances
                 // vs k per-process graph copies. This holds regardless of
                 // core count.
-                mmt_platform::mem::fmt_bytes(engine.batch_instance_bytes(k)),
+                mmt_platform::mem::fmt_bytes(k * mmt_ch::stats::instance_bytes(&ch)),
                 mmt_platform::mem::fmt_bytes(k * w.graph.heap_bytes()),
             ]);
             record.record("fig5", &spec.name(), &format!("simul_thorup_k{k}"), simul);

@@ -13,9 +13,7 @@
 //!   refuses);
 //! * `rho-u64` — ρ-stepping on every layout;
 //! * `thorup` — parallel Thorup on the natural and CH-DFS layouts (the
-//!   ordering that makes its components index-contiguous);
-//! * `thorup-u32` — the same two layouts on the compact `u32`-cell
-//!   instance (skipped, like `delta-u32`, when narrowing refuses).
+//!   ordering that makes its components index-contiguous).
 //!
 //! Every permuted measurement is end-to-end honest: the source is mapped
 //! into the layout, and the distances are scattered back to original
@@ -42,7 +40,7 @@ use mmt_graph::gen::{GraphClass, WeightDist, WorkloadSpec};
 use mmt_graph::types::{Dist, VertexId, Weight};
 use mmt_graph::{CsrGraph, SplitCsr, VertexPermutation};
 use mmt_platform::{AtomicMinU32, AtomicMinU64, CountersSnapshot, EventCounters, MinCell};
-use mmt_thorup::{CompactThorupInstance, GraphLayout, InstancePool, LayoutKind, ThorupSolver};
+use mmt_thorup::{GraphLayout, InstancePool, LayoutKind, ThorupSolver};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -55,8 +53,9 @@ pub const SCHEMA_TEXT: &str = include_str!("../schema/BENCH_layout.schema.json")
 /// `pin_policy` / `numa_nodes` topology header and the `rho-u64`,
 /// `rho-part` and `thorup-u32` sample rows. Version 4 retired the
 /// `delta-u64-ra` rows (every stepping policy now relaxes with read-ahead)
-/// and the `rho-part` rows with the owned-partition kernel.
-pub const FORMAT_VERSION: u64 = 4;
+/// and the `rho-part` rows with the owned-partition kernel. Version 5
+/// retired the `thorup-u32` rows with the `u32`-cell Thorup instance.
+pub const FORMAT_VERSION: u64 = 5;
 
 /// Run shape: scale, repetitions, sources per workload.
 #[derive(Debug, Clone, Copy)]
@@ -98,8 +97,7 @@ impl LayoutOptions {
 /// One `(engine, layout)` measurement on one workload.
 #[derive(Debug, Clone)]
 pub struct LayoutSample {
-    /// Kernel under test: `delta-u64`, `delta-u32`, `rho-u64`, `thorup`
-    /// or `thorup-u32`.
+    /// Kernel under test: `delta-u64`, `delta-u32`, `rho-u64` or `thorup`.
     pub engine: &'static str,
     /// Ordering: `natural`, `degree`, `bfs`, or `chdfs`.
     pub layout: &'static str,
@@ -255,10 +253,6 @@ fn run_workload(spec: WorkloadSpec, opts: LayoutOptions) -> LayoutWorkload {
         ));
         if matches!(kind, LayoutKind::Natural | LayoutKind::ChDfs) {
             samples.push(measure_thorup(kind, &graph, &ch, &sources, opts.iterations));
-            match measure_thorup_compact(kind, &graph, &ch, &sources, opts.iterations) {
-                Some(s) => samples.push(s),
-                None => compact_ok = false,
-            }
         }
     }
 
@@ -403,52 +397,6 @@ fn measure_thorup(
     }
 }
 
-/// Thorup on the compact `u32`-cell instance (`thorup-u32`), same
-/// layouts as the wide `thorup` rows. Returns `None` when the checked
-/// narrowing refuses the graph — the caller clears `compact_ok`, same as
-/// the `delta-u32` rows.
-fn measure_thorup_compact(
-    kind: LayoutKind,
-    graph: &Arc<CsrGraph>,
-    ch: &Arc<mmt_ch::ComponentHierarchy>,
-    sources: &[VertexId],
-    iterations: usize,
-) -> Option<LayoutSample> {
-    let t0 = Instant::now();
-    let layout = GraphLayout::build(kind, Arc::clone(graph), Arc::clone(ch))
-        .expect("workload graph and hierarchy sizes agree");
-    let permute_secs = if matches!(kind, LayoutKind::Natural) {
-        0.0
-    } else {
-        t0.elapsed().as_secs_f64()
-    };
-    let inst = CompactThorupInstance::try_new(layout.hierarchy(), layout.graph()).ok()?;
-    let counters = EventCounters::new();
-    let solver = ThorupSolver::new(layout.graph(), layout.hierarchy()).with_counters(&counters);
-    let mut internal: Vec<Dist> = Vec::with_capacity(graph.n());
-    let mut out: Vec<Dist> = Vec::with_capacity(graph.n());
-    solver.solve_into(&inst, layout.to_internal(sources[0])); // warm-up
-    counters.reset();
-    let t0 = Instant::now();
-    for _ in 0..iterations {
-        for &s in sources {
-            inst.reset(layout.hierarchy());
-            solver.solve_into(&inst, layout.to_internal(s));
-            inst.copy_distances_into(&mut internal);
-            layout.scatter_into(&internal, &mut out);
-            std::hint::black_box(out[s as usize]);
-        }
-    }
-    Some(LayoutSample {
-        engine: "thorup-u32",
-        layout: kind.short_name(),
-        queries: sources.len() * iterations,
-        wall_secs: t0.elapsed().as_secs_f64(),
-        permute_secs,
-        counters: counters.snapshot(),
-    })
-}
-
 impl LayoutReport {
     /// Renders the artifact as pretty-stable JSON (two-space indent).
     pub fn to_json(&self) -> String {
@@ -542,9 +490,8 @@ mod tests {
         assert_eq!(report.workloads.len(), 4);
         for w in &report.workloads {
             assert!(w.compact_ok, "small smoke graphs must narrow");
-            // 4 layouts x (u64 + u32 + rho-u64)
-            // + (thorup + thorup-u32) on natural + chdfs.
-            assert_eq!(w.samples.len(), 16);
+            // 4 layouts x (u64 + u32 + rho-u64) + thorup on natural + chdfs.
+            assert_eq!(w.samples.len(), 14);
             for s in &w.samples {
                 assert!(s.wall_secs > 0.0, "{} {}", s.engine, s.layout);
                 assert!(s.counters.relaxations > 0);
@@ -570,9 +517,8 @@ mod tests {
                 .find(|s| s.engine == "delta-u64" && s.layout == "natural")
                 .unwrap();
             assert_eq!(natural.permute_secs, 0.0);
-            // ρ runs on every layout and the u32 Thorup rows mirror the
-            // wide ones.
-            for (eng, want) in [("rho-u64", 4), ("thorup-u32", 2)] {
+            // ρ runs on every layout, Thorup on two.
+            for (eng, want) in [("rho-u64", 4), ("thorup", 2)] {
                 let rows = w.samples.iter().filter(|s| s.engine == eng).count();
                 assert_eq!(rows, want, "{eng}");
             }

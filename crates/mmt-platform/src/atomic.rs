@@ -39,8 +39,8 @@ impl AtomicMinU64 {
     /// Unconditionally stores `value`.
     ///
     /// Only safe to use from phases where the cell is not concurrently
-    /// lowered (e.g. instance reset, or the pull-refresh step of the Thorup
-    /// visit loop which runs after all child visits joined).
+    /// lowered (e.g. instance reset, or a Thorup solve that visits in turn
+    /// and so is its instance's only writer).
     #[inline]
     pub fn store(&self, value: u64) {
         self.cell.store(value, Ordering::Release)
@@ -116,7 +116,7 @@ impl Clone for AtomicMinU64 {
 /// A `u32` cell supporting an atomic *lower-or-leave* update.
 ///
 /// The 32-bit sibling of [`AtomicMinU64`], used by the `u32`-cell stepping
-/// and Thorup solves where the graph's weight sum is known to fit in `u32`. Halving the
+/// solves where the graph's weight sum is known to fit in `u32`. Halving the
 /// tentative-distance width halves the bytes touched per relaxation, which is
 /// the whole point of the compact layout; the semantics (strict-lowering
 /// return, relaxed fast path, `AcqRel` success ordering) are identical to the
@@ -201,8 +201,8 @@ impl Clone for AtomicMinU32 {
 /// A lower-or-leave cell with `u64` semantics, abstracting over storage
 /// width.
 ///
-/// Algorithms generic over `MinCell` (the Thorup solver's distance and
-/// `mind` arrays, the shared relax core) run identically on the wide
+/// Algorithms generic over `MinCell` (the stepping loop, the shared relax
+/// core) run identically on the wide
 /// [`AtomicMinU64`] and the compact [`AtomicMinU32`]; only the bytes per
 /// cell change. The compact impl maps `u32::MAX ↔ u64::MAX` (the
 /// workspace's two infinity sentinels) and saturates finite values into
@@ -349,6 +349,23 @@ impl AtomicBitSet {
         debug_assert!(i < self.len);
         let mask = 1u64 << (i % 64);
         let prev = self.words[i / 64].fetch_or(mask, Ordering::AcqRel);
+        prev & mask == 0
+    }
+
+    /// As [`set`](Self::set), with a plain load and store instead of a
+    /// read-modify-write. Correct only while the caller is the bitset's
+    /// sole writer: a concurrent setter of a bit in the same word could
+    /// be lost. The accesses are `Relaxed` because nothing reads the
+    /// bitset concurrently with its sole writer; a reader on another
+    /// thread synchronises with it through whatever handed the bitset
+    /// over (a join, a channel or a lock).
+    #[inline]
+    pub fn set_unshared(&self, i: usize) -> bool {
+        debug_assert!(i < self.len);
+        let mask = 1u64 << (i % 64);
+        let word = &self.words[i / 64];
+        let prev = word.load(Ordering::Relaxed);
+        word.store(prev | mask, Ordering::Relaxed);
         prev & mask == 0
     }
 
@@ -591,6 +608,19 @@ mod tests {
         assert!(b.get(129));
         assert!(!b.get(128));
         assert_eq!(b.count_ones(), 2);
+    }
+
+    #[test]
+    fn bitset_unshared_set_reports_like_set() {
+        let b = AtomicBitSet::new(130);
+        assert!(b.set_unshared(64));
+        assert!(!b.set_unshared(64));
+        assert!(!b.set(64));
+        assert!(b.set(65));
+        assert!(!b.set_unshared(65));
+        assert!(b.set_unshared(129));
+        assert!(b.get(64) && b.get(65) && b.get(129) && !b.get(63));
+        assert_eq!(b.count_ones(), 3);
     }
 
     #[test]

@@ -14,14 +14,19 @@
 //!   fail loudly rather than timing out in silence;
 //! * **close-then-drain** — [`close`](ShedQueue::close) stops admission
 //!   immediately while [`pop`](ShedQueue::pop) keeps returning the items
-//!   already admitted, which is exactly drain-mode shutdown.
+//!   already admitted, which is exactly drain-mode shutdown;
+//! * **a depth gauge** — every push, pop, shed and drain moves a
+//!   [`Counter`] by the change in queued items *inside* the queue's lock,
+//!   so a reader never sees more than was queued at some instant (several
+//!   queues may report into one gauge).
 //!
 //! Built on `std::sync::{Mutex, Condvar}` only; a panicking holder never
 //! poisons the queue for its peers (poison is recovered into the inner
 //! value, matching the workspace's parking_lot semantics).
 
+use crate::counters::Counter;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Why a push did not enqueue; the item is handed back in both cases.
@@ -59,6 +64,8 @@ pub struct ShedQueue<T> {
     not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
+    /// Queued items, moved only while `inner` is locked.
+    depth: Arc<Counter>,
 }
 
 impl<T> std::fmt::Debug for ShedQueue<T> {
@@ -74,6 +81,12 @@ impl<T> std::fmt::Debug for ShedQueue<T> {
 impl<T> ShedQueue<T> {
     /// A queue holding at most `capacity` items (clamped to at least 1).
     pub fn new(capacity: usize) -> Self {
+        Self::with_depth_gauge(capacity, Arc::default())
+    }
+
+    /// As [`new`](Self::new), adding every change in the number of queued
+    /// items to `depth` while the queue's lock is held.
+    pub fn with_depth_gauge(capacity: usize, depth: Arc<Counter>) -> Self {
         Self {
             inner: Mutex::new(Inner {
                 items: VecDeque::new(),
@@ -82,6 +95,7 @@ impl<T> ShedQueue<T> {
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity: capacity.max(1),
+            depth,
         }
     }
 
@@ -137,6 +151,7 @@ impl<T> ShedQueue<T> {
             }
             if inner.items.len() < self.capacity {
                 inner.items.push_back(item);
+                self.depth.add(1);
                 self.not_empty.notify_one();
                 return Ok(Vec::new());
             }
@@ -153,6 +168,9 @@ impl<T> ShedQueue<T> {
                 inner.items = kept;
                 if !shed.is_empty() {
                     inner.items.push_back(item);
+                    // One net step: a reader never sees the admitted item
+                    // counted before the shed ones are taken off.
+                    self.depth.sub(shed.len() as u64 - 1);
                     self.not_empty.notify_one();
                     return Ok(shed);
                 }
@@ -173,6 +191,7 @@ impl<T> ShedQueue<T> {
         let mut inner = self.lock();
         loop {
             if let Some(item) = inner.items.pop_front() {
+                self.depth.sub(1);
                 self.not_full.notify_one();
                 return Some(item);
             }
@@ -209,6 +228,7 @@ impl<T> ShedQueue<T> {
                     return CoalescePop::Mismatch;
                 }
                 let item = inner.items.pop_front().expect("front exists");
+                self.depth.sub(1);
                 self.not_full.notify_one();
                 return CoalescePop::Item(item);
             }
@@ -229,7 +249,12 @@ impl<T> ShedQueue<T> {
 
     /// Removes and returns everything queued without waiting.
     pub fn drain_now(&self) -> Vec<T> {
-        let drained: Vec<T> = self.lock().items.drain(..).collect();
+        let drained: Vec<T> = {
+            let mut inner = self.lock();
+            let drained: Vec<T> = inner.items.drain(..).collect();
+            self.depth.sub(drained.len() as u64);
+            drained
+        };
         if !drained.is_empty() {
             self.not_full.notify_all();
         }
@@ -391,6 +416,61 @@ mod tests {
         }
         assert_eq!(q.drain_now(), vec![0, 1, 2]);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn depth_gauge_tracks_every_path_in_and_out() {
+        let depth = Arc::new(Counter::new());
+        let q = ShedQueue::with_depth_gauge(3, Arc::clone(&depth));
+        for i in 0..3 {
+            q.push(i, false, None).unwrap();
+        }
+        assert_eq!(depth.get(), 3);
+        // Shedding two to admit one nets -1.
+        let shed = q.push(9, false, Some(&|&x: &i32| x < 2)).unwrap();
+        assert_eq!((shed.len(), depth.get()), (2, 2));
+        assert!(q.push(7, false, None).unwrap().is_empty());
+        assert!(matches!(q.push(8, false, None), Err(PushRejected::Full(8))));
+        assert_eq!(depth.get(), 3);
+        assert_eq!(q.pop(), Some(2));
+        let far = Instant::now() + Duration::from_secs(5);
+        assert_eq!(q.pop_match_until(&|_| true, far), CoalescePop::Item(9));
+        assert_eq!(depth.get(), 1);
+        assert_eq!(q.drain_now(), vec![7]);
+        assert_eq!(depth.get(), 0);
+    }
+
+    #[test]
+    fn depth_gauge_never_reads_past_capacity_under_contention() {
+        let depth = Arc::new(Counter::new());
+        let q = Arc::new(ShedQueue::with_depth_gauge(2, Arc::clone(&depth)));
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                let q = Arc::clone(&q);
+                s.spawn(move || {
+                    for i in 0..2_000 {
+                        let _ = q.push(i, false, Some(&|&x: &i32| x % 3 == 0));
+                    }
+                });
+            }
+            let popper = {
+                let (q, done) = (Arc::clone(&q), Arc::clone(&done));
+                s.spawn(move || {
+                    while !done.load(std::sync::atomic::Ordering::Acquire) {
+                        let _ = q.pop_match_until(&|_| true, Instant::now());
+                    }
+                })
+            };
+            let mut max_seen = 0;
+            for _ in 0..20_000 {
+                max_seen = max_seen.max(depth.get());
+            }
+            done.store(true, std::sync::atomic::Ordering::Release);
+            popper.join().unwrap();
+            assert!(max_seen <= 2, "gauge read {max_seen} past capacity 2");
+        });
+        assert_eq!(depth.get() as usize, q.len());
     }
 
     #[test]

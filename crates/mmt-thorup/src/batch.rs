@@ -1,11 +1,14 @@
-//! Batched simultaneous SSSP with pooled per-query memory.
+//! Simultaneous SSSP queries over one shared Component Hierarchy, with
+//! pooled per-query memory — the paper's Section 5.5 / Figure 5
+//! experiment, and the reason Thorup's algorithm wins at batch workloads
+//! even though Δ-stepping wins single queries.
 //!
-//! [`multi::QueryEngine`](crate::QueryEngine) proves the paper's point that
-//! `k` Thorup queries can share one Component Hierarchy — but it allocates
-//! a fresh [`ThorupInstance`](crate::ThorupInstance) *and* a fresh result
-//! vector per query, which dominates the cost of small batches and churns
-//! the allocator on large ones. This module is the allocation-free form of
-//! the same idea:
+//! A Δ-stepping batch must run its (internally parallel) queries one after
+//! another; the CH lets `k` Thorup queries run *concurrently in one
+//! process*, each carrying only a lightweight [`ThorupInstance`] (Table
+//! 2's "Instance" column) instead of a full copy of the graph. Allocating a fresh instance and
+//! result vector per query would dominate small batches and churn the
+//! allocator on large ones, so both are pooled:
 //!
 //! * [`BatchSolver`] — a reusable batch engine whose per-query instances
 //!   come from an [`InstancePool`](crate::InstancePool) (peak-concurrency
@@ -112,10 +115,9 @@ impl Drop for PooledDistances {
 /// A reusable engine for simultaneous batches over one shared hierarchy.
 ///
 /// Queries run concurrently, each internally serial (the batch's
-/// parallelism is across queries, as in
-/// [`BatchMode::Simultaneous`](crate::BatchMode)); per-query instances and
-/// result vectors are pooled, so repeated batches settle into a zero
-/// per-query-allocation steady state.
+/// parallelism is across queries, so each solve is its instance's only
+/// writer); per-query instances and result vectors are pooled, so repeated
+/// batches settle into a zero per-query-allocation steady state.
 ///
 /// ```
 /// use mmt_ch::build_parallel;
@@ -138,8 +140,10 @@ pub struct BatchSolver<'a> {
 }
 
 impl<'a> BatchSolver<'a> {
-    /// Wraps a solver for pooled batch execution (the solver's strategy
-    /// settings are kept; per-query execution is forced serial).
+    /// Wraps a solver for pooled batch execution. Each query runs under
+    /// [`ThorupConfig::serial()`], whatever the solver's own configuration:
+    /// serial gathers and child visits in turn, so it writes its instance
+    /// without atomic read-modify-writes.
     pub fn new(solver: &ThorupSolver<'a>) -> Self {
         let serial = solver.with_config(ThorupConfig::serial());
         Self {

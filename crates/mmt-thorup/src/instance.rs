@@ -13,29 +13,22 @@
 //!   below is settled or unreachable, which ends a visit);
 //! * `settled` — one bit per vertex.
 //!
-//! The distance/`mind` arrays are generic over
-//! [`MinCell`](mmt_platform::MinCell): [`ThorupInstance`] is the wide
-//! (`u64`) shape every existing caller uses, and [`CompactThorupInstance`]
-//! halves both arrays to `u32` cells for graphs whose weight sum certifies
-//! that no finite distance can reach the narrow sentinel — the Thorup-side
-//! twin of the `u32`-cell Δ-stepping's locality argument. Solver
-//! behaviour is bit-identical across widths (the `MinCell` bijection
-//! contract); only the bytes per touched cell change.
+//! The cells are atomic so that a solve may visit a bucket's children in
+//! parallel. A solve that visits them in turn is its instance's only
+//! writer and updates the same cells with plain loads and stores (see
+//! [`crate::solver`]).
 
 use mmt_ch::ComponentHierarchy;
-use mmt_graph::compact::COMPACT_DIST_INF;
 use mmt_graph::types::{Dist, VertexId, INF};
-use mmt_graph::{CompactError, CsrGraph};
 use mmt_platform::scratch::BufferPool;
-use mmt_platform::{AtomicBitSet, AtomicMinU32, AtomicMinU64, MinCell};
+use mmt_platform::{AtomicBitSet, AtomicMinU64};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Mutable state of one SSSP query over a shared Component Hierarchy,
-/// generic over the distance-cell width (see the module docs).
+/// Mutable state of one SSSP query over a shared Component Hierarchy.
 #[derive(Debug)]
-pub struct ThorupInstanceIn<C: MinCell> {
-    pub(crate) dist: Vec<C>,
-    pub(crate) mind: Vec<C>,
+pub struct ThorupInstance {
+    pub(crate) dist: Vec<AtomicMinU64>,
+    pub(crate) mind: Vec<AtomicMinU64>,
     pub(crate) settled: AtomicBitSet,
     /// Cooperative cancellation flag for targeted (s–t) queries.
     pub(crate) stop: AtomicBool,
@@ -45,25 +38,14 @@ pub struct ThorupInstanceIn<C: MinCell> {
     pub(crate) scan_pool: BufferPool<u32>,
 }
 
-/// The wide (`u64`-cell) instance — the workspace default, valid for any
-/// graph.
-pub type ThorupInstance = ThorupInstanceIn<AtomicMinU64>;
-
-/// The compact (`u32`-cell) instance: `dist` and `mind` at half width.
-/// Construct through [`CompactThorupInstance::try_new`], which certifies
-/// the narrowing the same way `CompactSplitCsr` does.
-pub type CompactThorupInstance = ThorupInstanceIn<AtomicMinU32>;
-
-impl<C: MinCell> ThorupInstanceIn<C> {
+impl ThorupInstance {
     /// Allocates a fresh instance shaped for `ch`, ready for one query.
-    ///
-    /// For the compact width prefer [`CompactThorupInstance::try_new`],
-    /// which certifies the graph first; this constructor trusts the
-    /// caller's certification.
     pub fn new(ch: &ComponentHierarchy) -> Self {
         Self {
-            dist: (0..ch.n()).map(|_| C::new_cell(INF)).collect(),
-            mind: (0..ch.num_nodes()).map(|_| C::new_cell(INF)).collect(),
+            dist: (0..ch.n()).map(|_| AtomicMinU64::new(INF)).collect(),
+            mind: (0..ch.num_nodes())
+                .map(|_| AtomicMinU64::new(INF))
+                .collect(),
             settled: AtomicBitSet::new(ch.n()),
             stop: AtomicBool::new(false),
             scan_pool: BufferPool::new(),
@@ -71,8 +53,8 @@ impl<C: MinCell> ThorupInstanceIn<C> {
     }
 
     /// Re-arms a used instance for another query over the same hierarchy
-    /// (cheaper than reallocating; `multi::QueryEngine` reuses instances
-    /// this way).
+    /// (cheaper than reallocating; [`InstancePool`](crate::InstancePool)
+    /// reuses instances this way).
     pub fn reset(&self, ch: &ComponentHierarchy) {
         assert_eq!(
             self.mind.len(),
@@ -126,34 +108,10 @@ impl<C: MinCell> ThorupInstanceIn<C> {
     }
 
     /// Heap bytes of this instance — the paper's Table 2 "Instance"
-    /// column. Scales with the cell width: the compact instance halves the
-    /// `dist` and `mind` terms.
+    /// column.
     pub fn heap_bytes(&self) -> usize {
-        self.dist.len() * std::mem::size_of::<C>()
-            + self.mind.len() * std::mem::size_of::<C>()
+        (self.dist.len() + self.mind.len()) * std::mem::size_of::<AtomicMinU64>()
             + self.dist.len().div_ceil(8)
-    }
-}
-
-impl CompactThorupInstance {
-    /// Allocates a compact instance for `ch`, first certifying on `graph`
-    /// that `u32` cells are exact: at most `u32::MAX` arcs, and an
-    /// undirected weight sum strictly below the narrow sentinel (shortest
-    /// paths are simple, so every true finite distance then fits). Callers
-    /// fall back to the wide [`ThorupInstance`] on `Err` — narrowing
-    /// failure degrades memory economy, never correctness.
-    pub fn try_new(ch: &ComponentHierarchy, graph: &CsrGraph) -> Result<Self, CompactError> {
-        let arcs = graph.num_arcs() as u64;
-        if arcs > u32::MAX as u64 {
-            return Err(CompactError::TooManyArcs { arcs });
-        }
-        // Each undirected edge contributes its weight twice to
-        // total_arc_weight; a simple path uses each edge at most once.
-        let sum = graph.total_arc_weight() / 2;
-        if sum >= COMPACT_DIST_INF as u64 {
-            return Err(CompactError::WeightSumTooLarge { sum });
-        }
-        Ok(Self::new(ch))
     }
 }
 
@@ -193,26 +151,5 @@ mod tests {
         let ch = build_serial(&shapes::path(9, 1), ChMode::Collapsed);
         let inst = ThorupInstance::new(&ch);
         assert_eq!(inst.heap_bytes(), mmt_ch::stats::instance_bytes(&ch));
-    }
-
-    #[test]
-    fn compact_instance_halves_the_cell_arrays() {
-        let el = shapes::figure_one();
-        let g = mmt_graph::CsrGraph::from_edge_list(&el);
-        let ch = build_serial(&el, ChMode::Collapsed);
-        let wide = ThorupInstance::new(&ch);
-        let compact = CompactThorupInstance::try_new(&ch, &g).unwrap();
-        let cells = ch.n() + ch.num_nodes();
-        assert_eq!(wide.heap_bytes() - compact.heap_bytes(), cells * 4);
-        assert_eq!(compact.dist_of(0), INF, "fresh sentinel widens to INF");
-    }
-
-    #[test]
-    fn compact_certification_rejects_heavy_graphs() {
-        let el = mmt_graph::types::EdgeList::from_triples(3, [(0, 1, u32::MAX), (1, 2, u32::MAX)]);
-        let g = mmt_graph::CsrGraph::from_edge_list(&el);
-        let ch = build_serial(&el, ChMode::Collapsed);
-        let err = CompactThorupInstance::try_new(&ch, &g).unwrap_err();
-        assert!(matches!(err, CompactError::WeightSumTooLarge { .. }));
     }
 }

@@ -24,9 +24,8 @@
 //! * [`solver`] — the recursive bucket-visit engine;
 //! * [`instance`] — per-query mutable state (dist / mind / settled bits);
 //! * [`tovisit`] — the selective loop-parallelisation study (Table 6);
-//! * [`multi`] — simultaneous batched queries over a shared CH (Figure 5);
-//! * [`batch`] — the allocation-free form of `multi`: pooled per-query
-//!   instances and result buffers;
+//! * [`batch`] — simultaneous batched queries over a shared CH (Figure 5),
+//!   with pooled per-query instances and result buffers;
 //! * [`service`] — the long-lived query-serving layer (single queries and
 //!   pooled batches), with a deadline-aware coalescing scheduler that
 //!   amortises queued same-graph queries through one [`BatchSolver`] run;
@@ -38,31 +37,25 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod batch;
 pub mod error;
 pub mod instance;
 pub mod layout;
 pub mod many_to_many;
-pub mod multi;
 pub mod pool;
 pub mod registry;
-pub mod serial;
 pub mod service;
 pub mod solver;
 pub mod tovisit;
 pub mod trace;
 
-pub use analysis::QueryTrace;
 pub use batch::{BatchSolver, DistancePool, PooledDistances};
 pub use error::{InputError, ServiceError};
-pub use instance::{CompactThorupInstance, ThorupInstance, ThorupInstanceIn};
+pub use instance::ThorupInstance;
 pub use layout::{GraphLayout, LayoutKind, LayoutSolver};
 pub use many_to_many::HubDistances;
-pub use multi::{BatchMode, QueryEngine};
 pub use pool::InstancePool;
 pub use registry::{CacheStats, GraphId, GraphRegistry, QueryId};
-pub use serial::SerialThorup;
 pub use service::{
     BatchHandle, BatchRequest, GraphMetricsSnapshot, MetricsSnapshot, P2pAlgo, QueryHandle,
     QueryRequest, QueryService, QueryServiceBuilder, ServiceMetrics, ShedPolicy, ShutdownMode,

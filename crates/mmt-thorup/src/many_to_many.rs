@@ -6,12 +6,11 @@
 //! "Dijkstra-like searches through hierarchical data", and "this process
 //! could be accelerated … by the basic idea of allowing multiple searches
 //! to share a common component hierarchy". This module is that idea as an
-//! API: batch SSSP from a hub set through [`crate::QueryEngine`], stored
+//! API: batch SSSP from a hub set through [`crate::BatchSolver`], stored
 //! as a [`HubDistances`] table, plus the triangle-inequality s–t upper
 //! bound those schemes are built on.
 
 use crate::batch::{BatchSolver, PooledDistances};
-use crate::multi::BatchMode;
 use crate::solver::ThorupSolver;
 use mmt_graph::types::{Dist, VertexId, INF};
 
@@ -55,13 +54,12 @@ impl HubDistances {
     }
 
     /// Sequential-baseline precomputation (what a system without a shared
-    /// hierarchy has to do); result is identical.
+    /// hierarchy has to do): one solve per hub in turn, each with the
+    /// solver's own configuration; result is identical.
     pub fn precompute_sequential(solver: &ThorupSolver<'_>, hubs: &[VertexId]) -> Self {
-        let engine = crate::QueryEngine::new(*solver);
-        let rows = engine.solve_batch(hubs, BatchMode::Sequential);
         Self {
             hubs: hubs.to_vec(),
-            rows,
+            rows: hubs.iter().map(|&h| solver.solve(h)).collect(),
         }
     }
 

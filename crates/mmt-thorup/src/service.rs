@@ -410,7 +410,8 @@ pub struct ServiceMetrics {
     requests_lost: Counter,
     shed: Counter,
     workers_restarted: Counter,
-    queue_depth: Counter,
+    /// Moved by the shard queues themselves, inside their locks.
+    queue_depth: Arc<Counter>,
     inflight: Counter,
     coalesced_batches: Counter,
     coalesced_queries: Counter,
@@ -1161,7 +1162,10 @@ impl QueryServiceBuilder {
                 resident: registry.resident_gauge(id).map_err(ServiceError::Input)?,
             });
             metrics.graphs.lock().push(Arc::clone(&stats));
-            let queue = Arc::new(ShedQueue::new(self.queue_capacity));
+            let queue = Arc::new(ShedQueue::with_depth_gauge(
+                self.queue_capacity,
+                Arc::clone(&metrics.queue_depth),
+            ));
             let distances = DistancePool::new();
             let evicted = Arc::new(AtomicBool::new(false));
             let workers = (0..worker_count)
@@ -1363,7 +1367,6 @@ impl QueryService {
         // Queued-but-unserved requests resolve typed; whatever a worker
         // already popped is in flight and finishes normally.
         for req in shard.queue.drain_now() {
-            self.metrics.queue_depth.sub(1);
             resolve_request(req, ServiceError::GraphEvicted, &self.metrics);
         }
         let workers: Vec<_> = shard.workers.lock().drain(..).collect();
@@ -1373,7 +1376,6 @@ impl QueryService {
         // Zero-worker shards (and rare races with worker exit) can leave
         // stragglers behind the join; sweep them too.
         for req in shard.queue.drain_now() {
-            self.metrics.queue_depth.sub(1);
             resolve_request(req, ServiceError::GraphEvicted, &self.metrics);
         }
         self.registry.evict(id);
@@ -1446,10 +1448,7 @@ impl QueryService {
             // exit) may leave requests queued after the join; discard them
             // so their handles resolve to ShutDown promptly rather than
             // waiting for the queue Arc to die with the last clone.
-            for req in shard.queue.drain_now() {
-                self.metrics.queue_depth.sub(1);
-                drop(req);
-            }
+            drop(shard.queue.drain_now());
         }
     }
 
@@ -1637,10 +1636,7 @@ impl QueryService {
                 ShedPolicy::RejectOldestExpired => Some(&expired),
             };
             match shard.queue.push(queued, /*block=*/ true, evictable) {
-                Ok(shed) => {
-                    self.metrics.queue_depth.bump();
-                    self.resolve_shed(shard, shed);
-                }
+                Ok(shed) => self.resolve_shed(shard, shed),
                 // A blocking push only fails once the queue has closed;
                 // dropping the request fires the member's ShutDown guard.
                 Err(PushRejected::Closed(queued)) | Err(PushRejected::Full(queued)) => drop(queued),
@@ -1694,7 +1690,6 @@ impl QueryService {
         };
         match shard.queue.push(request, blocking, evictable) {
             Ok(shed) => {
-                self.metrics.queue_depth.bump();
                 self.resolve_shed(shard, shed);
                 Ok(())
             }
@@ -1710,7 +1705,6 @@ impl QueryService {
     /// error, so the shed counter alone accounts for every eviction.
     fn resolve_shed(&self, shard: &Shard, shed: Vec<Request>) {
         for victim in shed {
-            self.metrics.queue_depth.sub(1);
             shard.stats.shed.bump();
             resolve_request(victim, ServiceError::Shed, &self.metrics);
         }
@@ -1874,7 +1868,6 @@ fn worker_loop(shared: &WorkerShared) -> WorkerExit {
     let mut p2p = P2pState::default();
     while let Some(req) = shared.queue.pop() {
         let dequeued = Instant::now();
-        metrics.queue_depth.sub(1);
         metrics
             .queue_wait_us
             .record(dequeued.saturating_duration_since(req.enqueued).as_micros() as u64);
@@ -2144,7 +2137,6 @@ fn serve_coalesced(
         match shared.queue.pop_match_until(&pred, window_end) {
             CoalescePop::Item(req) => {
                 let now = Instant::now();
-                metrics.queue_depth.sub(1);
                 metrics
                     .queue_wait_us
                     .record(now.saturating_duration_since(req.enqueued).as_micros() as u64);

@@ -23,17 +23,90 @@
 //! * a component returns control to its parent as soon as its `mind` leaves
 //!   the parent's current bucket, or when it reaches `INF` (every vertex
 //!   below is settled or unreachable).
+//!
+//! The atomics are only needed while sibling visits run concurrently. A
+//! solve configured with [`ThorupConfig::serial_visits`] visits a bucket's
+//! children in turn and is then the only writer of its instance, so it
+//! makes the same three updates with a plain load, compare and store (the
+//! one-lane path every service worker runs). Both paths take identical
+//! decisions, so their work counters agree exactly.
 
 use crate::error::InputError;
-use crate::instance::{CompactThorupInstance, ThorupInstance, ThorupInstanceIn};
+use crate::instance::ThorupInstance;
 use crate::tovisit::{scan_children_into, ToVisitStrategy};
 use mmt_ch::ComponentHierarchy;
 use mmt_graph::types::{Dist, VertexId, INF};
-use mmt_graph::{CompactError, CsrGraph};
+use mmt_graph::CsrGraph;
 use mmt_platform::atomic::saturating_shr;
-use mmt_platform::{CancelToken, EventCounters, MinCell};
+use mmt_platform::{AtomicBitSet, AtomicMinU64, CancelToken, EventCounters};
 use rayon::prelude::*;
 use std::sync::atomic::Ordering;
+
+/// How a solve writes its instance: the three updates whose atomicity only
+/// matters when sibling visits run concurrently.
+trait Writer {
+    /// Whether a bucket's child visits may run concurrently.
+    const CONCURRENT: bool;
+    /// Lowers `cell` to `value`; `true` iff this strictly lowered it.
+    fn lower(cell: &AtomicMinU64, value: Dist) -> bool;
+    /// Sets bit `v`; `true` iff it was clear.
+    fn settle(bits: &AtomicBitSet, v: usize) -> bool;
+    /// Publishes a pull-refreshed `mind` over the value `seen` read before
+    /// the scan.
+    fn refresh(cell: &AtomicMinU64, seen: Dist, fresh: Dist);
+}
+
+/// Child visits run in parallel and share every cell: atomic
+/// read-modify-writes throughout.
+struct Shared;
+
+impl Writer for Shared {
+    const CONCURRENT: bool = true;
+
+    #[inline]
+    fn lower(cell: &AtomicMinU64, value: Dist) -> bool {
+        cell.fetch_min(value)
+    }
+
+    #[inline]
+    fn settle(bits: &AtomicBitSet, v: usize) -> bool {
+        bits.set(v)
+    }
+
+    #[inline]
+    fn refresh(cell: &AtomicMinU64, seen: Dist, fresh: Dist) {
+        // A failed CAS means a concurrent visit lowered `mind` meanwhile;
+        // the caller loops and recomputes either way.
+        let _ = cell.compare_exchange(seen, fresh);
+    }
+}
+
+/// Child visits run in turn, so the solve is its instance's only writer:
+/// plain loads and stores.
+struct Sole;
+
+impl Writer for Sole {
+    const CONCURRENT: bool = false;
+
+    #[inline]
+    fn lower(cell: &AtomicMinU64, value: Dist) -> bool {
+        let lowered = value < cell.load();
+        if lowered {
+            cell.store(value);
+        }
+        lowered
+    }
+
+    #[inline]
+    fn settle(bits: &AtomicBitSet, v: usize) -> bool {
+        bits.set_unshared(v)
+    }
+
+    #[inline]
+    fn refresh(cell: &AtomicMinU64, _seen: Dist, fresh: Dist) {
+        cell.store(fresh);
+    }
+}
 
 #[cfg(test)]
 mod target_tests {
@@ -98,8 +171,9 @@ pub struct ThorupConfig {
     /// How `toVisit` sets are gathered (Table 6's experiment).
     strategy: ToVisitStrategy,
     /// Run child visits within a bucket sequentially even when the gather
-    /// found several (used by the multi-query engine to dedicate the pool
-    /// to cross-query parallelism).
+    /// found several (batches and service workers dedicate the pool to
+    /// cross-query parallelism this way). Such a solve is its instance's
+    /// only writer and skips the atomic read-modify-writes.
     serial_visits: bool,
 }
 
@@ -123,7 +197,9 @@ impl ThorupConfig {
         self
     }
 
-    /// Sets whether child visits within a bucket run sequentially.
+    /// Sets whether child visits within a bucket run sequentially (and
+    /// so whether the solve writes its instance without atomic
+    /// read-modify-writes).
     pub fn with_serial_visits(mut self, serial_visits: bool) -> Self {
         self.serial_visits = serial_visits;
         self
@@ -216,20 +292,8 @@ impl<'a> ThorupSolver<'a> {
         Ok(self.solve(source))
     }
 
-    /// Convenience: certify the graph for `u32` cells, allocate a
-    /// [`CompactThorupInstance`], solve, return distances. On `Err` the
-    /// graph cannot be narrowed — callers fall back to
-    /// [`ThorupSolver::solve`], trading the memory economy back for
-    /// unrestricted weights.
-    pub fn solve_compact(&self, source: VertexId) -> Result<Vec<Dist>, CompactError> {
-        let inst = CompactThorupInstance::try_new(self.ch, self.graph)?;
-        self.solve_into(&inst, source);
-        Ok(inst.distances())
-    }
-
-    /// Runs one query into a caller-owned (fresh or reset) instance of
-    /// either cell width.
-    pub fn solve_into<C: MinCell>(&self, inst: &ThorupInstanceIn<C>, source: VertexId) {
+    /// Runs one query into a caller-owned (fresh or reset) instance.
+    pub fn solve_into(&self, inst: &ThorupInstance, source: VertexId) {
         self.run(inst, source, None, None);
     }
 
@@ -241,9 +305,9 @@ impl<'a> ThorupSolver<'a> {
     /// Returns `true` when the solve ran to completion — the instance
     /// then holds exact distances. Returns `false` when interrupted; the
     /// instance is left partially solved and must be reset before reuse.
-    pub fn solve_into_with_cancel<C: MinCell>(
+    pub fn solve_into_with_cancel(
         &self,
-        inst: &ThorupInstanceIn<C>,
+        inst: &ThorupInstance,
         source: VertexId,
         cancel: &CancelToken,
     ) -> bool {
@@ -262,12 +326,7 @@ impl<'a> ThorupSolver<'a> {
     /// target's bucket — a real saving when the target is close. The
     /// instance is left partially solved: only `dist_of(target)` (and
     /// distances of already-settled vertices) are final.
-    pub fn solve_target<C: MinCell>(
-        &self,
-        inst: &ThorupInstanceIn<C>,
-        source: VertexId,
-        target: VertexId,
-    ) -> Dist {
+    pub fn solve_target(&self, inst: &ThorupInstance, source: VertexId, target: VertexId) -> Dist {
         assert!((target as usize) < self.graph.n(), "target out of range");
         self.run(inst, source, Some(target), None);
         if inst.is_settled(target) {
@@ -279,9 +338,9 @@ impl<'a> ThorupSolver<'a> {
 
     /// As [`ThorupSolver::solve_target`], reporting out-of-range
     /// endpoints as typed errors instead of panicking.
-    pub fn try_solve_target<C: MinCell>(
+    pub fn try_solve_target(
         &self,
-        inst: &ThorupInstanceIn<C>,
+        inst: &ThorupInstance,
         source: VertexId,
         target: VertexId,
     ) -> Result<Dist, InputError> {
@@ -296,9 +355,9 @@ impl<'a> ThorupSolver<'a> {
     /// Returns `Some(distance)` when the query produced an exact answer
     /// (the target settled, or the traversal exhausted the component and
     /// proved the target unreachable) and `None` when interrupted first.
-    pub fn solve_target_with_cancel<C: MinCell>(
+    pub fn solve_target_with_cancel(
         &self,
-        inst: &ThorupInstanceIn<C>,
+        inst: &ThorupInstance,
         source: VertexId,
         target: VertexId,
         cancel: &CancelToken,
@@ -339,30 +398,44 @@ impl<'a> ThorupSolver<'a> {
         }
     }
 
-    fn run<C: MinCell>(
+    fn run(
         &self,
-        inst: &ThorupInstanceIn<C>,
+        inst: &ThorupInstance,
         source: VertexId,
         target: Option<VertexId>,
         cancel: Option<&CancelToken>,
     ) {
         assert!((source as usize) < self.graph.n(), "source out of range");
         debug_assert_eq!(inst.mind.len(), self.ch.num_nodes());
-        inst.dist[source as usize].fetch_min(0);
-        self.propagate_mind_inst(inst, self.ch.leaf_of_vertex(source), 0);
+        if self.config.serial_visits() {
+            self.run_as::<Sole>(inst, source, target, cancel);
+        } else {
+            self.run_as::<Shared>(inst, source, target, cancel);
+        }
+    }
+
+    fn run_as<W: Writer>(
+        &self,
+        inst: &ThorupInstance,
+        source: VertexId,
+        target: Option<VertexId>,
+        cancel: Option<&CancelToken>,
+    ) {
+        W::lower(&inst.dist[source as usize], 0);
+        self.propagate_mind::<W>(inst, self.ch.leaf_of_vertex(source), 0);
         // The root is visited under a sentinel parent: shift 64 saturates
         // every finite mind into "bucket 0", so the root only returns when
         // its subtree is exhausted (all settled or remainder unreachable).
-        self.visit(inst, self.ch.root(), 64, 0, target, cancel);
+        self.visit::<W>(inst, self.ch.root(), 64, 0, target, cancel);
     }
 
     /// Recursive component visit. Invariant on entry: the parent observed
     /// `mind(node) >> parent_alpha == bucket` (or the sentinel for the
     /// root). Returns when the component is done or its `mind` leaves that
     /// bucket.
-    fn visit<C: MinCell>(
+    fn visit<W: Writer>(
         &self,
-        inst: &ThorupInstanceIn<C>,
+        inst: &ThorupInstance,
         node: u32,
         parent_alpha: u8,
         bucket: u64,
@@ -370,13 +443,13 @@ impl<'a> ThorupSolver<'a> {
         cancel: Option<&CancelToken>,
     ) {
         if self.ch.is_leaf(node) {
-            self.settle_leaf(inst, node, target);
+            self.settle_leaf::<W>(inst, node, target);
             return;
         }
         // One pooled scan buffer serves every phase of this visit frame,
         // then goes back for sibling/descendant frames and later queries.
         let mut tovisit = inst.scan_pool.acquire();
-        self.visit_phases(
+        self.visit_phases::<W>(
             inst,
             node,
             parent_alpha,
@@ -391,9 +464,9 @@ impl<'a> ThorupSolver<'a> {
     /// The phase loop of [`visit`](Self::visit), with the scan buffer
     /// lifted out so re-expansions reuse it instead of reallocating.
     #[allow(clippy::too_many_arguments)]
-    fn visit_phases<C: MinCell>(
+    fn visit_phases<W: Writer>(
         &self,
-        inst: &ThorupInstanceIn<C>,
+        inst: &ThorupInstance,
         node: u32,
         parent_alpha: u8,
         bucket: u64,
@@ -445,43 +518,35 @@ impl<'a> ThorupSolver<'a> {
             if min_mind != m0 {
                 // Children moved under us (concurrent relaxations, or our
                 // previous expansions emptied the bucket): publish the
-                // fresh minimum and re-evaluate. A failed CAS means someone
-                // lowered `mind` meanwhile — loop and recompute.
-                let _ = inst.mind[node as usize].compare_exchange(m0, min_mind);
+                // fresh minimum and re-evaluate.
+                W::refresh(&inst.mind[node as usize], m0, min_mind);
                 continue;
             }
             debug_assert!(
                 !tovisit.is_empty(),
                 "a child holding the minimum must be in its own bucket"
             );
-            if tovisit.len() == 1 {
-                self.visit(inst, tovisit[0], alpha, own_bucket, target, cancel);
-            } else if self.config.serial_visits() {
-                for &c in tovisit.iter() {
-                    self.visit(inst, c, alpha, own_bucket, target, cancel);
-                }
-            } else {
+            if W::CONCURRENT && tovisit.len() > 1 {
                 // Thorup's arbitrary-order guarantee: the whole bucket is
                 // expanded concurrently.
                 tovisit
                     .par_iter()
-                    .for_each(|&c| self.visit(inst, c, alpha, own_bucket, target, cancel));
+                    .for_each(|&c| self.visit::<W>(inst, c, alpha, own_bucket, target, cancel));
+            } else {
+                for &c in tovisit.iter() {
+                    self.visit::<W>(inst, c, alpha, own_bucket, target, cancel);
+                }
             }
         }
     }
 
     /// Settles the vertex of `leaf` and relaxes its edges. Idempotent: a
     /// stale `mind` may route a second visit here, which only re-clears it.
-    fn settle_leaf<C: MinCell>(
-        &self,
-        inst: &ThorupInstanceIn<C>,
-        leaf: u32,
-        target: Option<VertexId>,
-    ) {
+    fn settle_leaf<W: Writer>(&self, inst: &ThorupInstance, leaf: u32, target: Option<VertexId>) {
         let v = self.ch.vertex_of_leaf(leaf);
         // Clear before relaxing so parents stop re-bucketing this leaf.
         inst.mind[leaf as usize].store(INF);
-        if !inst.settled.set(v as usize) {
+        if !W::settle(&inst.settled, v as usize) {
             return;
         }
         if target == Some(v) {
@@ -501,22 +566,22 @@ impl<'a> ThorupSolver<'a> {
         }
         for (&u, &w) in targets.iter().zip(weights) {
             let nd = d + w as Dist;
-            if inst.dist[u as usize].fetch_min(nd) && !inst.settled.get(u as usize) {
+            if W::lower(&inst.dist[u as usize], nd) && !inst.settled.get(u as usize) {
                 if let Some(ev) = self.counters {
                     ev.improvements.bump();
                 }
-                self.propagate_mind_inst(inst, self.ch.leaf_of_vertex(u), nd);
+                self.propagate_mind::<W>(inst, self.ch.leaf_of_vertex(u), nd);
             }
         }
     }
 
-    /// Pushes a lowered distance up the hierarchy: CAS-min each ancestor,
+    /// Pushes a lowered distance up the hierarchy: lower each ancestor,
     /// stopping at the first that already knows something at least as
     /// small. This early stop is the paper's contention argument.
-    fn propagate_mind_inst<C: MinCell>(&self, inst: &ThorupInstanceIn<C>, leaf: u32, value: Dist) {
+    fn propagate_mind<W: Writer>(&self, inst: &ThorupInstance, leaf: u32, value: Dist) {
         let mut x = leaf;
         loop {
-            if !inst.mind[x as usize].fetch_min(value) {
+            if !W::lower(&inst.mind[x as usize], value) {
                 break;
             }
             if let Some(ev) = self.counters {
@@ -681,44 +746,26 @@ mod tests {
         assert_eq!(inst.distances(), want);
     }
 
-    /// The compact instance is bit-identical to the wide one on certified
-    /// graphs, and certification failure falls back cleanly.
     #[test]
-    fn compact_solve_matches_wide_and_falls_back() {
+    fn grid_traps_more_than_random() {
+        // The paper's road-network "trapping behavior", quantified: a grid
+        // pays more bucket expansions per settled vertex than a random
+        // graph of equal size.
         use mmt_graph::gen::{GraphClass, WeightDist, WorkloadSpec};
-        for (class, wd) in [
-            (GraphClass::Random, WeightDist::Uniform),
-            (GraphClass::Rmat, WeightDist::PolyLog),
-        ] {
-            let mut spec = WorkloadSpec::new(class, wd, 8, 8);
-            spec.seed = 17;
-            let el = spec.generate();
+        use mmt_platform::EventCounters;
+        let per_vertex = |class| {
+            let el = WorkloadSpec::new(class, WeightDist::Uniform, 10, 8).generate();
             let g = CsrGraph::from_edge_list(&el);
             let ch = build_serial(&el, ChMode::Collapsed);
-            let solver = ThorupSolver::new(&g, &ch);
-            for s in [0u32, 17, 200] {
-                let wide = solver.solve(s);
-                let compact = solver.solve_compact(s).unwrap();
-                assert_eq!(wide, compact, "{} source {s}", spec.name());
-            }
-            // A reset compact instance re-solves exactly (instance reuse).
-            let inst = crate::instance::CompactThorupInstance::try_new(&ch, &g).unwrap();
-            solver.solve_into(&inst, 0);
-            let first = inst.distances();
-            inst.reset(&ch);
-            solver.solve_into(&inst, 0);
-            assert_eq!(inst.distances(), first);
-        }
-        // Weight sums past the sentinel refuse to narrow.
-        let el = EdgeList::from_triples(3, [(0, 1, u32::MAX), (1, 2, u32::MAX)]);
-        let g = CsrGraph::from_edge_list(&el);
-        let ch = build_serial(&el, ChMode::Collapsed);
-        let solver = ThorupSolver::new(&g, &ch);
-        assert!(solver.solve_compact(0).is_err());
-        assert_eq!(
-            solver.solve(0),
-            vec![0, u32::MAX as Dist, 2 * u32::MAX as Dist]
-        );
+            let ev = EventCounters::new();
+            ThorupSolver::new(&g, &ch)
+                .with_config(ThorupConfig::serial())
+                .with_counters(&ev)
+                .solve(0);
+            let c = ev.snapshot();
+            c.bucket_expansions as f64 / c.settled as f64
+        };
+        assert!(per_vertex(GraphClass::Grid) > per_vertex(GraphClass::Random));
     }
 
     #[test]

@@ -19,8 +19,7 @@
 
 use mmt_graph::types::{Dist, INF};
 use mmt_platform::atomic::saturating_shr;
-use mmt_platform::EventCounters;
-use mmt_platform::MinCell;
+use mmt_platform::{AtomicMinU64, EventCounters};
 use rayon::prelude::*;
 
 /// How the per-node child scan is executed.
@@ -75,10 +74,10 @@ pub struct ScanResult {
 ///
 /// Allocates a fresh member vector per call; the solver's hot path uses
 /// [`scan_children_into`] with a reused buffer instead.
-pub fn scan_children<C: MinCell>(
+pub fn scan_children(
     strategy: ToVisitStrategy,
     children: &[u32],
-    mind: &[C],
+    mind: &[AtomicMinU64],
     alpha: u8,
     bucket: u64,
     counters: Option<&EventCounters>,
@@ -104,10 +103,10 @@ pub fn scan_children<C: MinCell>(
 /// performs no allocation at all. Parallel-tier scans still build per-chunk
 /// intermediates (fork/join needs owned results to reduce); those only run
 /// on child lists big enough to amortise them.
-pub fn scan_children_into<C: MinCell>(
+pub fn scan_children_into(
     strategy: ToVisitStrategy,
     children: &[u32],
-    mind: &[C],
+    mind: &[AtomicMinU64],
     alpha: u8,
     bucket: u64,
     counters: Option<&EventCounters>,
@@ -215,7 +214,6 @@ fn scan_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmt_platform::{AtomicMinU32, AtomicMinU64};
 
     fn minds(values: &[u64]) -> Vec<AtomicMinU64> {
         values.iter().map(|&v| AtomicMinU64::new(v)).collect()
@@ -356,26 +354,6 @@ mod tests {
             r.tovisit.sort_unstable();
             assert_eq!(m, r.min_mind, "{strategy:?}");
             assert_eq!(buf, r.tovisit, "{strategy:?}");
-        }
-    }
-
-    /// The scan is width-agnostic: compact `u32` cells report the same
-    /// members and minimum as wide cells on a certified value domain.
-    #[test]
-    fn compact_cells_scan_identically() {
-        let values = [4u64, 5, 8, 12, INF, 7, 4];
-        let wide = minds(&values);
-        let narrow: Vec<AtomicMinU32> = values
-            .iter()
-            .map(|&v| <AtomicMinU32 as MinCell>::new_cell(v))
-            .collect();
-        let children = ids(values.len());
-        for strategy in [ToVisitStrategy::Serial, ToVisitStrategy::AlwaysParallel] {
-            let mut a = scan_children(strategy, &children, &wide, 2, 1, None);
-            let mut b = scan_children(strategy, &children, &narrow, 2, 1, None);
-            a.tovisit.sort_unstable();
-            b.tovisit.sort_unstable();
-            assert_eq!(a, b, "{strategy:?}");
         }
     }
 

@@ -16,7 +16,7 @@ use mmt_graph::{CompactSplitCsr, CsrArena, SplitCsr, VertexPermutation};
 use mmt_platform::AtomicMinU32;
 use mmt_thorup::{
     BatchSolver, GraphLayout, GraphRegistry, LayoutKind, LayoutSolver, QueryRequest, QueryService,
-    SerialThorup, ThorupSolver,
+    ThorupConfig, ThorupSolver,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -53,20 +53,26 @@ impl SsspEngine for DijkstraOracle {
     }
 }
 
-/// Serial Thorup over the shared Component Hierarchy.
-pub struct SerialThorupEngine;
+/// Serial Thorup over the shared Component Hierarchy: child visits in
+/// turn, so the solve writes its instance with plain loads and stores.
+pub struct ThorupSerialEngine;
 
-impl SsspEngine for SerialThorupEngine {
+impl SsspEngine for ThorupSerialEngine {
     fn name(&self) -> &'static str {
         "serial-thorup"
     }
 
     fn solve(&self, case: &GraphCase, source: VertexId) -> Vec<Dist> {
-        case.solve_positive(source, |g, ch, s| SerialThorup::new(g, ch).solve(s))
+        case.solve_positive(source, |g, ch, s| {
+            ThorupSolver::new(g, ch)
+                .with_config(ThorupConfig::serial())
+                .solve(s)
+        })
     }
 }
 
-/// The parallel (atomic) Thorup solver.
+/// The parallel Thorup solver (default configuration: atomic cells,
+/// concurrent child visits).
 pub struct AtomicThorupEngine;
 
 impl SsspEngine for AtomicThorupEngine {
@@ -477,30 +483,11 @@ impl SsspEngine for DeltaStarEngine {
     }
 }
 
-/// The compact all-`u32` Thorup instance: `dist`/`mind` cells narrowed with
-/// the same weight-sum certification as `delta-compact`, falling back
-/// to the wide instance when the graph refuses to narrow. Either way the
-/// answer is held to the oracle — narrowing must be exact, never saturating.
-pub struct CompactThorupEngine;
-
-impl SsspEngine for CompactThorupEngine {
-    fn name(&self) -> &'static str {
-        "thorup-compact"
-    }
-
-    fn solve(&self, case: &GraphCase, source: VertexId) -> Vec<Dist> {
-        case.solve_positive(source, |g, ch, s| {
-            let solver = ThorupSolver::new(g, ch);
-            solver.solve_compact(s).unwrap_or_else(|_| solver.solve(s))
-        })
-    }
-}
-
 /// Every engine in the workspace, oracle excluded. The order is stable so
 /// divergence reports are reproducible run to run.
 pub fn all_engines() -> Vec<Box<dyn SsspEngine>> {
     vec![
-        Box::new(SerialThorupEngine),
+        Box::new(ThorupSerialEngine),
         Box::new(AtomicThorupEngine),
         Box::new(BatchThorupEngine),
         Box::new(DeltaSteppingEngine),
@@ -516,7 +503,6 @@ pub fn all_engines() -> Vec<Box<dyn SsspEngine>> {
         Box::new(ArenaDeltaEngine),
         Box::new(RhoSteppingEngine),
         Box::new(DeltaStarEngine),
-        Box::new(CompactThorupEngine),
         Box::new(RegistryServiceEngine),
         Box::new(CoalescedServiceEngine::default()),
     ]
@@ -548,9 +534,9 @@ mod tests {
     }
 
     #[test]
-    fn engine_table_has_nineteen_engines_with_unique_names() {
+    fn engine_table_has_eighteen_engines_with_unique_names() {
         let engines = all_engines();
-        assert_eq!(engines.len(), 19, "engine table size");
+        assert_eq!(engines.len(), 18, "engine table size");
         let names: std::collections::BTreeSet<_> = engines.iter().map(|e| e.name()).collect();
         assert_eq!(names.len(), engines.len(), "duplicate engine name");
         assert!(names.contains("p2p-bidi"));

@@ -47,8 +47,8 @@ pub mod stress;
 pub use case::GraphCase;
 pub use corpus::{adversarial_corpus, full_corpus, paper_corpus, seed_from_env, SEED_ENV};
 pub use engine::{
-    all_engines, CoalescedServiceEngine, CompactThorupEngine, DeltaStarEngine, DijkstraOracle,
-    P2pBidiEngine, P2pDeltaEarlyEngine, RhoSteppingEngine, SsspEngine,
+    all_engines, CoalescedServiceEngine, DeltaStarEngine, DijkstraOracle, P2pBidiEngine,
+    P2pDeltaEarlyEngine, RhoSteppingEngine, SsspEngine,
 };
 pub use p2p::{check_p2p_case, truncated_dijkstra};
 pub use runner::{DifferentialRunner, RunReport};

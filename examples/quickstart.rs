@@ -44,14 +44,14 @@ fn main() {
     );
 
     // The batch API: many sources, one shared hierarchy.
-    let engine = QueryEngine::new(solver);
+    let batch = BatchSolver::new(&solver);
     let all: Vec<VertexId> = (0..graph.n() as VertexId).collect();
-    let batch = engine.solve_batch(&all, BatchMode::Simultaneous);
+    let rows = batch.solve_batch(&all);
     println!(
         "\nall-pairs via {} simultaneous single-source queries:",
         all.len()
     );
-    for (s, row) in batch.iter().enumerate() {
-        println!("  from {s}: {row:?}");
+    for (s, row) in rows.iter().enumerate() {
+        println!("  from {s}: {:?}", &row[..]);
     }
 }

@@ -13,9 +13,8 @@
 //! cargo run --release --example road_grid [log_n]
 //! ```
 
-use mmt_platform::Stopwatch;
+use mmt_platform::{EventCounters, Stopwatch};
 use mmt_sssp::prelude::*;
-use mmt_sssp::thorup::SerialThorup;
 
 fn run(label: &str, spec: WorkloadSpec) {
     let edges = spec.generate();
@@ -34,8 +33,13 @@ fn run(label: &str, spec: WorkloadSpec) {
     let delta_secs = sw.seconds();
     assert_eq!(dist, baseline);
 
-    // The diagnosis itself: a traced serial run.
-    let (_, trace) = SerialThorup::new(&graph, &ch).solve_traced(0);
+    // The diagnosis itself: a counted serial run.
+    let ev = EventCounters::new();
+    solver
+        .with_config(ThorupConfig::serial())
+        .with_counters(&ev)
+        .solve(0);
+    let c = ev.snapshot();
     println!(
         "\n== {label}: {} (n={} m={})",
         spec.name(),
@@ -48,9 +52,9 @@ fn run(label: &str, spec: WorkloadSpec) {
     );
     println!("   Thorup {thorup_secs:.4}s vs Δ-stepping {delta_secs:.4}s");
     println!(
-        "   trapping indicators: {:.2} bucket expansions/vertex; {:.1}% of toVisit sets ≤ 1",
-        trace.expansions_per_vertex(),
-        100.0 * trace.tiny_tovisit_fraction()
+        "   trapping indicators: {:.2} bucket expansions/vertex; {:.2} mind hops/improvement",
+        c.bucket_expansions as f64 / c.settled as f64,
+        c.mind_propagation_hops as f64 / c.improvements as f64
     );
 }
 

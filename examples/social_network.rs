@@ -1,7 +1,7 @@
-//! Social-network analytics: closeness centrality of seed users on an
-//! R-MAT scale-free graph — the unstructured-network workload the paper's
-//! introduction motivates ("social networks and economic transaction
-//! networks").
+//! Social-network batch queries: shortest paths from the best-connected
+//! seed users of an R-MAT scale-free graph — the unstructured-network
+//! workload the paper's introduction motivates ("social networks and
+//! economic transaction networks").
 //!
 //! The kernel is a batch of single-source shortest path computations, which
 //! is exactly the regime where a shared Component Hierarchy pays off
@@ -13,7 +13,6 @@
 //! ```
 
 use mmt_platform::Stopwatch;
-use mmt_sssp::analytics::{closeness_centrality, estimate_diameter, ComponentSummary};
 use mmt_sssp::prelude::*;
 
 fn main() {
@@ -25,7 +24,6 @@ fn main() {
     let edges = spec.generate();
     let graph = CsrGraph::from_edge_list(&edges);
     println!("network {}: n={} m={}", spec.name(), graph.n(), graph.m());
-    println!("structure: {}", ComponentSummary::of(&edges));
 
     // Preprocessing (shared by every query).
     let sw = Stopwatch::start();
@@ -43,9 +41,9 @@ fn main() {
 
     // Batch of Thorup queries over the shared CH.
     let solver = ThorupSolver::new(&graph, &ch);
-    let engine = QueryEngine::new(solver);
+    let batch = BatchSolver::new(&solver);
     let sw = Stopwatch::start();
-    let batch = engine.solve_batch(&seeds, BatchMode::Simultaneous);
+    let rows = batch.solve_batch(&seeds);
     let thorup_secs = sw.seconds();
 
     // The baseline: Δ-stepping must run the seeds one after another.
@@ -56,7 +54,10 @@ fn main() {
         .map(|&s| delta_stepping(&graph, s, cfg))
         .collect();
     let delta_secs = sw.seconds();
-    assert_eq!(batch, baseline, "both engines must agree");
+    assert!(
+        rows.iter().zip(&baseline).all(|(a, b)| a[..] == b[..]),
+        "both engines must agree"
+    );
 
     println!(
         "\n{} queries: simultaneous Thorup {:.3}s vs sequential Δ-stepping {:.3}s ({:.2}x)",
@@ -64,26 +65,5 @@ fn main() {
         thorup_secs,
         delta_secs,
         delta_secs / thorup_secs
-    );
-
-    drop(batch);
-    // Closeness centrality via the analytics crate (one more shared-CH
-    // batch under the hood).
-    println!("\nseed users by closeness centrality:");
-    let mut rows = closeness_centrality(&solver, &seeds);
-    rows.sort_by(|a, b| b.closeness.total_cmp(&a.closeness));
-    for score in rows.iter().take(8) {
-        println!(
-            "  user {:>8}  degree {:>5}  reaches {:>7}  closeness {:.6}  harmonic {:.1}",
-            score.vertex,
-            graph.degree(score.vertex),
-            score.reached,
-            score.closeness,
-            score.harmonic
-        );
-    }
-    println!(
-        "\nweighted diameter (double-sweep over 3 seeds): >= {}",
-        estimate_diameter(&solver, &seeds[..3])
     );
 }

@@ -25,7 +25,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use mmt_analytics as analytics;
 pub use mmt_baselines as baselines;
 pub use mmt_cc as cc;
 pub use mmt_ch as ch;
@@ -54,10 +53,10 @@ pub mod prelude {
     pub use mmt_graph::CsrGraph;
     pub use mmt_platform::CancelToken;
     pub use mmt_thorup::{
-        BatchMode, BatchRequest, GraphId, GraphMetricsSnapshot, GraphRegistry, HubDistances,
-        InputError, InstancePool, MetricsSnapshot, QueryEngine, QueryHandle, QueryId, QueryRequest,
-        QueryService, QueryServiceBuilder, SerialThorup, ServiceError, ServiceMetrics,
-        ShutdownMode, TargetHandle, ThorupConfig, ThorupInstance, ThorupSolver, ToVisitStrategy,
+        BatchRequest, BatchSolver, GraphId, GraphMetricsSnapshot, GraphRegistry, HubDistances,
+        InputError, InstancePool, MetricsSnapshot, QueryHandle, QueryId, QueryRequest,
+        QueryService, QueryServiceBuilder, ServiceError, ServiceMetrics, ShutdownMode,
+        TargetHandle, ThorupConfig, ThorupInstance, ThorupSolver, ToVisitStrategy,
     };
 }
 
@@ -78,7 +77,7 @@ fn check_sources(n: usize, sources: &[VertexId]) -> Result<(), MmtError> {
 /// Fails with [`MmtError::Input`] when `source` is not a vertex of the
 /// graph. For repeated queries build the hierarchy once and use
 /// [`ThorupSolver`](mmt_thorup::ThorupSolver) /
-/// [`QueryEngine`](mmt_thorup::QueryEngine) directly — amortising the CH is
+/// [`BatchSolver`](mmt_thorup::BatchSolver) directly — amortising the CH is
 /// the paper's whole point.
 ///
 /// ```
@@ -95,7 +94,8 @@ pub fn shortest_paths(edges: &EdgeList, source: VertexId) -> Result<Vec<Dist>, M
     Ok(solver.try_solve(source)?)
 }
 
-/// One-call batched SSSP from many sources sharing one hierarchy.
+/// One-call batched SSSP from many sources sharing one hierarchy: one
+/// simultaneous [`BatchSolver`](mmt_thorup::BatchSolver) batch.
 ///
 /// Fails with [`MmtError::Input`] when any source is out of range.
 pub fn shortest_paths_multi(
@@ -106,8 +106,11 @@ pub fn shortest_paths_multi(
     let ch = mmt_ch::build_parallel(edges);
     check_sources(graph.n(), sources)?;
     let solver = mmt_thorup::ThorupSolver::try_new(&graph, &ch)?;
-    Ok(mmt_thorup::QueryEngine::new(solver)
-        .solve_batch(sources, mmt_thorup::BatchMode::Simultaneous))
+    Ok(mmt_thorup::BatchSolver::new(&solver)
+        .solve_batch(sources)
+        .into_iter()
+        .map(mmt_thorup::PooledDistances::detach)
+        .collect())
 }
 
 /// One-call SSSP returning distances *and* a shortest-path tree (tight-edge

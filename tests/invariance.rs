@@ -4,7 +4,6 @@
 //! shifts, which scaling by powers of two would expose).
 
 use mmt_sssp::prelude::*;
-use mmt_sssp::thorup::SerialThorup;
 use proptest::prelude::*;
 
 fn arb_graph_and_source() -> impl Strategy<Value = (EdgeList, u32)> {
@@ -90,15 +89,21 @@ proptest! {
         }
     }
 
-    /// The serial engine and all baselines agree with the parallel engine
-    /// on the same arbitrary input (belt over the per-crate suspenders).
+    /// The serial configuration and all baselines agree with the parallel
+    /// solver on the same arbitrary input (belt over the per-crate
+    /// suspenders).
     #[test]
     fn every_engine_agrees((el, s) in arb_graph_and_source()) {
         let g = CsrGraph::from_edge_list(&el);
         let ch = build_parallel(&el);
         let want = dijkstra(&g, s);
         prop_assert_eq!(&ThorupSolver::new(&g, &ch).solve(s), &want);
-        prop_assert_eq!(&SerialThorup::new(&g, &ch).solve(s), &want);
+        prop_assert_eq!(
+            &ThorupSolver::new(&g, &ch)
+                .with_config(ThorupConfig::serial())
+                .solve(s),
+            &want
+        );
         prop_assert_eq!(&goldberg_sssp(&g, s), &want);
         prop_assert_eq!(&bellman_ford(&g, s), &want);
         prop_assert_eq!(&delta_stepping(&g, s, DeltaConfig::auto(&g)), &want);

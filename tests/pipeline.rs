@@ -73,16 +73,22 @@ fn batch_engine_consistency_across_modes_and_pools() {
     let el = spec.generate();
     let g = CsrGraph::from_edge_list(&el);
     let ch = build_parallel(&el);
-    let engine = QueryEngine::new(ThorupSolver::new(&g, &ch));
+    let solver = ThorupSolver::new(&g, &ch);
+    let batch = BatchSolver::new(&solver);
     let sources: Vec<VertexId> = vec![0, 9, 99, 400, 77, 3];
     let want: Vec<Vec<Dist>> = sources.iter().map(|&s| dijkstra(&g, s)).collect();
     for threads in [1usize, 4] {
-        let got = mmt_sssp::platform::with_pool(threads, || {
-            engine.solve_batch(&sources, BatchMode::Simultaneous)
+        let got: Vec<Vec<Dist>> = mmt_sssp::platform::with_pool(threads, || {
+            batch
+                .solve_batch(&sources)
+                .into_iter()
+                .map(|row| row.detach())
+                .collect()
         });
         assert_eq!(got, want, "threads={threads}");
     }
-    assert_eq!(engine.solve_batch(&sources, BatchMode::Sequential), want);
+    let sequential: Vec<Vec<Dist>> = sources.iter().map(|&s| solver.solve(s)).collect();
+    assert_eq!(sequential, want);
 }
 
 #[test]

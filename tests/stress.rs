@@ -2,7 +2,6 @@
 //! nastier than the per-crate tests, still fast enough for every CI run.
 
 use mmt_sssp::prelude::*;
-use mmt_sssp::thorup::SerialThorup;
 use rayon::prelude::*;
 
 /// Five engines, many seeds, every graph family: all must agree exactly.
@@ -25,7 +24,9 @@ fn five_engines_agree_across_seeds() {
                     spec.name()
                 );
                 assert_eq!(
-                    SerialThorup::new(&g, &ch).solve(s),
+                    ThorupSolver::new(&g, &ch)
+                        .with_config(ThorupConfig::serial())
+                        .solve(s),
                     want,
                     "serial {}",
                     spec.name()
@@ -79,13 +80,12 @@ fn simultaneous_batches_are_deterministic() {
     let el = spec.generate();
     let g = CsrGraph::from_edge_list(&el);
     let ch = build_parallel(&el);
-    let engine = QueryEngine::new(ThorupSolver::new(&g, &ch));
+    let solver = ThorupSolver::new(&g, &ch);
+    let batch = BatchSolver::new(&solver);
     let sources: Vec<VertexId> = (0..12).map(|i| i * 53 % g.n() as u32).collect();
-    let first = engine.solve_batch(&sources, BatchMode::Simultaneous);
+    let first = batch.solve_batch(&sources);
     for round in 0..5 {
-        let again = mmt_sssp::platform::with_pool(6, || {
-            engine.solve_batch(&sources, BatchMode::Simultaneous)
-        });
+        let again = mmt_sssp::platform::with_pool(6, || batch.solve_batch(&sources));
         assert_eq!(first, again, "round {round}");
     }
 }
