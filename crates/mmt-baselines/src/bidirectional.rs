@@ -42,8 +42,8 @@ const CANCEL_POLL_PERIOD: u64 = 64;
 
 /// Work counters reported by the point-to-point solvers, in the same units
 /// as the full-SSSP engines' `EventCounters` (`arcs_scanned` counts edge
-/// relaxation attempts, `settled` counts heap/bucket removals), so
-/// `bench_road` can compare P2P scans against full SSSP on equal terms.
+/// relaxation attempts, `settled` counts heap/bucket removals), so P2P
+/// scans compare against full SSSP on equal terms.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct P2pStats {
     /// Edges whose relaxation was attempted.
@@ -314,5 +314,29 @@ mod tests {
         );
         assert!(stats.arcs_scanned < g.num_arcs() as u64 / 2);
         assert!(stats.arcs_scanned > 0 && stats.settled > 0);
+
+        // Summed over a near-to-far query mix, the search still scans
+        // strictly fewer arcs than full SSSP — Dijkstra or Δ-stepping —
+        // from the same sources.
+        for mix in crate::road_mix::road_mixes() {
+            let arcs: u64 = mix
+                .pairs
+                .iter()
+                .map(|&(s, t)| {
+                    let (d, stats) =
+                        bidirectional_st(&mix.graph, s, t, &mut scratch, None).unwrap();
+                    assert_eq!(d, dijkstra(&mix.graph, s)[t as usize], "{}", mix.name);
+                    stats.arcs_scanned
+                })
+                .sum();
+            assert!(
+                arcs < mix.dijkstra_arcs && arcs < mix.delta_arcs,
+                "{}: bidirectional scanned {arcs} arcs over the mix vs {} for \
+                 Dijkstra and {} for Δ-stepping",
+                mix.name,
+                mix.dijkstra_arcs,
+                mix.delta_arcs
+            );
+        }
     }
 }

@@ -464,6 +464,30 @@ mod tests {
             near_arcs < full_arcs,
             "early exit scanned {near_arcs} arcs vs {full_arcs} for full SSSP"
         );
+
+        // Summed over a near-to-far query mix, the early exit still scans
+        // strictly fewer arcs than full SSSP — Dijkstra or Δ-stepping —
+        // from the same sources. One lane, so the counts are exact.
+        for mix in crate::road_mix::road_mixes() {
+            let counters = EventCounters::new();
+            mmt_platform::with_pool(1, || {
+                let mut scratch = DeltaScratch::new(&mix.split);
+                for &(s, t) in &mix.pairs {
+                    let d =
+                        delta_stepping_st(&mix.split, s, t, &mut scratch, Some(&counters), None);
+                    assert_eq!(d, Some(dijkstra(&mix.graph, s)[t as usize]), "{}", mix.name);
+                }
+            });
+            let arcs = counters.snapshot().arcs_scanned;
+            assert!(
+                arcs < mix.dijkstra_arcs && arcs < mix.delta_arcs,
+                "{}: early exit scanned {arcs} arcs over the mix vs {} for \
+                 Dijkstra and {} for full Δ-stepping",
+                mix.name,
+                mix.dijkstra_arcs,
+                mix.delta_arcs
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! an implementation of Goldberg's multilevel bucket shortest path
 //! algorithm, which has an expected running time of O(n) on random graphs
 //! with uniform weight distributions". This module drives the
-//! [`crate::mlb`] queue with lazy decrease-key; the `t1_sequential` bench
+//! [`crate::mlb`] queue with lazy decrease-key; `reproduce table1`
 //! reproduces the comparison.
 
 use crate::mlb::MultiLevelBuckets;

@@ -40,6 +40,8 @@ pub mod goldberg;
 pub mod mlb;
 pub mod relax_core;
 pub mod rho_stepping;
+#[cfg(test)]
+mod road_mix;
 mod step;
 pub mod verify;
 

@@ -1,4 +1,4 @@
-//! The reproducible hot-path baseline behind `bench_hotpath`.
+//! The reproducible hot-path baseline behind `bench hotpath`.
 //!
 //! Four fixed-seed workloads (Rand/RMAT × UWD/PWD) are run through the
 //! SSSP hot paths this repo optimises — Δ-stepping with its split and
@@ -10,6 +10,7 @@
 //! (`schema/BENCH_hotpath.schema.json`). CI runs the `--smoke` shape of
 //! this on every push, so the artifact format can never silently rot.
 
+use crate::artifact::{comma, per_sec, Header, RunShape};
 use crate::json::{self, Json};
 use mmt_baselines::{
     adaptive_delta, default_delta, delta_stepping_presplit, DeltaConfig, DeltaScratch,
@@ -36,45 +37,15 @@ pub const SCHEMA_TEXT: &str = include_str!("../schema/BENCH_hotpath.schema.json"
 /// offset-view arc-byte table per Δ count. Version 4 added the `threads`
 /// and `host_logical_cores` header fields so 1-core-container numbers are
 /// self-describing. Version 5 added the `pin_policy` and `numa_nodes`
-/// topology header shared by all four artifacts. Version 6 retired the
+/// topology header shared by every artifact. Version 6 retired the
 /// `delta-reference` row with the seed kernel it measured; the
 /// `delta-stepping` row now builds its split and scratch per query.
 pub const FORMAT_VERSION: u64 = 6;
 
-/// Run shape: scale, repetitions, sources per workload.
-#[derive(Debug, Clone, Copy)]
-pub struct HotpathOptions {
-    /// log2 of the vertex count per workload.
-    pub scale: u32,
-    /// Timed repetitions of the whole source sweep, per engine.
-    pub iterations: usize,
-    /// Query sources per workload.
-    pub sources: usize,
-    /// True for the CI smoke shape.
-    pub smoke: bool,
-}
-
-impl HotpathOptions {
-    /// The CI smoke shape: tiny scale, two iterations — seconds, not
-    /// minutes, but every code path and every artifact field exercised.
-    pub fn smoke() -> Self {
-        Self {
-            scale: 8,
-            iterations: 2,
-            sources: 3,
-            smoke: true,
-        }
-    }
-
-    /// The default measurement shape (honours `MMT_SCALE` / `MMT_RUNS`).
-    pub fn full() -> Self {
-        Self {
-            scale: crate::scale_from_env(12),
-            iterations: crate::runs_from_env(),
-            sources: 4,
-            smoke: false,
-        }
-    }
+/// The default measurement shape: `MMT_SCALE` (default 12) and every one
+/// of `MMT_RUNS`.
+pub fn full_shape() -> RunShape {
+    RunShape::full(12, usize::MAX)
 }
 
 /// One engine's measurement on one workload.
@@ -102,11 +73,7 @@ pub struct EngineSample {
 impl EngineSample {
     /// Relaxations per second of wall time (0 when nothing was measured).
     pub fn relaxations_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.relaxations as f64 / self.wall_secs
-        } else {
-            0.0
-        }
+        per_sec(self.relaxations, self.wall_secs)
     }
 }
 
@@ -164,11 +131,7 @@ pub struct RegistryGridSample {
 impl RegistryGridSample {
     /// Relaxations per second of serving wall time.
     pub fn relaxations_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.relaxations as f64 / self.wall_secs
-        } else {
-            0.0
-        }
+        per_sec(self.relaxations, self.wall_secs)
     }
 }
 
@@ -189,21 +152,8 @@ pub struct RegistrySamples {
 /// The whole artifact.
 #[derive(Debug, Clone)]
 pub struct HotpathReport {
-    /// Run shape.
-    pub options: HotpathOptions,
-    /// Thread budget the measurement ran under (the installed rayon
-    /// budget — equal to `host_logical_cores` outside a forced pool).
-    pub threads: usize,
-    /// Logical cores on the measuring host.
-    pub host_logical_cores: usize,
-    /// The `MMT_PIN` policy the process resolved at startup.
-    pub pin_policy: &'static str,
-    /// NUMA nodes the host exposes (1 on flat or opaque hosts).
-    pub numa_nodes: usize,
-    /// True when built with the counting allocator.
-    pub alloc_counting: bool,
-    /// Peak RSS at the end of the run (0 where unavailable).
-    pub peak_rss_bytes: u64,
+    /// Run shape and host, with `alloc_counting` set.
+    pub header: Header,
     /// Per-workload measurements.
     pub workloads: Vec<WorkloadSamples>,
     /// The multi-graph registry grid (resident bytes + relax/s, 1 vs 4
@@ -251,21 +201,14 @@ pub fn hotpath_specs(scale: u32) -> Vec<WorkloadSpec> {
 }
 
 /// Runs the whole measurement grid.
-pub fn run(opts: HotpathOptions) -> HotpathReport {
+pub fn run(opts: RunShape) -> HotpathReport {
     let workloads = hotpath_specs(opts.scale)
         .into_iter()
         .map(|spec| run_workload(spec, opts))
         .collect();
     let registry = run_registry(opts);
-    let (pin_policy, numa_nodes) = crate::topology_header();
     HotpathReport {
-        options: opts,
-        threads: rayon::current_num_threads(),
-        host_logical_cores: mmt_platform::available_threads(),
-        pin_policy,
-        numa_nodes,
-        alloc_counting: alloc_counting_enabled(),
-        peak_rss_bytes: mmt_platform::mem::peak_rss_bytes().unwrap_or(0),
+        header: Header::capture(opts, Some(alloc_counting_enabled())),
         workloads,
         registry,
     }
@@ -276,7 +219,7 @@ pub fn run(opts: HotpathOptions) -> HotpathReport {
 /// serving throughput and registry-resident bytes with 1 vs 4 registered
 /// graphs (distinct content, same shape) behind the sharded
 /// `QueryService`.
-fn run_registry(opts: HotpathOptions) -> RegistrySamples {
+fn run_registry(opts: RunShape) -> RegistrySamples {
     let spec = hotpath_specs(opts.scale).remove(0);
     let w = crate::Workload::generate(spec);
     let g = &w.graph;
@@ -392,7 +335,7 @@ fn run_registry(opts: HotpathOptions) -> RegistrySamples {
     }
 }
 
-fn run_workload(spec: WorkloadSpec, opts: HotpathOptions) -> WorkloadSamples {
+fn run_workload(spec: WorkloadSpec, opts: RunShape) -> WorkloadSamples {
     let w = crate::Workload::generate(spec);
     let g = &w.graph;
     let sources = w.sources(opts.sources);
@@ -541,7 +484,7 @@ fn finish_sample(
 }
 
 /// Renders a [`CountersSnapshot`] as a JSON object — the shared counters
-/// encoding for both `bench_hotpath` and `bench_layout` artifacts.
+/// encoding of the hotpath and layout artifacts.
 pub fn counters_json(c: &CountersSnapshot) -> String {
     format!(
         "{{\"relaxations\": {}, \"improvements\": {}, \"settled\": {}, \
@@ -563,24 +506,7 @@ impl HotpathReport {
     /// Renders the artifact as pretty-stable JSON (two-space indent).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"version\": {},\n", FORMAT_VERSION));
-        out.push_str(&format!("  \"smoke\": {},\n", self.options.smoke));
-        out.push_str(&format!("  \"scale\": {},\n", self.options.scale));
-        out.push_str(&format!("  \"iterations\": {},\n", self.options.iterations));
-        out.push_str(&format!(
-            "  \"sources_per_workload\": {},\n",
-            self.options.sources
-        ));
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str(&format!(
-            "  \"host_logical_cores\": {},\n",
-            self.host_logical_cores
-        ));
-        out.push_str(&format!("  \"pin_policy\": \"{}\",\n", self.pin_policy));
-        out.push_str(&format!("  \"numa_nodes\": {},\n", self.numa_nodes));
-        out.push_str(&format!("  \"alloc_counting\": {},\n", self.alloc_counting));
-        out.push_str(&format!("  \"peak_rss_bytes\": {},\n", self.peak_rss_bytes));
+        self.header.write_json(FORMAT_VERSION, &mut out);
         out.push_str("  \"workloads\": [\n");
         for (wi, w) in self.workloads.iter().enumerate() {
             out.push_str("    {\n");
@@ -609,18 +535,11 @@ impl HotpathReport {
                 out.push_str(&format!(
                     "\"alloc_bytes_per_query\": {}}}{}\n",
                     e.alloc_bytes_per_query,
-                    if ei + 1 < w.engines.len() { "," } else { "" }
+                    comma(ei, w.engines.len())
                 ));
             }
             out.push_str("      ]\n");
-            out.push_str(&format!(
-                "    }}{}\n",
-                if wi + 1 < self.workloads.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
+            out.push_str(&format!("    }}{}\n", comma(wi, self.workloads.len())));
         }
         out.push_str("  ],\n");
         let r = &self.registry;
@@ -641,7 +560,7 @@ impl HotpathReport {
                 s.delta_count,
                 s.duplicated_bytes,
                 s.offset_view_bytes,
-                if si + 1 < r.splits.len() { "," } else { "" }
+                comma(si, r.splits.len())
             ));
         }
         out.push_str("    ],\n");
@@ -657,22 +576,13 @@ impl HotpathReport {
                 gs.wall_secs,
                 gs.relaxations,
                 gs.relaxations_per_sec(),
-                if gi + 1 < r.grid.len() { "," } else { "" }
+                comma(gi, r.grid.len())
             ));
         }
         out.push_str("    ]\n");
         out.push_str("  }\n}\n");
         out
     }
-}
-
-/// Parses `text` and validates it against the checked-in schema. This is
-/// what `bench_hotpath --check` and the CI smoke job run.
-pub fn check_artifact(text: &str) -> Result<Json, String> {
-    let schema = json::parse(SCHEMA_TEXT).map_err(|e| format!("schema is invalid JSON: {e}"))?;
-    let value = json::parse(text).map_err(|e| format!("artifact does not parse: {e}"))?;
-    json::validate(&value, &schema).map_err(|e| format!("artifact violates schema: {e}"))?;
-    Ok(value)
 }
 
 /// One `(workload, engine)` throughput comparison from [`diff_artifacts`].
@@ -791,6 +701,7 @@ pub fn diff_artifacts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::check_artifact;
 
     #[test]
     fn specs_are_fixed_seed_and_cover_the_grid() {
@@ -805,7 +716,7 @@ mod tests {
 
     #[test]
     fn smoke_run_emits_a_schema_valid_artifact() {
-        let report = run(HotpathOptions {
+        let report = run(RunShape {
             scale: 6,
             iterations: 1,
             sources: 2,
@@ -853,7 +764,7 @@ mod tests {
         assert!(reg.grid.iter().all(|g| g.wall_secs > 0.0));
 
         let text = report.to_json();
-        let value = check_artifact(&text).expect("artifact must satisfy the schema");
+        let value = check_artifact(SCHEMA_TEXT, &text).expect("artifact must satisfy the schema");
         assert_eq!(
             value.get("version").and_then(Json::as_num),
             Some(FORMAT_VERSION as f64)
@@ -911,16 +822,16 @@ mod tests {
 
     #[test]
     fn truncated_artifact_fails_the_check() {
-        let report = run(HotpathOptions {
+        let report = run(RunShape {
             scale: 6,
             iterations: 1,
             sources: 1,
             smoke: true,
         });
         let text = report.to_json();
-        assert!(check_artifact(&text[..text.len() / 2]).is_err());
+        assert!(check_artifact(SCHEMA_TEXT, &text[..text.len() / 2]).is_err());
         // A parseable document missing required keys also fails.
-        assert!(check_artifact("{\"version\": 1}").is_err());
+        assert!(check_artifact(SCHEMA_TEXT, "{\"version\": 1}").is_err());
     }
 
     #[cfg(feature = "count-alloc")]

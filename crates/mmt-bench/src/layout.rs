@@ -1,9 +1,9 @@
-//! The locality-layout grid behind `bench_layout`.
+//! The locality-layout grid behind `bench layout`.
 //!
 //! The MTA-2 the paper targets has a flat, uniform-latency memory system —
 //! vertex order is performance-irrelevant there. On cache-based commodity
 //! hardware it is anything but, so this grid measures the same fixed-seed
-//! workloads as `bench_hotpath` under every vertex ordering in
+//! workloads as `bench hotpath` under every vertex ordering in
 //! [`LayoutKind`] and both distance widths:
 //!
 //! * `delta-u64` — the pre-split Δ-stepping hot path on the natural,
@@ -23,14 +23,15 @@
 //! orderings (a permutation changes *where* arc reads land, never how
 //! many there are).
 //!
-//! The workloads reuse the `bench_hotpath` families (Rand/RMAT × UWD/PWD,
+//! The workloads reuse the hotpath families (Rand/RMAT × UWD/PWD,
 //! seed 0x2007) with the weight exponent capped at 2^10 so the undirected
 //! weight sum stays inside the `u32` cell's budget at every
 //! scale this harness runs at — otherwise the u32 column would silently
 //! vanish exactly at the scales where locality matters.
 
+use crate::artifact::{comma, per_sec, Header, RunShape};
 use crate::hotpath::counters_json;
-use crate::json::{self, Json};
+use crate::json;
 use mmt_baselines::{
     adaptive_delta, default_rho, delta_stepping_presplit, rho_stepping_presplit, FitsCell,
     StepScratch,
@@ -57,41 +58,11 @@ pub const SCHEMA_TEXT: &str = include_str!("../schema/BENCH_layout.schema.json")
 /// retired the `thorup-u32` rows with the `u32`-cell Thorup instance.
 pub const FORMAT_VERSION: u64 = 5;
 
-/// Run shape: scale, repetitions, sources per workload.
-#[derive(Debug, Clone, Copy)]
-pub struct LayoutOptions {
-    /// log2 of the vertex count per workload.
-    pub scale: u32,
-    /// Timed repetitions of the whole source sweep, per sample.
-    pub iterations: usize,
-    /// Query sources per workload.
-    pub sources: usize,
-    /// True for the CI smoke shape.
-    pub smoke: bool,
-}
-
-impl LayoutOptions {
-    /// The CI smoke shape: tiny scale, every code path exercised.
-    pub fn smoke() -> Self {
-        Self {
-            scale: 8,
-            iterations: 2,
-            sources: 3,
-            smoke: true,
-        }
-    }
-
-    /// The default measurement shape (honours `MMT_SCALE` / `MMT_RUNS`).
-    /// Locality effects only show once the working set outgrows the cache,
-    /// so the default scale is larger than `bench_hotpath`'s.
-    pub fn full() -> Self {
-        Self {
-            scale: crate::scale_from_env(16),
-            iterations: crate::runs_from_env().min(4),
-            sources: 4,
-            smoke: false,
-        }
-    }
+/// The default measurement shape: `MMT_SCALE` (default 16) and at most
+/// four of `MMT_RUNS`. Locality effects only show once the working set
+/// outgrows the cache, so the default scale is larger than hotpath's.
+pub fn full_shape() -> RunShape {
+    RunShape::full(16, 4)
 }
 
 /// One `(engine, layout)` measurement on one workload.
@@ -115,11 +86,7 @@ pub struct LayoutSample {
 impl LayoutSample {
     /// Relaxations per second of wall time (0 when nothing was measured).
     pub fn relaxations_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.counters.relaxations as f64 / self.wall_secs
-        } else {
-            0.0
-        }
+        per_sec(self.counters.relaxations, self.wall_secs)
     }
 }
 
@@ -144,23 +111,13 @@ pub struct LayoutWorkload {
 /// The whole artifact.
 #[derive(Debug, Clone)]
 pub struct LayoutReport {
-    /// Run shape.
-    pub options: LayoutOptions,
-    /// Thread budget the measurement ran under.
-    pub threads: usize,
-    /// Logical cores on the measuring host.
-    pub host_logical_cores: usize,
-    /// The `MMT_PIN` policy the process resolved at startup.
-    pub pin_policy: &'static str,
-    /// NUMA nodes the host exposes (1 on flat or opaque hosts).
-    pub numa_nodes: usize,
-    /// Peak RSS at the end of the run (0 where unavailable).
-    pub peak_rss_bytes: u64,
+    /// Run shape and host.
+    pub header: Header,
     /// Per-workload measurements.
     pub workloads: Vec<LayoutWorkload>,
 }
 
-/// The four fixed-seed layout workloads at `scale`: the `bench_hotpath`
+/// The four fixed-seed layout workloads at `scale`: the hotpath
 /// families with `log_c` capped so checked `u32` narrowing stays feasible.
 pub fn layout_specs(scale: u32) -> Vec<WorkloadSpec> {
     use GraphClass::{Random, Rmat};
@@ -183,24 +140,18 @@ pub fn layout_specs(scale: u32) -> Vec<WorkloadSpec> {
 }
 
 /// Runs the whole layout grid.
-pub fn run(opts: LayoutOptions) -> LayoutReport {
+pub fn run(opts: RunShape) -> LayoutReport {
     let workloads = layout_specs(opts.scale)
         .into_iter()
         .map(|spec| run_workload(spec, opts))
         .collect();
-    let (pin_policy, numa_nodes) = crate::topology_header();
     LayoutReport {
-        options: opts,
-        threads: rayon::current_num_threads(),
-        host_logical_cores: mmt_platform::available_threads(),
-        pin_policy,
-        numa_nodes,
-        peak_rss_bytes: mmt_platform::mem::peak_rss_bytes().unwrap_or(0),
+        header: Header::capture(opts, None),
         workloads,
     }
 }
 
-fn run_workload(spec: WorkloadSpec, opts: LayoutOptions) -> LayoutWorkload {
+fn run_workload(spec: WorkloadSpec, opts: RunShape) -> LayoutWorkload {
     let w = crate::Workload::generate(spec);
     let sources = w.sources(opts.sources);
     let graph = Arc::new(w.graph);
@@ -401,23 +352,7 @@ impl LayoutReport {
     /// Renders the artifact as pretty-stable JSON (two-space indent).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"version\": {},\n", FORMAT_VERSION));
-        out.push_str(&format!("  \"smoke\": {},\n", self.options.smoke));
-        out.push_str(&format!("  \"scale\": {},\n", self.options.scale));
-        out.push_str(&format!("  \"iterations\": {},\n", self.options.iterations));
-        out.push_str(&format!(
-            "  \"sources_per_workload\": {},\n",
-            self.options.sources
-        ));
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str(&format!(
-            "  \"host_logical_cores\": {},\n",
-            self.host_logical_cores
-        ));
-        out.push_str(&format!("  \"pin_policy\": \"{}\",\n", self.pin_policy));
-        out.push_str(&format!("  \"numa_nodes\": {},\n", self.numa_nodes));
-        out.push_str(&format!("  \"peak_rss_bytes\": {},\n", self.peak_rss_bytes));
+        self.header.write_json(FORMAT_VERSION, &mut out);
         out.push_str("  \"workloads\": [\n");
         for (wi, w) in self.workloads.iter().enumerate() {
             out.push_str("    {\n");
@@ -441,35 +376,22 @@ impl LayoutReport {
                 out.push_str(&format!(
                     "\"counters\": {}}}{}\n",
                     counters_json(&s.counters),
-                    if si + 1 < w.samples.len() { "," } else { "" }
+                    comma(si, w.samples.len())
                 ));
             }
             out.push_str("      ]\n");
-            out.push_str(&format!(
-                "    }}{}\n",
-                if wi + 1 < self.workloads.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
+            out.push_str(&format!("    }}{}\n", comma(wi, self.workloads.len())));
         }
         out.push_str("  ]\n}\n");
         out
     }
 }
 
-/// Parses `text` and validates it against the checked-in layout schema.
-pub fn check_artifact(text: &str) -> Result<Json, String> {
-    let schema = json::parse(SCHEMA_TEXT).map_err(|e| format!("schema is invalid JSON: {e}"))?;
-    let value = json::parse(text).map_err(|e| format!("artifact does not parse: {e}"))?;
-    json::validate(&value, &schema).map_err(|e| format!("artifact violates schema: {e}"))?;
-    Ok(value)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::check_artifact;
+    use crate::json::Json;
 
     #[test]
     fn specs_cap_the_weight_exponent_for_narrowing() {
@@ -481,7 +403,7 @@ mod tests {
 
     #[test]
     fn smoke_run_covers_the_grid_and_validates() {
-        let report = run(LayoutOptions {
+        let report = run(RunShape {
             scale: 6,
             iterations: 1,
             sources: 2,
@@ -524,7 +446,7 @@ mod tests {
             }
         }
         let text = report.to_json();
-        let value = check_artifact(&text).expect("artifact must satisfy the schema");
+        let value = check_artifact(SCHEMA_TEXT, &text).expect("artifact must satisfy the schema");
         assert_eq!(
             value.get("version").and_then(Json::as_num),
             Some(FORMAT_VERSION as f64)
@@ -533,7 +455,7 @@ mod tests {
 
     #[test]
     fn malformed_layout_artifacts_fail_the_check() {
-        assert!(check_artifact("{\"version\": 1}").is_err());
-        assert!(check_artifact("not json").is_err());
+        assert!(check_artifact(SCHEMA_TEXT, "{\"version\": 1}").is_err());
+        assert!(check_artifact(SCHEMA_TEXT, "not json").is_err());
     }
 }

@@ -804,7 +804,8 @@ pub struct QueryRequest {
 /// `p2p-bidi`/`p2p-delta-early` differential engines), and all of them
 /// prove unreachability rather than timing out. They differ only in how
 /// much of the graph they touch before the stopping criterion fires —
-/// `bench_road` measures exactly that.
+/// the arcs-scanned tests of the s–t kernels and perfbench's
+/// serve-road-st measure exactly that.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum P2pAlgo {
     /// Thorup's hierarchy-guided search with target early exit — the

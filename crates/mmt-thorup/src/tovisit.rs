@@ -42,9 +42,9 @@ pub enum ToVisitStrategy {
 }
 
 impl ToVisitStrategy {
-    /// The thresholds we determined experimentally (`a4` style sweep; see
-    /// `t6_tovisit` bench): serial below 256 children, capped parallelism
-    /// to 16k, full pool beyond.
+    /// The thresholds we determined experimentally (the
+    /// `a4_tovisit_thresholds` sweep; see `reproduce table6`): serial below
+    /// 256 children, capped parallelism to 16k, full pool beyond.
     pub fn selective_default() -> Self {
         ToVisitStrategy::Selective {
             single_par_threshold: 256,
