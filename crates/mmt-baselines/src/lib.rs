@@ -1,6 +1,6 @@
 //! Baseline SSSP solvers the paper measures Thorup's algorithm against.
 //!
-//! * [`dijkstra`] — textbook binary-heap Dijkstra with lazy deletion; the
+//! * [`dijkstra`](mod@dijkstra) — textbook binary-heap Dijkstra with lazy deletion; the
 //!   workspace's correctness oracle;
 //! * [`mlb`] — a multilevel-bucket (radix-heap) monotone priority queue for
 //!   integer keys;
@@ -8,7 +8,7 @@
 //!   reference solver ("Goldberg's multilevel bucket shortest path
 //!   algorithm, which has an expected running time of O(n) on random graphs
 //!   with uniform weight distributions") used in the paper's Table 1;
-//! * [`delta_stepping`] — the parallel Meyer–Sanders Δ-stepping of Madduri
+//! * [`delta_stepping`](mod@delta_stepping) — the parallel Meyer–Sanders Δ-stepping of Madduri
 //!   et al., the paper's parallel baseline (Tables 5–6, Figure 5);
 //! * [`delta_star`] and [`rho_stepping`] — Δ*- and ρ-stepping
 //!   (Dong–Gu–Sun–Zhang): Δ*-stepping drains each bucket to a fixpoint over
@@ -20,11 +20,11 @@
 //!   stepping loop;
 //! * [`verify`] — an oracle-free certificate checker for SSSP outputs,
 //!   reporting failures as structured [`Divergence`] records;
-//! * [`bellman_ford`] — serial + parallel-frontier Bellman–Ford (the
+//! * [`bellman_ford`](mod@bellman_ford) — serial + parallel-frontier Bellman–Ford (the
 //!   un-bucketed lower baseline);
 //! * [`bidirectional`] — exact point-to-point bidirectional Dijkstra (the
 //!   s–t oracle for the road-network/transit examples);
-//! * [`bfs`] — parallel level-synchronous BFS (hop distances,
+//! * [`bfs`](mod@bfs) — parallel level-synchronous BFS (hop distances,
 //!   eccentricity).
 
 #![forbid(unsafe_code)]

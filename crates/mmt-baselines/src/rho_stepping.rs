@@ -217,27 +217,23 @@ mod tests {
     }
 
     /// The determinism law: the same seeded workload solved at 1, 2 and 4
-    /// threads, under every pinning policy, yields bit-identical distances
-    /// — pinning and lane count change where work runs, never what the
-    /// fixpoint converges to.
+    /// threads yields bit-identical distances — the lane count changes
+    /// where work runs, never what the fixpoint converges to.
     #[test]
-    fn distances_identical_across_threads_and_pins() {
-        use mmt_platform::{with_pinned_pool, PinPolicy};
+    fn distances_identical_across_threads() {
         let mut spec = WorkloadSpec::new(GraphClass::Random, WeightDist::PolyLog, 8, 9);
         spec.seed = 2007;
         let g = CsrGraph::from_edge_list(&spec.generate());
         let delta = adaptive_delta(&g).min(u32::MAX as u64) as u32;
         let want = dijkstra(&g, 7);
-        for pin in [PinPolicy::None, PinPolicy::Compact, PinPolicy::Spread] {
-            for threads in [1usize, 2, 4] {
-                let got = with_pinned_pool(threads, pin, || {
-                    let split = SplitCsr::new(&g, delta);
-                    let mut scratch = StepScratch::new(&split);
-                    rho_stepping_presplit(&split, 7, 64, &mut scratch, None);
-                    scratch.to_distances()
-                });
-                assert_eq!(got, want, "pin={pin:?} threads={threads}");
-            }
+        for threads in [1usize, 2, 4] {
+            let got = mmt_platform::with_pool(threads, || {
+                let split = SplitCsr::new(&g, delta);
+                let mut scratch = StepScratch::new(&split);
+                rho_stepping_presplit(&split, 7, 64, &mut scratch, None);
+                scratch.to_distances()
+            });
+            assert_eq!(got, want, "threads={threads}");
         }
     }
 

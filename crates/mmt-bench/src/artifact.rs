@@ -43,9 +43,7 @@ impl RunShape {
 }
 
 /// The header every artifact opens with: its run shape and the host it
-/// ran on. Pinning and NUMA are descriptive, never gated — a 1-node host
-/// records `1`, and a build without the `pin` feature records the policy
-/// it *would* have applied.
+/// ran on.
 #[derive(Debug, Clone)]
 pub struct Header {
     /// Run shape.
@@ -55,10 +53,6 @@ pub struct Header {
     pub threads: usize,
     /// Logical cores on the measuring host.
     pub host_logical_cores: usize,
-    /// The `MMT_PIN` policy the process resolved at startup.
-    pub pin_policy: &'static str,
-    /// NUMA nodes the host exposes (1 on flat or opaque hosts).
-    pub numa_nodes: usize,
     /// For artifacts with allocation columns: whether the counting
     /// allocator was built in. `None` omits the key.
     pub alloc_counting: Option<bool>,
@@ -73,8 +67,6 @@ impl Header {
             shape,
             threads: rayon::current_num_threads(),
             host_logical_cores: mmt_platform::available_threads(),
-            pin_policy: mmt_platform::PinPolicy::from_env().label(),
-            numa_nodes: mmt_platform::CpuTopology::discover().numa_nodes(),
             alloc_counting,
             peak_rss_bytes: mmt_platform::mem::peak_rss_bytes().unwrap_or(0),
         }
@@ -96,8 +88,6 @@ impl Header {
             "  \"host_logical_cores\": {},\n",
             self.host_logical_cores
         ));
-        out.push_str(&format!("  \"pin_policy\": \"{}\",\n", self.pin_policy));
-        out.push_str(&format!("  \"numa_nodes\": {},\n", self.numa_nodes));
         if let Some(counting) = self.alloc_counting {
             out.push_str(&format!("  \"alloc_counting\": {counting},\n"));
         }

@@ -40,7 +40,10 @@ pub const SCHEMA_TEXT: &str = include_str!("../schema/BENCH_hotpath.schema.json"
 /// topology header shared by every artifact. Version 6 retired the
 /// `delta-reference` row with the seed kernel it measured; the
 /// `delta-stepping` row now builds its split and scratch per query.
-pub const FORMAT_VERSION: u64 = 6;
+/// Version 7 dropped the `pin_policy` and `numa_nodes` header keys with
+/// worker pinning; version-6 artifacts still validate, since the checker
+/// ignores extra keys.
+pub const FORMAT_VERSION: u64 = 7;
 
 /// The default measurement shape: `MMT_SCALE` (default 12) and every one
 /// of `MMT_RUNS`.
@@ -754,8 +757,8 @@ mod tests {
             reg.arena_arc_bytes
         );
         // Four registered graphs hold each arc array exactly once: the
-        // accounted bytes scale with tenant count, with no per-Δ or
-        // per-layout duplication on top.
+        // accounted bytes scale with tenant count, with no per-Δ
+        // duplication on top.
         let single = &reg.grid[0];
         let multi = &reg.grid[1];
         assert_eq!((single.graphs, multi.graphs), (1, 4));

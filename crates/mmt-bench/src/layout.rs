@@ -56,7 +56,10 @@ pub const SCHEMA_TEXT: &str = include_str!("../schema/BENCH_layout.schema.json")
 /// `delta-u64-ra` rows (every stepping policy now relaxes with read-ahead)
 /// and the `rho-part` rows with the owned-partition kernel. Version 5
 /// retired the `thorup-u32` rows with the `u32`-cell Thorup instance.
-pub const FORMAT_VERSION: u64 = 5;
+/// Version 6 dropped the `pin_policy` and `numa_nodes` header keys with
+/// worker pinning; version-5 artifacts still validate, since the checker
+/// ignores extra keys.
+pub const FORMAT_VERSION: u64 = 6;
 
 /// The default measurement shape: `MMT_SCALE` (default 16) and at most
 /// four of `MMT_RUNS`. Locality effects only show once the working set

@@ -75,8 +75,8 @@ fn metrics_snapshot_json_satisfies_the_checked_in_schema() {
 }
 
 /// Every field of a trace line must survive a parse round trip — numbers
-/// as numbers, absent stages as real JSON nulls — for both a coalesced
-/// event and a bare singleton one.
+/// as numbers, absent stages as real JSON nulls — for a coalesced event, a
+/// bare singleton one, and one whose graph name holds quotes and a newline.
 #[test]
 fn trace_lines_round_trip_through_the_json_parser() {
     let coalesced = TraceEvent {
@@ -126,6 +126,18 @@ fn trace_lines_round_trip_through_the_json_parser() {
     assert_eq!(v.get("batch"), Some(&Json::Null));
     assert_eq!(v.get("batch_size").and_then(Json::as_num), Some(1.0));
     assert_eq!(v.get("outcome").and_then(Json::as_str), Some("deadline"));
+
+    // The graph name is whatever the caller registered: it must stay one
+    // line and come back exactly.
+    let name = "usa \"east\"\nwest";
+    let awkward = TraceEvent {
+        graph: name.into(),
+        ..singleton
+    };
+    let line = awkward.to_json_line();
+    assert!(!line.contains('\n'), "one event, one line: {line}");
+    let v = json::parse(&line).expect("an escaped graph name stays valid JSON");
+    assert_eq!(v.get("graph").and_then(Json::as_str), Some(name));
 }
 
 /// The traces a real coalesced service emits parse as JSON lines too —

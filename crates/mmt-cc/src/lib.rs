@@ -10,7 +10,7 @@
 //!   shortcuts; our stand-in for the MTGL "bully" algorithm, which spreads
 //!   writes across the `label` array instead of funnelling every hook
 //!   through a few tree roots;
-//! * [`shiloach_vishkin`] — the classic hook-and-shortcut algorithm the
+//! * [`shiloach_vishkin`](mod@shiloach_vishkin) — the classic hook-and-shortcut algorithm the
 //!   paper calls out as suffering hot spots on the MTA-2; kept as the
 //!   ablation comparator (`a2_cc_algorithms` bench).
 

@@ -1,6 +1,6 @@
 //! Shared-arena CSR: one `Arc`-owned arc array, many lightweight views.
 //!
-//! [`SplitCsr`] and [`CompactSplitCsr`] duplicate the full adjacency
+//! [`SplitCsr`] and [`CompactSplitCsr`](crate::CompactSplitCsr) duplicate the full adjacency
 //! payload per `(graph, Δ)` pair — serving several Δ choices (or several
 //! tenants) from one process multiplies the dominant `O(m)` arrays.
 //! Following the arena-plus-views representation of Dhulipala et al.

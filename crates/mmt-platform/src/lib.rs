@@ -32,15 +32,13 @@
 //!   stalls, allocation pressure) used by the chaos suite to prove the
 //!   serving layer degrades gracefully;
 //! * [`queue`] — the bounded MPMC request queue with typed admission
-//!   control, load shedding, and close-then-drain shutdown;
-//! * [`topology`] — CPU topology discovery (sysfs, no hwloc) and worker
-//!   pinning plans, the commodity stand-in for the MTA-2's flat memory
-//!   being *uniformly* close to every processor.
+//!   control, load shedding, and close-then-drain shutdown.
+//!
+//! The MTA-2's memory is flat — every word is equally far from every
+//! processor — so the paper's algorithms never place threads, and neither
+//! do these pools: workers are never pinned to CPUs.
 
-// The raw `sched_setaffinity` syscall behind the non-default `pin`
-// feature is the single `unsafe` block in the workspace's default
-// dependency graph; every other build keeps the blanket forbid.
-#![cfg_attr(not(feature = "pin"), forbid(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod atomic;
@@ -55,7 +53,6 @@ pub mod queue;
 pub mod scratch;
 pub mod table;
 pub mod timing;
-pub mod topology;
 
 pub use atomic::{AtomicBitSet, AtomicMinU32, AtomicMinU64, MinCell};
 pub use bins::{BinLane, FrontierBins};
@@ -64,9 +61,8 @@ pub use counters::{Counter, CountersSnapshot, EventCounters};
 pub use fault::{FaultEffect, FaultKind, FaultPlan, FaultSite, InjectedPanic, SeededFaults};
 pub use histogram::{AtomicLog2Histogram, Log2Histogram, QuantileSummary};
 pub use mem::{MemFootprint, MemoryGauge};
-pub use pool::{available_threads, with_pinned_pool, with_pool, PoolSpec};
+pub use pool::{available_threads, with_pool};
 pub use queue::{CoalescePop, PushRejected, ShedQueue};
 pub use scratch::{BufferPool, GenerationStamps, ShardBuffers};
 pub use table::Table;
 pub use timing::{RunStats, Stopwatch};
-pub use topology::{CpuSlot, CpuTopology, PinPolicy};

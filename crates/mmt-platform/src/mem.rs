@@ -19,9 +19,9 @@ impl<T: Copy> MemFootprint for Vec<T> {
     }
 }
 
-/// A shared resident-bytes tally: registries add what they cache (arenas,
-/// hierarchies, layout marginals), evictions subtract it, and admission
-/// checks read the current total to shed work under memory pressure.
+/// A shared resident-bytes tally: registries add what they hold (arenas,
+/// hierarchies), evictions subtract it, and admission checks read the
+/// current total to shed work under memory pressure.
 ///
 /// Purely advisory accounting — it tracks what callers report, not what
 /// the allocator does — which is exactly what a *deterministic* admission

@@ -8,55 +8,6 @@
 //! concurrency structure, it just stops measuring genuine speedup past the
 //! physical core count (EXPERIMENTS.md records the host configuration).
 
-use crate::topology::{CpuTopology, PinPolicy};
-use rayon::ThreadPool;
-use std::sync::Arc;
-
-/// Specification of an emulated processor count, plus how (whether) its
-/// workers are pinned to CPUs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolSpec {
-    /// Number of worker threads ("processors").
-    pub threads: usize,
-    /// Worker pinning policy (default [`PinPolicy::None`]).
-    pub pin: PinPolicy,
-}
-
-impl PoolSpec {
-    /// A pool spec with `threads` workers; `threads` is clamped to ≥ 1.
-    pub fn new(threads: usize) -> Self {
-        Self {
-            threads: threads.max(1),
-            pin: PinPolicy::None,
-        }
-    }
-
-    /// Sets the worker pinning policy.
-    pub fn pinned(mut self, pin: PinPolicy) -> Self {
-        self.pin = pin;
-        self
-    }
-
-    /// Builds the rayon pool. Under a non-`None` policy every worker runs
-    /// [`crate::topology::pin_current_thread`] against the discovered
-    /// topology's plan at start — advisory only, so an unpinnable
-    /// platform builds the exact same pool.
-    pub fn build(self) -> ThreadPool {
-        let mut builder = rayon::ThreadPoolBuilder::new()
-            .num_threads(self.threads)
-            .thread_name(|i| format!("mmt-worker-{i}"));
-        if self.pin != PinPolicy::None {
-            let plan = Arc::new(CpuTopology::discover().pin_plan(self.pin, self.threads));
-            builder = builder.start_handler(move |worker| {
-                if let Some(cpu) = plan.get(worker).copied().flatten() {
-                    let _ = crate::topology::pin_current_thread(cpu);
-                }
-            });
-        }
-        builder.build().expect("failed to build rayon pool")
-    }
-}
-
 /// Number of hardware threads available on this host.
 pub fn available_threads() -> usize {
     std::thread::available_parallelism()
@@ -64,20 +15,15 @@ pub fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs `f` inside a dedicated pool of `threads` workers and returns its
-/// result. All rayon parallel iterators inside `f` execute on that pool.
+/// Runs `f` inside a dedicated pool of `threads` workers (clamped to at
+/// least 1) and returns its result. All rayon parallel iterators inside `f`
+/// execute on that pool.
 pub fn with_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
-    PoolSpec::new(threads).build().install(f)
-}
-
-/// As [`with_pool`], with the workers pinned under `pin` (advisory; see
-/// [`PoolSpec::build`]).
-pub fn with_pinned_pool<R: Send>(
-    threads: usize,
-    pin: PinPolicy,
-    f: impl FnOnce() -> R + Send,
-) -> R {
-    PoolSpec::new(threads).pinned(pin).build().install(f)
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads.max(1))
+        .build()
+        .expect("failed to build rayon pool")
+        .install(f)
 }
 
 /// The processor counts a scaling sweep should visit: powers of two from 1 up
@@ -113,18 +59,7 @@ mod tests {
 
     #[test]
     fn zero_threads_clamps_to_one() {
-        assert_eq!(PoolSpec::new(0).threads, 1);
-        assert_eq!(PoolSpec::new(0).pin, PinPolicy::None);
-    }
-
-    #[test]
-    fn pinned_pools_run_work_under_every_policy() {
-        // Distances must never depend on pinning; neither may plain
-        // parallel sums. On unpinnable platforms the handler no-ops.
-        for pin in [PinPolicy::None, PinPolicy::Compact, PinPolicy::Spread] {
-            let total: u64 = with_pinned_pool(3, pin, || (0..1000u64).into_par_iter().sum());
-            assert_eq!(total, 999 * 1000 / 2, "{pin:?}");
-        }
+        assert_eq!(with_pool(0, rayon::current_num_threads), 1);
     }
 
     #[test]

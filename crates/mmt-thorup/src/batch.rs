@@ -11,7 +11,7 @@
 //! allocator on large ones, so both are pooled:
 //!
 //! * [`BatchSolver`] — a reusable batch engine whose per-query instances
-//!   come from an [`InstancePool`](crate::InstancePool) (peak-concurrency
+//!   come from an [`InstancePool`] (peak-concurrency
 //!   many, not batch-size many) and whose result vectors come from a
 //!   [`DistancePool`];
 //! * [`DistancePool`] / [`PooledDistances`] — result buffers that return

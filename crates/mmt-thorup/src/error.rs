@@ -111,8 +111,8 @@ pub enum ServiceError {
     Shed,
     /// The request's graph was evicted from the registry — either before
     /// the request was admitted, or while it sat queued. In-flight solves
-    /// finish normally (their layout `Arc`s keep the data alive); only
-    /// queued and future requests see this error.
+    /// finish normally (their graph and hierarchy `Arc`s keep the data
+    /// alive); only queued and future requests see this error.
     GraphEvicted,
     /// The registry's resident bytes exceed the service's configured
     /// memory limit; the request was refused at admission.

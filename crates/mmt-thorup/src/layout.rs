@@ -6,10 +6,11 @@
 //! many cache lines a traversal touches (DESIGN.md §1). A [`GraphLayout`]
 //! bundles a permuted graph, the matching leaf-permuted Component
 //! Hierarchy, and the [`VertexPermutation`] connecting them to the caller's
-//! id space; [`LayoutSolver`] and the
-//! [`QueryService`](crate::QueryService) layout option solve in the
-//! permuted space and translate at the boundary — sources map in O(1),
-//! distance vectors scatter back in one O(n) pass per query.
+//! id space; [`LayoutSolver`] solves in the permuted space and translates
+//! at the boundary — sources map in O(1), distance vectors scatter back in
+//! one O(n) pass per query. The [`QueryService`](crate::QueryService)
+//! always solves on the graph as registered; layouts are for direct
+//! callers such as the layout bench and its verify engines.
 //!
 //! The [`LayoutKind::ChDfs`] order comes from the hierarchy itself
 //! (`ComponentHierarchy::dfs_leaf_order`): it makes every Thorup component
@@ -84,8 +85,8 @@ impl LayoutKind {
 /// everything a facade needs to translate back out.
 ///
 /// Cloning is cheap (`Arc`s all the way down); one layout can back many
-/// solvers, services, and verify engines at once, exactly like the
-/// unpermuted structures it wraps.
+/// solvers and verify engines at once, exactly like the unpermuted
+/// structures it wraps.
 #[derive(Debug, Clone)]
 pub struct GraphLayout {
     kind: LayoutKind,

@@ -32,7 +32,8 @@
 //! * [`trace`] — opt-in per-query lifecycle traces (JSON lines) for the
 //!   serving layer;
 //! * [`layout`] — locality-optimized relabeled solving: permuted graph +
-//!   leaf-permuted hierarchy behind an original-vertex-id facade.
+//!   leaf-permuted hierarchy behind an original-vertex-id facade, for
+//!   direct callers (the service solves on the graph as registered).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,7 +56,7 @@ pub use instance::ThorupInstance;
 pub use layout::{GraphLayout, LayoutKind, LayoutSolver};
 pub use many_to_many::HubDistances;
 pub use pool::InstancePool;
-pub use registry::{CacheStats, GraphId, GraphRegistry, QueryId};
+pub use registry::{GraphId, GraphRegistry, QueryId};
 pub use service::{
     BatchHandle, BatchRequest, GraphMetricsSnapshot, MetricsSnapshot, P2pAlgo, QueryHandle,
     QueryRequest, QueryService, QueryServiceBuilder, ServiceMetrics, ShedPolicy, ShutdownMode,

@@ -105,7 +105,7 @@ impl HubDistances {
             .unwrap_or(INF)
     }
 
-    /// The hub achieving [`via_hub_bound`], if any.
+    /// The hub achieving [`via_hub_bound`](Self::via_hub_bound), if any.
     pub fn best_hub(&self, s: VertexId, t: VertexId) -> Option<VertexId> {
         let mut best = (INF, None);
         for (i, r) in self.rows.iter().enumerate() {

@@ -1,6 +1,6 @@
 //! Reusable instance pool for high-throughput query serving.
 //!
-//! A [`ThorupInstance`](crate::ThorupInstance) is cheap next to the graph
+//! A [`ThorupInstance`] is cheap next to the graph
 //! but still `O(n)`; a service answering a stream of queries should not
 //! allocate one per request. The pool hands out reset instances and
 //! reclaims them on drop, capping live memory at the concurrency level —

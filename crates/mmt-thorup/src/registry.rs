@@ -1,19 +1,16 @@
-//! The multi-graph registry: `Arc`-shared arenas, a layout cache with a
-//! build-once/warm/evict lifecycle, and resident-bytes accounting.
+//! The multi-graph registry: `Arc`-shared arenas and resident-bytes
+//! accounting.
 //!
 //! The paper amortises one Component Hierarchy over many queries; the
 //! registry amortises many *graphs* over one process. Each registered
 //! graph is canonicalised into a [`CsrArena`] (weight-sorted, `Arc`-shared
 //! arc arrays) so that:
 //!
-//! * the Thorup serving path, every Δ-split view ([`GraphRegistry::split`])
-//!   and the natural layout all reference **one** arc array per graph;
-//! * permuted layouts — the only variants that genuinely need their own
-//!   adjacency order — are built on demand, cached per
-//!   (graph, [`LayoutKind`]), and evictable;
-//! * everything the registry keeps resident is tallied in a
-//!   [`MemoryGauge`], which the service's admission check reads to shed
-//!   work under memory pressure.
+//! * the Thorup serving path and every Δ-split view
+//!   ([`GraphRegistry::split`]) reference **one** arc array per graph;
+//! * everything the registry keeps resident (arena plus hierarchy) is
+//!   tallied in a [`MemoryGauge`], which the service's admission check
+//!   reads to shed work under memory pressure.
 //!
 //! Identity is typed: [`GraphId`] routes requests to shards and
 //! [`QueryId`] names an admitted request — no raw `usize` crosses the
@@ -21,16 +18,14 @@
 //!
 //! Eviction is refcounted, not forced: [`GraphRegistry::evict`] drops the
 //! registry's own `Arc`s and subtracts the accounting immediately, but
-//! in-flight solves holding layout `Arc`s finish normally — the data dies
-//! when the last reference does.
+//! in-flight solves holding graph and hierarchy `Arc`s finish normally —
+//! the data dies when the last reference does.
 
 use crate::error::{InputError, ServiceError};
-use crate::layout::{GraphLayout, LayoutKind};
 use mmt_ch::ComponentHierarchy;
 use mmt_graph::types::Weight;
 use mmt_graph::{CsrArena, CsrGraph, SplitView};
-use mmt_platform::{Counter, MemoryGauge};
-use std::collections::{HashMap, HashSet};
+use mmt_platform::MemoryGauge;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -71,55 +66,32 @@ impl fmt::Display for QueryId {
     }
 }
 
-/// Layout-cache lifecycle counters for one registered graph.
-#[derive(Debug, Default)]
-pub struct CacheStats {
-    /// Layout requests answered from the cache.
-    pub hits: Counter,
-    /// Layout requests that built a layout seen for the first time.
-    pub misses: Counter,
-    /// Layout requests that re-built a layout evicted earlier.
-    pub rebuilds: Counter,
-    /// Layouts (or the whole graph) evicted.
-    pub evictions: Counter,
-}
-
 /// The shared, immutable data of one registered graph. Dropped as a unit
-/// on eviction; kept alive by any in-flight layout `Arc`s.
+/// on eviction; kept alive by any in-flight graph or hierarchy `Arc`s.
 #[derive(Debug)]
 struct GraphData {
     arena: Arc<CsrArena>,
     ch: Arc<ComponentHierarchy>,
-    /// The natural layout over the arena graph — zero marginal bytes, the
-    /// default serving path.
-    natural: Arc<GraphLayout>,
-    /// Cached permuted layouts, keyed by kind. `Natural` never lives
-    /// here (it is free).
-    layouts: Mutex<HashMap<LayoutKind, Arc<GraphLayout>>>,
 }
 
-/// One registry slot. The name, stats and gauge survive eviction (so
-/// metrics keep their history); the data does not.
+/// One registry slot. The name and gauge survive eviction (so metrics
+/// keep their history); the data does not.
 #[derive(Debug)]
 struct Slot {
     name: String,
-    stats: Arc<CacheStats>,
-    /// Per-graph resident bytes (arena + hierarchy + cached layout
-    /// marginals). Mirrored into the registry-wide gauge.
+    /// Per-graph resident bytes (arena + hierarchy). Mirrored into the
+    /// registry-wide gauge.
     resident: Arc<MemoryGauge>,
-    /// Layout kinds ever built for this graph — distinguishes a cache
-    /// miss (first build) from a rebuild (post-eviction build).
-    ever_built: Mutex<HashSet<LayoutKind>>,
     data: Mutex<Option<Arc<GraphData>>>,
 }
 
-/// A set of graphs served from shared arenas, with typed ids, a per-graph
-/// layout cache and resident-bytes accounting.
+/// A set of graphs served from shared arenas, with typed ids and
+/// resident-bytes accounting.
 ///
 /// Register graphs up front, then hand the registry to
 /// [`QueryServiceBuilder::build_registry`](crate::QueryServiceBuilder::build_registry);
-/// lifecycle operations (warm / evict) remain available through the
-/// service's shared reference.
+/// resident-bytes queries remain available through the service's shared
+/// reference.
 ///
 /// ```
 /// use mmt_ch::{build_serial, ChMode};
@@ -156,12 +128,13 @@ impl GraphRegistry {
         graph: &CsrGraph,
         ch: Arc<ComponentHierarchy>,
     ) -> Result<GraphId, InputError> {
+        if graph.n() != ch.n() {
+            return Err(InputError::GraphMismatch {
+                graph_n: graph.n(),
+                ch_n: ch.n(),
+            });
+        }
         let arena = CsrArena::new(graph);
-        let natural = Arc::new(GraphLayout::build(
-            LayoutKind::Natural,
-            Arc::clone(arena.graph()),
-            Arc::clone(&ch),
-        )?);
         let id = GraphId::from_index(self.slots.len());
         let base_bytes = arena.arc_bytes() + ch.heap_bytes();
         let resident = Arc::new(MemoryGauge::new());
@@ -169,15 +142,8 @@ impl GraphRegistry {
         self.gauge.add(base_bytes);
         self.slots.push(Slot {
             name: name.into(),
-            stats: Arc::new(CacheStats::default()),
             resident,
-            ever_built: Mutex::new(HashSet::new()),
-            data: Mutex::new(Some(Arc::new(GraphData {
-                arena,
-                ch,
-                natural,
-                layouts: Mutex::new(HashMap::new()),
-            }))),
+            data: Mutex::new(Some(Arc::new(GraphData { arena, ch }))),
         });
         Ok(id)
     }
@@ -247,82 +213,10 @@ impl GraphRegistry {
         Ok(self.data(id)?.arena.split(delta))
     }
 
-    /// The `(graph, kind)` layout, built on first request and cached.
-    ///
-    /// `Natural` is always a hit (it shares the arena and costs nothing).
-    /// A permuted layout counts a miss on its first build, a rebuild when
-    /// it was built before and evicted since, and a hit otherwise; its
-    /// marginal bytes (permuted adjacency + leaf-permuted hierarchy +
-    /// permutation tables) are added to the resident accounting while
-    /// cached.
-    pub fn layout(&self, id: GraphId, kind: LayoutKind) -> Result<Arc<GraphLayout>, ServiceError> {
-        let slot = self.slot(id)?;
-        let data = self.data(id)?;
-        if kind == LayoutKind::Natural {
-            slot.stats.hits.bump();
-            return Ok(Arc::clone(&data.natural));
-        }
-        let mut layouts = data.layouts.lock().expect("registry lock");
-        if let Some(l) = layouts.get(&kind) {
-            slot.stats.hits.bump();
-            return Ok(Arc::clone(l));
-        }
-        let layout = Arc::new(
-            GraphLayout::build(kind, Arc::clone(data.arena.graph()), Arc::clone(&data.ch))
-                .map_err(ServiceError::Input)?,
-        );
-        let marginal = layout_marginal_bytes(&layout);
-        slot.resident.add(marginal);
-        self.gauge.add(marginal);
-        if slot.ever_built.lock().expect("registry lock").insert(kind) {
-            slot.stats.misses.bump();
-        } else {
-            slot.stats.rebuilds.bump();
-        }
-        layouts.insert(kind, Arc::clone(&layout));
-        Ok(layout)
-    }
-
-    /// Builds (and caches) every listed layout up front, so serving never
-    /// pays a build latency. Errors abort the warm at the first failure.
-    pub fn warm(&self, id: GraphId, kinds: &[LayoutKind]) -> Result<(), ServiceError> {
-        for &kind in kinds {
-            self.layout(id, kind)?;
-        }
-        Ok(())
-    }
-
-    /// Drops one cached layout, subtracting its marginal bytes. Returns
-    /// true when the kind was cached. In-flight solves holding the layout
-    /// keep it alive until they finish.
-    pub fn evict_layout(&self, id: GraphId, kind: LayoutKind) -> bool {
-        let Ok(slot) = self.slot(id) else {
-            return false;
-        };
-        let Ok(data) = self.data(id) else {
-            return false;
-        };
-        if kind == LayoutKind::Natural {
-            return false; // the natural layout has no marginal bytes to free
-        }
-        let removed = data.layouts.lock().expect("registry lock").remove(&kind);
-        match removed {
-            Some(layout) => {
-                let marginal = layout_marginal_bytes(&layout);
-                slot.resident.sub(marginal);
-                self.gauge.sub(marginal);
-                slot.stats.evictions.bump();
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Evicts the whole graph: the registry drops its arena, hierarchy
-    /// and cached layouts and subtracts all of the graph's resident
-    /// bytes. Returns true when the graph was resident. The id stays
-    /// issued (never reused); subsequent requests for it see
-    /// [`ServiceError::GraphEvicted`].
+    /// Evicts the whole graph: the registry drops its arena and hierarchy
+    /// and subtracts all of the graph's resident bytes. Returns true when
+    /// the graph was resident. The id stays issued (never reused);
+    /// subsequent requests for it see [`ServiceError::GraphEvicted`].
     pub fn evict(&self, id: GraphId) -> bool {
         let Ok(slot) = self.slot(id) else {
             return false;
@@ -333,16 +227,10 @@ impl GraphRegistry {
                 let bytes = slot.resident.resident();
                 slot.resident.sub(bytes);
                 self.gauge.sub(bytes);
-                slot.stats.evictions.bump();
                 true
             }
             None => false,
         }
-    }
-
-    /// Layout-cache lifecycle counters for `id`.
-    pub fn stats(&self, id: GraphId) -> Result<&Arc<CacheStats>, InputError> {
-        self.slot(id).map(|s| &s.stats)
     }
 
     /// Resident bytes currently attributed to `id` (zero after eviction).
@@ -358,18 +246,6 @@ impl GraphRegistry {
     /// Total resident bytes across every registered graph.
     pub fn resident_bytes(&self) -> usize {
         self.gauge.resident()
-    }
-}
-
-/// Bytes a cached layout keeps resident *beyond* the shared arena: zero
-/// for the natural layout, otherwise the permuted adjacency, the
-/// leaf-permuted hierarchy and the permutation tables.
-fn layout_marginal_bytes(layout: &GraphLayout) -> usize {
-    match layout.permutation() {
-        None => 0,
-        Some(perm) => {
-            layout.graph().heap_bytes() + layout.hierarchy().heap_bytes() + perm.heap_bytes()
-        }
     }
 }
 
@@ -417,12 +293,12 @@ mod tests {
     #[test]
     fn n_graphs_store_each_arc_array_exactly_once() {
         let (reg, ids) = registry_with(4);
-        // Natural serving path + any number of Δ views reference the one
+        // The serving graph + any number of Δ views reference the one
         // arena allocation per graph.
         for &id in &ids {
             let arena = reg.arena(id).unwrap();
-            let natural = reg.layout(id, LayoutKind::Natural).unwrap();
-            assert!(Arc::ptr_eq(natural.graph(), arena.graph()));
+            let served = reg.graph(id).unwrap();
+            assert!(Arc::ptr_eq(&served, arena.graph()));
             for delta in [2u32, 8, 32] {
                 let view = reg.split(id, delta).unwrap();
                 assert!(Arc::ptr_eq(view.arena().graph(), arena.graph()));
@@ -439,60 +315,11 @@ mod tests {
     }
 
     #[test]
-    fn layout_cache_counts_hit_miss_rebuild_evict() {
-        let (reg, ids) = registry_with(1);
-        let id = ids[0];
-        let stats = Arc::clone(reg.stats(id).unwrap());
-        let base = reg.resident_bytes();
-
-        // First build: miss, resident grows by the marginal.
-        let l1 = reg.layout(id, LayoutKind::Bfs).unwrap();
-        assert_eq!(stats.misses.get(), 1);
-        let with_bfs = reg.resident_bytes();
-        assert!(with_bfs > base);
-
-        // Second request: hit, same Arc, no growth.
-        let l2 = reg.layout(id, LayoutKind::Bfs).unwrap();
-        assert!(Arc::ptr_eq(&l1, &l2));
-        assert_eq!(stats.hits.get(), 1);
-        assert_eq!(reg.resident_bytes(), with_bfs);
-
-        // Evict: marginal subtracted; the Arc we still hold stays valid.
-        assert!(reg.evict_layout(id, LayoutKind::Bfs));
-        assert_eq!(stats.evictions.get(), 1);
-        assert_eq!(reg.resident_bytes(), base);
-        assert_eq!(l1.kind(), LayoutKind::Bfs);
-
-        // Build again: rebuild, not a miss.
-        let _l3 = reg.layout(id, LayoutKind::Bfs).unwrap();
-        assert_eq!(stats.rebuilds.get(), 1);
-        assert_eq!(stats.misses.get(), 1);
-        assert_eq!(reg.resident_bytes(), with_bfs);
-
-        // Natural is always a free hit and never evictable.
-        let _ = reg.layout(id, LayoutKind::Natural).unwrap();
-        assert_eq!(stats.hits.get(), 2);
-        assert!(!reg.evict_layout(id, LayoutKind::Natural));
-    }
-
-    #[test]
-    fn warm_prebuilds_every_kind() {
-        let (reg, ids) = registry_with(1);
-        let id = ids[0];
-        reg.warm(id, &LayoutKind::all()).unwrap();
-        let stats = reg.stats(id).unwrap();
-        assert_eq!(stats.misses.get(), 3, "three permuted kinds built");
-        reg.warm(id, &LayoutKind::all()).unwrap();
-        assert_eq!(stats.misses.get(), 3, "second warm is all hits");
-        assert!(stats.hits.get() >= 4);
-    }
-
-    #[test]
     fn evict_is_refcounted_and_final() {
         let (reg, ids) = registry_with(2);
         let (a, b) = (ids[0], ids[1]);
-        let held = reg.layout(a, LayoutKind::Natural).unwrap();
-        let held_n = held.graph().n();
+        let held = reg.graph(a).unwrap();
+        let held_n = held.n();
 
         assert!(reg.contains(a));
         assert!(reg.evict(a));
@@ -501,10 +328,7 @@ mod tests {
 
         // Evicted graphs answer with the typed error...
         assert!(matches!(reg.graph(a), Err(ServiceError::GraphEvicted)));
-        assert!(matches!(
-            reg.layout(a, LayoutKind::Bfs),
-            Err(ServiceError::GraphEvicted)
-        ));
+        assert!(matches!(reg.hierarchy(a), Err(ServiceError::GraphEvicted)));
         // ...their accounting drops to zero...
         assert_eq!(reg.graph_resident_bytes(a).unwrap(), 0);
         // ...the other tenant is untouched...
@@ -515,7 +339,7 @@ mod tests {
             "only b remains resident"
         );
         // ...and the Arc we held across the evict still works.
-        assert_eq!(held.graph().n(), held_n);
+        assert_eq!(held.n(), held_n);
     }
 
     #[test]

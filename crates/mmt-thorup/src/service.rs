@@ -15,24 +15,25 @@
 //! * **Typed requests.** [`submit`](QueryService::submit) /
 //!   [`try_submit`](QueryService::try_submit) /
 //!   [`submit_batch`](QueryService::submit_batch) take a chainable
-//!   [`QueryRequest`] / [`BatchRequest`] carrying graph, source, optional
-//!   deadline and per-request layout override; point-to-point queries go
-//!   through [`submit_p2p`](QueryService::submit_p2p), which *requires*
-//!   the target the full-SSSP path *rejects*. Shape errors are values
+//!   [`QueryRequest`] / [`BatchRequest`] carrying graph, source and
+//!   optional deadline; point-to-point queries go through
+//!   [`submit_p2p`](QueryService::submit_p2p), which *requires* the
+//!   target the full-SSSP path *rejects*. Shape errors are values
 //!   ([`InputError::UnexpectedTarget`] / [`InputError::MissingTarget`]),
 //!   never silent reinterpretation.
-//! * **Shared arenas.** All shards serve off the registry's `Arc`-shared
-//!   [`CsrArena`](mmt_graph::CsrArena)s: N graphs store each arc array
-//!   exactly once, and the registry's resident-bytes gauge feeds the
-//!   optional [`memory_limit`](QueryServiceBuilder::memory_limit)
-//!   admission check ([`ServiceError::MemoryPressure`]).
+//! * **Shared arenas.** All shards serve the graph as registered, off the
+//!   registry's `Arc`-shared [`CsrArena`](mmt_graph::CsrArena)s: N graphs
+//!   store each arc array exactly once, and the registry's resident-bytes
+//!   gauge feeds the optional
+//!   [`memory_limit`](QueryServiceBuilder::memory_limit) admission check
+//!   ([`ServiceError::MemoryPressure`]).
 //! * **Lifecycle.** [`QueryService::evict_graph`] closes one shard,
 //!   resolves its queued requests to [`ServiceError::GraphEvicted`],
 //!   joins its workers and drops the registry's data. Eviction is
-//!   refcounted: in-flight solves keep their layout `Arc`s alive and
-//!   finish normally.
+//!   refcounted: in-flight solves keep their graph and hierarchy `Arc`s
+//!   alive and finish normally.
 //! * **Coalescing scheduler.** A worker that dequeues a full-SSSP query
-//!   gathers queued queries for the same graph and layout — up to
+//!   gathers queued full-SSSP queries for the same graph — up to
 //!   [`coalesce_batch_cap`](QueryServiceBuilder::coalesce_batch_cap),
 //!   waiting at most [`coalesce_budget`](QueryServiceBuilder::coalesce_budget)
 //!   and never past the earliest member deadline — and solves them in one
@@ -104,10 +105,9 @@
 use crate::batch::{BatchSolver, DistancePool, PooledDistances};
 use crate::error::{InputError, ServiceError};
 use crate::instance::ThorupInstance;
-use crate::layout::{GraphLayout, LayoutKind};
 use crate::registry::{GraphId, GraphRegistry, QueryId};
 use crate::solver::{ThorupConfig, ThorupSolver};
-use crate::trace::{TraceEvent, TraceSink};
+use crate::trace::{escape_json, TraceEvent, TraceSink};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use mmt_baselines::{
     adaptive_delta, bidirectional_st, delta_stepping_st, BidiScratch, DeltaScratch,
@@ -116,9 +116,9 @@ use mmt_ch::ComponentHierarchy;
 use mmt_graph::types::{Dist, VertexId};
 use mmt_graph::{CsrGraph, SplitCsr};
 use mmt_platform::{
-    AtomicLog2Histogram, CancelToken, CoalescePop, Counter, CountersSnapshot, CpuTopology,
-    EventCounters, FaultEffect, FaultPlan, FaultSite, Log2Histogram, MemoryGauge, PinPolicy,
-    PushRejected, QuantileSummary, ShedQueue,
+    AtomicLog2Histogram, CancelToken, CoalescePop, Counter, CountersSnapshot, EventCounters,
+    FaultEffect, FaultPlan, FaultSite, Log2Histogram, MemoryGauge, PushRejected, QuantileSummary,
+    ShedQueue,
 };
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -131,9 +131,6 @@ struct Request {
     kind: RequestKind,
     token: CancelToken,
     enqueued: Instant,
-    /// Per-request layout override, resolved against the registry at
-    /// admission; `None` solves on the shard's default layout.
-    layout: Option<Arc<GraphLayout>>,
     /// The typed id the admitting submit handed back; trace events carry
     /// it so a client can correlate a slow handle with its lifecycle.
     id: QueryId,
@@ -596,7 +593,7 @@ pub struct GraphMetricsSnapshot {
     /// Queued requests of this graph evicted by the load-shedding policy.
     pub shed: u64,
     /// Registry bytes currently resident for this graph (arena +
-    /// hierarchy + cached layout marginals; zero after eviction).
+    /// hierarchy; zero after eviction).
     pub resident_bytes: u64,
 }
 
@@ -735,21 +732,6 @@ impl MetricsSnapshot {
     }
 }
 
-/// Minimal string escaping for the hand-rolled JSON artifacts: quotes,
-/// backslashes and control characters.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// How [`QueryService::shutdown`] treats outstanding work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShutdownMode {
@@ -782,18 +764,16 @@ pub enum ShedPolicy {
 /// Built from a bare source (`submit(3)` — routed to the first registered
 /// graph) or explicitly with [`QueryRequest::on`]; point-to-point queries
 /// start from [`QueryRequest::st`] / [`QueryRequest::st_on`]; refined with
-/// [`target`](QueryRequest::target), [`deadline`](QueryRequest::deadline),
-/// [`layout`](QueryRequest::layout) and [`algo`](QueryRequest::algo). The
-/// full-SSSP entry points
-/// reject a request with a target set, and [`QueryService::submit_p2p`]
-/// rejects one without — the request's shape is checked, not guessed.
+/// [`target`](QueryRequest::target), [`deadline`](QueryRequest::deadline)
+/// and [`algo`](QueryRequest::algo). The full-SSSP entry points reject a
+/// request with a target set, and [`QueryService::submit_p2p`] rejects one
+/// without — the request's shape is checked, not guessed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryRequest {
     graph: GraphId,
     source: VertexId,
     target: Option<VertexId>,
     deadline: Option<Duration>,
-    layout: Option<LayoutKind>,
     algo: P2pAlgo,
 }
 
@@ -833,7 +813,6 @@ impl QueryRequest {
             source,
             target: None,
             deadline: None,
-            layout: None,
             algo: P2pAlgo::default(),
         }
     }
@@ -870,14 +849,6 @@ impl QueryRequest {
         self.deadline = Some(deadline);
         self
     }
-
-    /// Solves this request on a specific cached layout instead of the
-    /// service default. The layout is resolved (and built on first use)
-    /// through the registry's layout cache at admission.
-    pub fn layout(mut self, layout: LayoutKind) -> Self {
-        self.layout = Some(layout);
-        self
-    }
 }
 
 impl From<VertexId> for QueryRequest {
@@ -900,7 +871,6 @@ pub struct BatchRequest {
     graph: GraphId,
     sources: Vec<VertexId>,
     deadline: Option<Duration>,
-    layout: Option<LayoutKind>,
 }
 
 impl BatchRequest {
@@ -915,7 +885,6 @@ impl BatchRequest {
             graph,
             sources: sources.into(),
             deadline: None,
-            layout: None,
         }
     }
 
@@ -923,13 +892,6 @@ impl BatchRequest {
     /// default).
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Solves every member on a specific cached layout instead of the
-    /// service default.
-    pub fn layout(mut self, layout: LayoutKind) -> Self {
-        self.layout = Some(layout);
         self
     }
 }
@@ -982,13 +944,11 @@ pub struct QueryServiceBuilder {
     workers: Option<usize>,
     queue_capacity: usize,
     default_deadline: Option<Duration>,
-    layout: LayoutKind,
     shed_policy: ShedPolicy,
     fault_plan: Option<Arc<FaultPlan>>,
     memory_limit: Option<usize>,
     coalesce: CoalesceSettings,
     trace: Option<Arc<dyn TraceSink>>,
-    pin: Option<PinPolicy>,
 }
 
 impl Default for QueryServiceBuilder {
@@ -997,13 +957,11 @@ impl Default for QueryServiceBuilder {
             workers: None,
             queue_capacity: 1024,
             default_deadline: None,
-            layout: LayoutKind::Natural,
             shed_policy: ShedPolicy::default(),
             fault_plan: None,
             memory_limit: None,
             coalesce: CoalesceSettings::default(),
             trace: None,
-            pin: None,
         }
     }
 }
@@ -1034,19 +992,6 @@ impl QueryServiceBuilder {
         self
     }
 
-    /// Sets the memory layout every shard solves on by default (default
-    /// [`LayoutKind::Natural`], which shares the registry's arena and
-    /// costs no marginal bytes). A non-natural layout is built through
-    /// the registry's cache once per graph at service construction;
-    /// every query then runs on the permuted structures and pays one
-    /// O(n) scatter to answer in original vertex ids — callers never see
-    /// internal ids. Individual requests may override this with
-    /// [`QueryRequest::layout`].
-    pub fn layout(mut self, layout: LayoutKind) -> Self {
-        self.layout = layout;
-        self
-    }
-
     /// Sets the overload policy applied at enqueue when a shard's
     /// bounded queue is full (default [`ShedPolicy::RejectNewest`]).
     pub fn shed_policy(mut self, policy: ShedPolicy) -> Self {
@@ -1073,7 +1018,7 @@ impl QueryServiceBuilder {
     }
 
     /// Sets how long a worker that just dequeued a full-SSSP query may
-    /// wait for more same-graph, same-layout queries to coalesce into one
+    /// wait for more same-graph queries to coalesce into one
     /// [`BatchSolver`] run (default [`Duration::ZERO`]: the worker grabs
     /// whatever is *already* queued and never waits, so coalescing adds
     /// no latency and batches form exactly when there is a backlog).
@@ -1104,16 +1049,6 @@ impl QueryServiceBuilder {
         self
     }
 
-    /// Sets how shard workers are pinned to CPUs. Defaults to the
-    /// `MMT_PIN` environment variable ([`PinPolicy::from_env`]): unset or
-    /// unrecognised means no pinning. Pinning is advisory — on platforms
-    /// where affinity cannot be set the workers run unpinned and nothing
-    /// else changes.
-    pub fn pin_policy(mut self, pin: PinPolicy) -> Self {
-        self.pin = Some(pin);
-        self
-    }
-
     /// Installs a per-query trace sink. Every resolved query then emits
     /// one [`TraceEvent`] (enqueue/dequeue/coalesce/solve/reply
     /// timestamps, work counters, coalesced-batch membership) to `sink`
@@ -1125,25 +1060,14 @@ impl QueryServiceBuilder {
     }
 
     /// Spawns one worker pool per registered graph and starts the
-    /// service. The builder's default [`layout`](Self::layout) is built
-    /// (and cached) for every graph up front, so serving never pays a
-    /// layout-build latency.
+    /// service. Every shard's workers solve on the graph and hierarchy
+    /// as registered.
     ///
     /// Fails with [`ServiceError::GraphEvicted`] when a graph was
-    /// evicted from `registry` before the service was built, or with
-    /// [`ServiceError::Input`] when a layout cannot be built.
+    /// evicted from `registry` before the service was built.
     pub fn build_registry(self, registry: GraphRegistry) -> Result<QueryService, ServiceError> {
         let registry = Arc::new(registry);
         let worker_count = self.workers.unwrap_or_else(mmt_platform::available_threads);
-        let pin = self.pin.unwrap_or_else(PinPolicy::from_env);
-        // One plan for every shard: worker i of each shard lands on the
-        // same CPU, so a shard's workers spread the same way the pool's
-        // would. Advisory — an unpinnable platform yields all-None.
-        let pin_plan: Arc<Vec<Option<usize>>> = Arc::new(if pin == PinPolicy::None {
-            vec![None; worker_count]
-        } else {
-            CpuTopology::discover().pin_plan(pin, worker_count)
-        });
         let metrics = Arc::new(ServiceMetrics::default());
         let abort = Arc::new(AtomicBool::new(false));
         let trace = self.trace.map(|sink| {
@@ -1155,7 +1079,8 @@ impl QueryServiceBuilder {
         });
         let mut shards = Vec::with_capacity(registry.len());
         for id in registry.ids() {
-            let layout = registry.layout(id, self.layout)?;
+            let graph = registry.graph(id)?;
+            let ch = registry.hierarchy(id)?;
             let stats = Arc::new(GraphStats {
                 name: registry.name(id).map_err(ServiceError::Input)?.to_string(),
                 served: Counter::new(),
@@ -1172,7 +1097,8 @@ impl QueryServiceBuilder {
             let workers = (0..worker_count)
                 .map(|i| {
                     let shared = WorkerShared {
-                        layout: Arc::clone(&layout),
+                        graph: Arc::clone(&graph),
+                        ch: Arc::clone(&ch),
                         queue: Arc::clone(&queue),
                         metrics: Arc::clone(&metrics),
                         stats: Arc::clone(&stats),
@@ -1182,22 +1108,16 @@ impl QueryServiceBuilder {
                         coalesce: self.coalesce,
                         trace: trace.clone(),
                     };
-                    let plan = Arc::clone(&pin_plan);
                     std::thread::Builder::new()
                         .name(format!("mmt-query-{id}-{i}"))
-                        .spawn(move || {
-                            if let Some(cpu) = plan.get(i).copied().flatten() {
-                                let _ = mmt_platform::topology::pin_current_thread(cpu);
-                            }
-                            worker_thread(&shared)
-                        })
+                        .spawn(move || worker_thread(&shared))
                         .expect("spawn service worker")
                 })
                 .collect();
             shards.push(Shard {
                 queue,
                 workers: Mutex::new(workers),
-                graph_n: layout.graph().n(),
+                graph_n: graph.n(),
                 distances,
                 stats,
                 evicted,
@@ -1212,11 +1132,9 @@ impl QueryServiceBuilder {
             default_deadline: self.default_deadline,
             worker_count,
             shed_policy: self.shed_policy,
-            default_layout: self.layout,
             memory_limit: self.memory_limit,
             faults: self.fault_plan,
             coalesce: self.coalesce,
-            pin,
             next_query: AtomicU64::new(0),
         })
     }
@@ -1248,11 +1166,9 @@ pub struct QueryService {
     default_deadline: Option<Duration>,
     worker_count: usize,
     shed_policy: ShedPolicy,
-    default_layout: LayoutKind,
     memory_limit: Option<usize>,
     faults: Option<Arc<FaultPlan>>,
     coalesce: CoalesceSettings,
-    pin: PinPolicy,
     next_query: AtomicU64,
 }
 
@@ -1263,7 +1179,6 @@ impl std::fmt::Debug for QueryService {
             .field("workers_per_shard", &self.worker_count)
             .field("queue_capacity", &self.queue_capacity)
             .field("default_deadline", &self.default_deadline)
-            .field("layout", &self.default_layout)
             .field("shed_policy", &self.shed_policy)
             .field("memory_limit", &self.memory_limit)
             .finish_non_exhaustive()
@@ -1275,13 +1190,6 @@ impl QueryService {
     /// [`build_registry`](QueryServiceBuilder::build_registry).
     pub fn builder() -> QueryServiceBuilder {
         QueryServiceBuilder::default()
-    }
-
-    /// The pin policy the worker pool was started with (after resolving
-    /// the `MMT_PIN` default). Purely informational — pinning is advisory
-    /// and may have been a no-op on platforms without exposed topology.
-    pub fn pin_policy(&self) -> PinPolicy {
-        self.pin
     }
 
     /// Enqueues a full SSSP query, blocking while the shard's queue is
@@ -1339,8 +1247,9 @@ impl QueryService {
         self.submit_batch_inner(request.into())
     }
 
-    /// The registry this service serves from. Lifecycle operations
-    /// (layout warm/evict, resident-bytes queries) go through here.
+    /// The registry this service serves from. Resident-bytes queries go
+    /// through here; eviction goes through
+    /// [`evict_graph`](Self::evict_graph).
     pub fn registry(&self) -> &Arc<GraphRegistry> {
         &self.registry
     }
@@ -1350,9 +1259,9 @@ impl QueryService {
     /// Admission for the graph stops immediately; its queued requests
     /// resolve to [`ServiceError::GraphEvicted`]; its workers are joined;
     /// then the registry drops the graph's data and subtracts its
-    /// resident bytes. In-flight solves hold layout `Arc`s and finish
-    /// normally — eviction is refcounted, never a use-after-free. Other
-    /// shards are untouched.
+    /// resident bytes. In-flight solves hold graph and hierarchy `Arc`s
+    /// and finish normally — eviction is refcounted, never a
+    /// use-after-free. Other shards are untouched.
     ///
     /// Returns `Ok(true)` when this call performed the eviction,
     /// `Ok(false)` when the graph was already evicted.
@@ -1399,13 +1308,6 @@ impl QueryService {
     /// Number of worker threads per shard (per registered graph).
     pub fn workers(&self) -> usize {
         self.worker_count
-    }
-
-    /// The default memory layout shards solve on. Whatever it is, every
-    /// submitted source and every answered distance vector uses original
-    /// vertex ids.
-    pub fn layout(&self) -> LayoutKind {
-        self.default_layout
     }
 
     /// Each shard's bounded queue capacity.
@@ -1500,24 +1402,6 @@ impl QueryService {
         Ok(())
     }
 
-    /// Resolves a per-request layout override through the registry's
-    /// cache. Requests for the service default ride the shard's resident
-    /// layout for free.
-    fn resolve_layout(
-        &self,
-        graph: GraphId,
-        kind: Option<LayoutKind>,
-    ) -> Result<Option<Arc<GraphLayout>>, ServiceError> {
-        match kind {
-            None => Ok(None),
-            Some(k) if k == self.default_layout => Ok(None),
-            Some(k) => match self.registry.layout(graph, k) {
-                Ok(layout) => Ok(Some(layout)),
-                Err(e) => Err(self.reject(e)),
-            },
-        }
-    }
-
     fn next_query_id(&self) -> QueryId {
         QueryId::new(self.next_query.fetch_add(1, Ordering::Relaxed))
     }
@@ -1533,7 +1417,6 @@ impl QueryService {
         }
         self.check_vertex(shard, request.source, /*is_source=*/ true)?;
         self.check_memory()?;
-        let layout = self.resolve_layout(request.graph, request.layout)?;
         let token = self.make_token(request.deadline);
         let id = self.next_query_id();
         let (reply_tx, reply_rx) = bounded(1);
@@ -1546,7 +1429,6 @@ impl QueryService {
                 },
                 token: token.clone(),
                 enqueued: Instant::now(),
-                layout,
                 id,
             },
             blocking,
@@ -1571,7 +1453,6 @@ impl QueryService {
         self.check_vertex(shard, request.source, /*is_source=*/ true)?;
         self.check_vertex(shard, target, /*is_source=*/ false)?;
         self.check_memory()?;
-        let layout = self.resolve_layout(request.graph, request.layout)?;
         let token = self.make_token(request.deadline);
         let id = self.next_query_id();
         let (reply_tx, reply_rx) = bounded(1);
@@ -1586,7 +1467,6 @@ impl QueryService {
                 },
                 token: token.clone(),
                 enqueued: Instant::now(),
-                layout,
                 id,
             },
             blocking,
@@ -1605,7 +1485,6 @@ impl QueryService {
             self.check_vertex(shard, s, /*is_source=*/ true)?;
         }
         self.check_memory()?;
-        let layout = self.resolve_layout(request.graph, request.layout)?;
         let token = self.make_token(request.deadline);
         let (done_tx, done_rx) = bounded(1);
         let collector = Arc::new(BatchCollector {
@@ -1628,7 +1507,6 @@ impl QueryService {
                 kind: RequestKind::Batch { source, member },
                 token: token.clone(),
                 enqueued: Instant::now(),
-                layout: layout.clone(),
                 id,
             };
             let expired = |r: &Request| r.token.is_cancelled();
@@ -1734,7 +1612,8 @@ fn token_failure(token: &CancelToken) -> Option<ServiceError> {
 /// across respawns, so a restarted worker rejoins the same shard's queue,
 /// metrics, and buffer pool.
 struct WorkerShared {
-    layout: Arc<GraphLayout>,
+    graph: Arc<CsrGraph>,
+    ch: Arc<ComponentHierarchy>,
     queue: Arc<ShedQueue<Request>>,
     metrics: Arc<ServiceMetrics>,
     stats: Arc<GraphStats>,
@@ -1777,17 +1656,6 @@ fn error_label(err: &ServiceError) -> &'static str {
         ServiceError::GraphEvicted => "evicted",
         ServiceError::MemoryPressure { .. } => "memory",
         ServiceError::Input(_) => "input",
-    }
-}
-
-/// Two queued requests may share a coalesced batch only when they solve
-/// on the same layout: both on the shard default, or both overriding to
-/// the *same* registry-cached layout.
-fn layouts_match(a: &Option<Arc<GraphLayout>>, b: &Option<Arc<GraphLayout>>) -> bool {
-    match (a, b) {
-        (None, None) => true,
-        (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-        _ => false,
     }
 }
 
@@ -1846,23 +1714,20 @@ fn fire_fault(plan: &Option<Arc<FaultPlan>>, site: FaultSite) -> FaultEffect {
 }
 
 fn worker_loop(shared: &WorkerShared) -> WorkerExit {
-    let layout: &GraphLayout = &shared.layout;
     let metrics: &ServiceMetrics = &shared.metrics;
-    let ch: &ComponentHierarchy = layout.hierarchy();
     // Per-query work counters exist only while a trace sink is installed;
     // every other configuration never allocates or reads them.
     let counters = shared.trace.as_ref().map(|_| EventCounters::new());
-    // All solving happens in the layout's internal id space; ids are
-    // translated at this loop's edges only.
-    let solver = serial_solver(layout, counters.as_ref());
+    let solver = ThorupSolver::new(&shared.graph, &shared.ch).with_config(ThorupConfig::serial());
+    let solver = match counters.as_ref() {
+        Some(c) => solver.with_counters(c),
+        None => solver,
+    };
     // The coalescing scheduler amortises gathered members through pooled
     // batch instances; one BatchSolver per worker incarnation keeps those
     // pools warm across batches.
     let batcher = BatchSolver::new(&solver);
-    let inst = ThorupInstance::new(ch);
-    // Holds internal-order distances long enough to scatter them out; only
-    // non-natural layouts touch it.
-    let mut internal_buf: Vec<Dist> = Vec::new();
+    let inst = ThorupInstance::new(&shared.ch);
     // Lazily-built per-worker state for the non-default P2P solvers; a
     // worker that never sees a Bidirectional/DeltaEarly request pays
     // nothing for them.
@@ -1893,76 +1758,27 @@ fn worker_loop(shared: &WorkerShared) -> WorkerExit {
             continue;
         }
         // The coalescing scheduler: a dequeued full-SSSP query opens a
-        // batch that gathers matching queued queries (same graph, same
-        // layout) under a deadline-clamped window, then solves them in
-        // one BatchSolver run.
-        if shared.coalesce.enabled && matches!(req.kind, RequestKind::Full { .. }) {
-            let exit = match req.layout.clone() {
-                Some(over) => {
-                    let ov_batcher = BatchSolver::new(&serial_solver(&over, counters.as_ref()));
-                    serve_coalesced(req, dequeued, &over, &ov_batcher, counters.as_ref(), shared)
-                }
-                None => serve_coalesced(req, dequeued, layout, &batcher, counters.as_ref(), shared),
-            };
-            match exit {
-                Some(exit) => return exit,
-                None => continue,
-            }
-        }
-        metrics.inflight.bump();
-        // A per-request layout override solves on a registry-cached layout
-        // instead of the shard's resident one. The override pays a
-        // solver+instance construction per request — it is an escape
-        // hatch for A/B'ing layouts in place, not the fast path.
-        let exit = match req.layout.clone() {
-            Some(over) => {
-                let ov_solver = serial_solver(&over, counters.as_ref());
-                let ov_inst = ThorupInstance::new(over.hierarchy());
-                // Override layouts get fresh P2P state too: their internal
-                // id space (and thus graph) differs from the resident one.
-                let mut ov_p2p = P2pState::default();
-                serve_one(
-                    req,
-                    dequeued,
-                    &over,
-                    &ov_solver,
-                    &ov_inst,
-                    &mut internal_buf,
-                    &mut ov_p2p,
-                    shared,
-                    counters.as_ref(),
-                )
-            }
-            None => serve_one(
+        // batch that gathers queued full-SSSP queries under a
+        // deadline-clamped window, then solves them in one BatchSolver run.
+        let exit = if shared.coalesce.enabled && matches!(req.kind, RequestKind::Full { .. }) {
+            serve_coalesced(req, dequeued, &batcher, counters.as_ref(), shared)
+        } else {
+            metrics.inflight.bump();
+            serve_one(
                 req,
                 dequeued,
-                layout,
                 &solver,
                 &inst,
-                &mut internal_buf,
                 &mut p2p,
                 shared,
                 counters.as_ref(),
-            ),
+            )
         };
         if let Some(exit) = exit {
             return exit;
         }
     }
     WorkerExit::Drained
-}
-
-/// A serial Thorup solver over `layout`, charging `counters` when tracing.
-fn serial_solver<'a>(
-    layout: &'a GraphLayout,
-    counters: Option<&'a EventCounters>,
-) -> ThorupSolver<'a> {
-    let solver =
-        ThorupSolver::new(layout.graph(), layout.hierarchy()).with_config(ThorupConfig::serial());
-    match counters {
-        Some(c) => solver.with_counters(c),
-        None => solver,
-    }
 }
 
 /// One gathered member of a forming coalesced batch, with its reply
@@ -2099,13 +1915,11 @@ fn emit_trace(
 fn serve_coalesced(
     opener: Request,
     dequeued: Instant,
-    layout: &GraphLayout,
     batcher: &BatchSolver<'_>,
     counters: Option<&EventCounters>,
     shared: &WorkerShared,
 ) -> Option<WorkerExit> {
     let metrics: &ServiceMetrics = &shared.metrics;
-    let opener_layout = opener.layout.clone();
     let mut members = vec![CoalesceMember::from_request(opener, dequeued, None)];
     // The formation fault site: a stall here holds the worker mid-coalesce
     // (the eviction and deadline chaos tests lean on that determinism); a
@@ -2131,9 +1945,7 @@ fn serve_coalesced(
     if let Some(d) = members[0].token.deadline() {
         window_end = window_end.min(d);
     }
-    let pred = |r: &Request| {
-        matches!(r.kind, RequestKind::Full { .. }) && layouts_match(&opener_layout, &r.layout)
-    };
+    let pred = |r: &Request| matches!(r.kind, RequestKind::Full { .. });
     while members.len() < shared.coalesce.cap {
         match shared.queue.pop_match_until(&pred, window_end) {
             CoalescePop::Item(req) => {
@@ -2182,10 +1994,7 @@ fn serve_coalesced(
         _ => None,
     };
     metrics.inflight.add(members.len() as u64);
-    let sources: Vec<VertexId> = members
-        .iter()
-        .map(|m| layout.to_internal(m.source))
-        .collect();
+    let sources: Vec<VertexId> = members.iter().map(|m| m.source).collect();
     let tokens: Vec<CancelToken> = members.iter().map(|m| m.token.clone()).collect();
     let solve_started = shared.trace.as_ref().map(|_| Instant::now());
     let before = counters.map(EventCounters::snapshot);
@@ -2239,18 +2048,9 @@ fn serve_coalesced(
             continue;
         }
         let result = match res {
-            Some(pooled) => {
-                if layout.permutation().is_some() {
-                    let mut out = Vec::with_capacity(pooled.len());
-                    layout.scatter_into(&pooled, &mut out);
-                    Ok(out)
-                } else {
-                    // Detaching hands the buffer to the client outright —
-                    // the same one-allocation-per-answer cost as the
-                    // non-coalesced path.
-                    Ok(pooled.detach())
-                }
-            }
+            // Detaching hands the buffer to the client outright — the same
+            // one-allocation-per-answer cost as the non-coalesced path.
+            Some(pooled) => Ok(pooled.detach()),
             None => Err(token_failure(&m.token).unwrap_or(ServiceError::Cancelled)),
         };
         match &result {
@@ -2285,7 +2085,35 @@ fn serve_coalesced(
     exit
 }
 
-/// Solves one dequeued request on `layout` and delivers its answer.
+/// Per-worker solver state for the non-default [`P2pAlgo`] variants, built
+/// lazily on first use and reused across requests (the scratches reset in
+/// `O(search)`; the pre-split CSR is immutable). One per worker
+/// incarnation.
+#[derive(Default)]
+struct P2pState {
+    bidi: Option<BidiScratch>,
+    delta: Option<(SplitCsr, DeltaScratch)>,
+}
+
+impl P2pState {
+    fn bidi(&mut self) -> &mut BidiScratch {
+        self.bidi.get_or_insert_with(BidiScratch::new)
+    }
+
+    /// The cached pre-split view (adaptive Δ) plus scratch for early-exit
+    /// Δ-stepping over `g`.
+    fn delta(&mut self, g: &CsrGraph) -> (&SplitCsr, &mut DeltaScratch) {
+        let (split, scratch) = self.delta.get_or_insert_with(|| {
+            let delta = adaptive_delta(g).min(u32::MAX as u64) as u32;
+            let split = SplitCsr::new(g, delta.max(1));
+            let scratch = DeltaScratch::new(&split);
+            (split, scratch)
+        });
+        (&*split, scratch)
+    }
+}
+
+/// Solves one dequeued request and delivers its answer.
 ///
 /// Metrics (including the inflight decrement, which `worker_loop` has
 /// already bumped) are settled BEFORE the reply is sent, so a client that
@@ -2302,49 +2130,17 @@ fn serve_coalesced(
 ///
 /// Returns `Some(exit)` when the worker must die (poisoned), `None` to
 /// keep serving.
-/// Per-worker solver state for the non-default [`P2pAlgo`] variants, built
-/// lazily on first use and reused across requests (the scratches reset in
-/// `O(search)`; the pre-split CSR is immutable). One per worker incarnation
-/// for the resident layout; override-layout requests build a fresh one.
-#[derive(Default)]
-struct P2pState {
-    bidi: Option<BidiScratch>,
-    delta: Option<(SplitCsr, DeltaScratch)>,
-}
-
-impl P2pState {
-    fn bidi(&mut self) -> &mut BidiScratch {
-        self.bidi.get_or_insert_with(BidiScratch::new)
-    }
-
-    /// The cached pre-split view (adaptive Δ) plus scratch for early-exit
-    /// Δ-stepping over `layout`'s internal-order graph.
-    fn delta(&mut self, layout: &GraphLayout) -> (&SplitCsr, &mut DeltaScratch) {
-        let (split, scratch) = self.delta.get_or_insert_with(|| {
-            let g: &CsrGraph = layout.graph();
-            let delta = adaptive_delta(g).min(u32::MAX as u64) as u32;
-            let split = SplitCsr::new(g, delta.max(1));
-            let scratch = DeltaScratch::new(&split);
-            (split, scratch)
-        });
-        (&*split, scratch)
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
 fn serve_one(
     req: Request,
     dequeued: Instant,
-    layout: &GraphLayout,
     solver: &ThorupSolver<'_>,
     inst: &ThorupInstance,
-    internal_buf: &mut Vec<Dist>,
     p2p: &mut P2pState,
     shared: &WorkerShared,
     counters: Option<&EventCounters>,
 ) -> Option<WorkerExit> {
     let metrics: &ServiceMetrics = &shared.metrics;
-    let ch = layout.hierarchy();
+    let ch: &ComponentHierarchy = &shared.ch;
     let Request {
         kind,
         token,
@@ -2359,16 +2155,8 @@ fn serve_one(
             let solve = catch_unwind(AssertUnwindSafe(|| {
                 let _ = fire_fault(&shared.faults, FaultSite::Solve);
                 inst.reset(ch);
-                let internal_source = layout.to_internal(source);
-                let result = if solver.solve_into_with_cancel(inst, internal_source, &token) {
-                    if layout.permutation().is_some() {
-                        inst.copy_distances_into(internal_buf);
-                        let mut out = Vec::with_capacity(internal_buf.len());
-                        layout.scatter_into(internal_buf, &mut out);
-                        Ok(out)
-                    } else {
-                        Ok(inst.distances())
-                    }
+                let result = if solver.solve_into_with_cancel(inst, source, &token) {
+                    Ok(inst.distances())
                 } else {
                     Err(token_failure(&token).unwrap_or(ServiceError::Cancelled))
                 };
@@ -2424,37 +2212,33 @@ fn serve_one(
         } => {
             let solve = catch_unwind(AssertUnwindSafe(|| {
                 let _ = fire_fault(&shared.faults, FaultSite::Solve);
-                let s = layout.to_internal(source);
-                let t = layout.to_internal(target);
-                // All three P2P solvers run in the layout's internal id
-                // space and return None iff the token fired mid-solve.
+                // All three P2P solvers return None iff the token fired
+                // mid-solve.
                 let answer = match algo {
                     P2pAlgo::Thorup => {
                         inst.reset(ch);
-                        solver.solve_target_with_cancel(inst, s, t, &token)
+                        solver.solve_target_with_cancel(inst, source, target, &token)
                     }
                     P2pAlgo::Bidirectional => {
-                        bidirectional_st(layout.graph(), s, t, p2p.bidi(), Some(&token)).map(
-                            |(d, stats)| {
+                        bidirectional_st(&shared.graph, source, target, p2p.bidi(), Some(&token))
+                            .map(|(d, stats)| {
                                 if let Some(c) = counters {
                                     c.arcs_scanned.add(stats.arcs_scanned);
                                     c.relaxations.add(stats.arcs_scanned);
                                     c.settled.add(stats.settled);
                                 }
                                 d
-                            },
-                        )
+                            })
                     }
                     P2pAlgo::DeltaEarly => {
-                        let (split, scratch) = p2p.delta(layout);
+                        let (split, scratch) = p2p.delta(&shared.graph);
                         #[cfg(test)]
                         metrics
                             .delta_lanes
                             .fetch_max(scratch.lane_count(), Ordering::Relaxed);
-                        delta_stepping_st(split, s, t, scratch, counters, Some(&token))
+                        delta_stepping_st(split, source, target, scratch, counters, Some(&token))
                     }
                 };
-                // A distance is layout-invariant: only ids move.
                 let result = match answer {
                     Some(d) => Ok(d),
                     None => Err(token_failure(&token).unwrap_or(ServiceError::Cancelled)),
@@ -2505,15 +2289,9 @@ fn serve_one(
             let solve = catch_unwind(AssertUnwindSafe(|| {
                 let _ = fire_fault(&shared.faults, FaultSite::Solve);
                 inst.reset(ch);
-                let internal_source = layout.to_internal(source);
-                let result = if solver.solve_into_with_cancel(inst, internal_source, &token) {
+                let result = if solver.solve_into_with_cancel(inst, source, &token) {
                     let mut buf = shared.distances.acquire();
-                    if layout.permutation().is_some() {
-                        inst.copy_distances_into(internal_buf);
-                        layout.scatter_into(internal_buf, &mut buf);
-                    } else {
-                        inst.copy_distances_into(&mut buf);
-                    }
+                    inst.copy_distances_into(&mut buf);
                     Ok(shared.distances.wrap(buf))
                 } else {
                     Err(token_failure(&token).unwrap_or(ServiceError::Cancelled))
@@ -2678,24 +2456,6 @@ mod tests {
             assert_eq!(at(5, 0), INF, "{algo:?} unreachable reversed");
         }
         assert_eq!(service.metrics().served_target(), 12);
-    }
-
-    #[test]
-    fn p2p_algos_serve_on_layout_overrides() {
-        // Override-layout requests build fresh per-request P2P state; the
-        // answers must be identical to the resident layout's.
-        let (g, service) = service(7, 1);
-        let oracle = mmt_baselines::dijkstra(&g, 3);
-        for algo in [P2pAlgo::Bidirectional, P2pAlgo::DeltaEarly] {
-            for kind in [LayoutKind::Natural, LayoutKind::Bfs, LayoutKind::Degree] {
-                let d = service
-                    .submit_p2p(QueryRequest::st(3, 40).algo(algo).layout(kind))
-                    .unwrap()
-                    .wait()
-                    .unwrap();
-                assert_eq!(d, oracle[40], "{algo:?} on {kind:?}");
-            }
-        }
     }
 
     #[test]
@@ -3064,83 +2824,6 @@ mod tests {
     }
 
     #[test]
-    fn layout_services_answer_in_original_ids() {
-        use crate::layout::LayoutKind;
-        let (g, ch) = fixture(8);
-        for kind in LayoutKind::all() {
-            let service = QueryService::builder()
-                .workers(2)
-                .layout(kind)
-                .build_registry(single_registry(&g, Arc::clone(&ch)))
-                .unwrap();
-            assert_eq!(service.layout(), kind);
-            // Full query: distances come back indexed by original vertex.
-            let want = mmt_baselines::dijkstra(&g, 5);
-            assert_eq!(
-                service.submit(5u32).unwrap().wait().unwrap(),
-                want,
-                "{}",
-                kind.short_name()
-            );
-            // Targeted query: both endpoints are original ids.
-            assert_eq!(
-                service
-                    .submit_p2p(QueryRequest::new(5).target(40))
-                    .unwrap()
-                    .wait()
-                    .unwrap(),
-                want[40],
-                "{}",
-                kind.short_name()
-            );
-            // Batch: every row in original order.
-            let sources = [0u32, 9, 31];
-            let rows = service.submit_batch(&sources).unwrap().wait();
-            for (s, r) in sources.iter().zip(&rows) {
-                assert_eq!(
-                    &r.as_ref().unwrap()[..],
-                    &mmt_baselines::dijkstra(&g, *s)[..],
-                    "{} source {s}",
-                    kind.short_name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn layout_batches_still_reuse_distance_buffers() {
-        use crate::layout::LayoutKind;
-        let (g, ch) = fixture(7);
-        let service = QueryService::builder()
-            .workers(2)
-            .layout(LayoutKind::ChDfs)
-            .build_registry(single_registry(&g, ch))
-            .unwrap();
-        let sources: Vec<u32> = (0..8).collect();
-        let want: Vec<Vec<Dist>> = sources
-            .iter()
-            .map(|&s| mmt_baselines::dijkstra(&g, s))
-            .collect();
-        let rows = service.submit_batch(&sources).unwrap().wait();
-        for (i, r) in rows.iter().enumerate() {
-            assert_eq!(&r.as_ref().unwrap()[..], &want[i][..]);
-        }
-        drop(rows);
-        let warm = service.distance_buffers_created();
-        for _ in 0..3 {
-            let rows = service.submit_batch(&sources).unwrap().wait();
-            for (i, r) in rows.iter().enumerate() {
-                assert_eq!(&r.as_ref().unwrap()[..], &want[i][..]);
-            }
-        }
-        assert_eq!(
-            service.distance_buffers_created(),
-            warm,
-            "the scatter path must not defeat the buffer pool"
-        );
-    }
-
-    #[test]
     fn wait_timeout_on_stalled_queue() {
         let (g, ch) = fixture(6);
         let service = QueryService::builder()
@@ -3384,42 +3067,6 @@ mod tests {
         assert_eq!(service.metrics().rejected_memory(), 1);
         let json = service.metrics().snapshot().to_json();
         assert!(json.contains("\"rejected_memory\":1"), "{json}");
-    }
-
-    #[test]
-    fn per_request_layout_override_matches_default() {
-        use crate::layout::LayoutKind;
-        let (g, service) = service(7, 1);
-        let id = service.registry().ids().next().unwrap();
-        let want = mmt_baselines::dijkstra(&g, 3);
-        // Same query on the resident Natural layout and on a per-request
-        // ChDfs override: identical answers in original ids.
-        assert_eq!(service.submit(3u32).unwrap().wait().unwrap(), want);
-        assert_eq!(
-            service
-                .submit(QueryRequest::new(3).layout(LayoutKind::ChDfs))
-                .unwrap()
-                .wait()
-                .unwrap(),
-            want
-        );
-        // The override went through the registry's layout cache.
-        assert_eq!(service.registry().stats(id).unwrap().misses.get(), 1);
-        // Asking again is a hit, not a rebuild.
-        let hits_before = service.registry().stats(id).unwrap().hits.get();
-        assert_eq!(
-            service
-                .submit(QueryRequest::new(5).layout(LayoutKind::ChDfs))
-                .unwrap()
-                .wait()
-                .unwrap(),
-            mmt_baselines::dijkstra(&g, 5)
-        );
-        assert_eq!(
-            service.registry().stats(id).unwrap().hits.get(),
-            hits_before + 1
-        );
-        assert_eq!(service.registry().stats(id).unwrap().rebuilds.get(), 0);
     }
 
     #[test]

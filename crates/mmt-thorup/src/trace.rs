@@ -68,6 +68,22 @@ pub struct TraceEvent {
     pub outcome: String,
 }
 
+/// Minimal string escaping for the hand-rolled JSON this crate emits
+/// (trace lines and the metrics snapshot): quotes, backslashes and control
+/// characters, so a caller-chosen graph name can never break a line.
+pub(crate) fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 fn opt(v: Option<u64>) -> String {
     match v {
         Some(v) => v.to_string(),
@@ -77,7 +93,8 @@ fn opt(v: Option<u64>) -> String {
 
 impl TraceEvent {
     /// Renders the event as one JSON object on one line (no trailing
-    /// newline). Field order is fixed; absent stages are `null`.
+    /// newline). Field order is fixed; absent stages are `null`; string
+    /// fields are escaped.
     pub fn to_json_line(&self) -> String {
         format!(
             concat!(
@@ -87,9 +104,9 @@ impl TraceEvent {
                 "\"batch\":{},\"batch_size\":{},",
                 "\"relaxations\":{},\"arcs_scanned\":{},\"outcome\":\"{}\"}}"
             ),
-            self.query,
-            self.graph,
-            self.kind,
+            escape_json(&self.query),
+            escape_json(&self.graph),
+            escape_json(&self.kind),
             self.source,
             self.enqueue_us,
             self.dequeue_us,
@@ -100,7 +117,7 @@ impl TraceEvent {
             self.batch_size,
             self.relaxations,
             self.arcs_scanned,
-            self.outcome,
+            escape_json(&self.outcome),
         )
     }
 }

@@ -5,12 +5,12 @@
 //! comparison compute *the same* distances; this crate is that claim made
 //! executable. Four layers:
 //!
-//! * [`engine`] — one [`SsspEngine`](engine::SsspEngine) adapter per
+//! * [`engine`] — one [`SsspEngine`] adapter per
 //!   solver (serial/atomic Thorup, Δ-stepping, Bellman-Ford, multi-level
 //!   buckets, bidirectional) plus the serial Dijkstra oracle, all
 //!   answering in the original vertex space of a prepared
-//!   [`GraphCase`](case::GraphCase);
-//! * [`runner`] — the [`DifferentialRunner`](runner::DifferentialRunner):
+//!   [`GraphCase`];
+//! * [`runner`] — the [`DifferentialRunner`]:
 //!   certificate-checks the oracle, cross-checks reachability against
 //!   connected components, then compares every engine entry for entry,
 //!   reporting the first divergent `(engine, case, source, vertex, got,

@@ -75,7 +75,7 @@ fn pairs_for(case: &GraphCase) -> Vec<(VertexId, VertexId)> {
 }
 
 /// Cross-checks `p2p-bidi` and `p2p-delta-early` against the truncated
-/// oracle over [`pairs_for`] on one case. Both engines reuse one scratch
+/// oracle over `pairs_for` on one case. Both engines reuse one scratch
 /// across the whole sweep (the served configuration). Returns the number
 /// of pairs checked.
 pub fn check_p2p_case(case: &GraphCase) -> Result<usize, Divergence> {

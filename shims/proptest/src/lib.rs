@@ -184,7 +184,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// See [`vec`].
+    /// See [`vec`](fn@vec).
     pub struct VecStrategy<S> {
         element: S,
         size: Range<usize>,

@@ -10,9 +10,8 @@
 //! sharing a deque, so total live threads never exceed the installed pool
 //! size.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::fmt;
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Thread budget ("pool") management
@@ -22,39 +21,23 @@ thread_local! {
     /// 0 means "unset": fall back to hardware parallelism.
     static BUDGET: Cell<usize> = const { Cell::new(0) };
     /// This thread's hardware parallelism, read once (each read re-reads
-    /// cgroup and affinity state). Per thread, so a pinned thread, whose
-    /// affinity mask reads 1, never fixes the value for the others.
+    /// cgroup and affinity state).
     static HARDWARE: usize = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    /// The installed pool's start handler, if any (see
-    /// [`ThreadPoolBuilder::start_handler`]).
-    static HANDLER: RefCell<Option<StartHandler>> = const { RefCell::new(None) };
 }
 
-/// Callback invoked on each worker thread a parallel call spawns, with the
-/// worker's shard index. Real rayon runs this once per persistent pool
-/// thread; the shim has no persistent threads, so it runs once per scoped
-/// thread per parallel call instead — handlers must therefore be idempotent
-/// (thread pinning, the workspace's sole use, is).
-type StartHandler = Arc<dyn Fn(usize) + Send + Sync>;
-
-fn current_handler() -> Option<StartHandler> {
-    HANDLER.with(|h| h.borrow().clone())
-}
-
-/// The budget and handler a thread had before an override; dropping it
-/// puts both back, on normal return and on unwind alike.
-struct Restore(usize, Option<StartHandler>);
+/// The budget a thread had before an override; dropping it puts the budget
+/// back, on normal return and on unwind alike.
+struct Restore(usize);
 
 impl Drop for Restore {
     fn drop(&mut self) {
         BUDGET.set(self.0);
-        HANDLER.set(self.1.take());
     }
 }
 
-/// Runs `f` with `budget` and `handler` in effect on this thread.
-fn with_context<R>(budget: usize, handler: Option<StartHandler>, f: impl FnOnce() -> R) -> R {
-    let _restore = Restore(BUDGET.replace(budget), HANDLER.replace(handler));
+/// Runs `f` with `budget` in effect on this thread.
+fn with_budget<R>(budget: usize, f: impl FnOnce() -> R) -> R {
+    let _restore = Restore(BUDGET.replace(budget));
     f()
 }
 
@@ -76,24 +59,15 @@ fn run_parts<R: Send>(parts: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
         return (0..parts).map(&f).collect();
     }
     let child_budget = (threads / parts).max(1);
-    let handler = current_handler();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (1..parts)
             .map(|part| {
                 let f = &f;
-                let handler = handler.clone();
-                scope.spawn(move || {
-                    if let Some(h) = &handler {
-                        h(part);
-                    }
-                    with_context(child_budget, handler.clone(), || f(part))
-                })
+                scope.spawn(move || with_budget(child_budget, || f(part)))
             })
             .collect();
         let mut out = Vec::with_capacity(parts);
-        // Part 0 runs on the calling thread, which the handler must NOT
-        // touch: pinning the caller would outlive the parallel call.
-        out.push(with_context(child_budget, handler.clone(), || f(0)));
+        out.push(with_budget(child_budget, || f(0)));
         for h in handles {
             match h.join() {
                 Ok(r) => out.push(r),
@@ -118,27 +92,17 @@ fn parts_for(len: usize) -> usize {
 // ---------------------------------------------------------------------------
 
 /// A logical pool: a thread budget that [`ThreadPool::install`] applies to
-/// all parallel work in a closure, plus an optional worker start handler.
+/// all parallel work in a closure.
+#[derive(Debug)]
 pub struct ThreadPool {
     threads: usize,
-    handler: Option<StartHandler>,
-}
-
-impl fmt::Debug for ThreadPool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ThreadPool")
-            .field("threads", &self.threads)
-            .field("start_handler", &self.handler.is_some())
-            .finish()
-    }
 }
 
 impl ThreadPool {
-    /// Runs `f` with this pool's thread budget (and start handler, if any)
-    /// in effect. Installing a pool replaces any outer pool context,
-    /// including its handler — rayon's semantics.
+    /// Runs `f` with this pool's thread budget in effect. Installing a pool
+    /// replaces any outer pool's budget — rayon's semantics.
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        with_context(self.threads, self.handler.clone(), f)
+        with_budget(self.threads, f)
     }
 
     /// The pool's thread count.
@@ -151,7 +115,6 @@ impl ThreadPool {
 #[derive(Default)]
 pub struct ThreadPoolBuilder {
     num_threads: Option<usize>,
-    start_handler: Option<StartHandler>,
 }
 
 impl ThreadPoolBuilder {
@@ -166,29 +129,13 @@ impl ThreadPoolBuilder {
         self
     }
 
-    /// Accepted for API compatibility; shard threads are unnamed.
-    pub fn thread_name<F: FnMut(usize) -> String>(self, _f: F) -> Self {
-        self
-    }
-
-    /// Registers a callback run on each worker the pool's parallel calls
-    /// spawn, with the worker's index. See [`StartHandler`] for how the
-    /// shim's per-call threads differ from rayon's persistent workers.
-    pub fn start_handler<H: Fn(usize) + Send + Sync + 'static>(mut self, handler: H) -> Self {
-        self.start_handler = Some(Arc::new(handler));
-        self
-    }
-
     /// Builds the pool. Never fails in the shim.
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
         let threads = match self.num_threads {
             Some(0) | None => HARDWARE.with(|n| *n),
             Some(n) => n,
         };
-        Ok(ThreadPool {
-            threads,
-            handler: self.start_handler,
-        })
+        Ok(ThreadPool { threads })
     }
 }
 
@@ -217,7 +164,7 @@ impl std::error::Error for ThreadPoolBuildError {}
 ///
 /// Implementors describe how to stream the items of one shard (`feed`);
 /// every adapter wraps `feed`, and every terminal fans shards out across
-/// the thread budget with [`run_parts`].
+/// the thread budget with `run_parts`.
 pub trait ParallelIterator: Sized + Send + Sync {
     /// The element type.
     type Item: Send;
@@ -846,36 +793,10 @@ mod tests {
     }
 
     #[test]
-    fn start_handler_runs_on_spawned_workers_only() {
-        use std::collections::BTreeSet;
-        use std::sync::{Arc, Mutex};
-        let seen = Arc::new(Mutex::new(BTreeSet::new()));
-        let sink = Arc::clone(&seen);
-        let pool = crate::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .start_handler(move |i| {
-                sink.lock().unwrap().insert(i);
-            })
-            .build()
-            .unwrap();
-        pool.install(|| {
-            (0..64u32).into_par_iter().for_each(|_| {});
-        });
-        let seen = seen.lock().unwrap();
-        assert!(!seen.is_empty(), "spawned workers ran the handler");
-        assert!(!seen.contains(&0), "part 0 (the caller) is never handled");
-        assert!(
-            seen.iter().all(|&i| i < 4),
-            "indices stay below the pool size"
-        );
-    }
-
-    #[test]
-    fn install_restores_budget_and_handler_when_the_closure_panics() {
+    fn install_restores_budget_when_the_closure_panics() {
         let before = crate::current_num_threads();
         let pool = crate::ThreadPoolBuilder::new()
             .num_threads(before + 3)
-            .start_handler(|_| {})
             .build()
             .unwrap();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -883,7 +804,6 @@ mod tests {
         }));
         assert!(caught.is_err());
         assert_eq!(crate::current_num_threads(), before);
-        assert!(crate::current_handler().is_none());
     }
 
     #[test]
