@@ -10,20 +10,16 @@
 //! redundant heavy-arc relaxations for one relax phase per round instead
 //! of a separate heavy pass.
 
-use crate::step::{step, Arcs, FitsCell, Step, StepPolicy, StepQuery, StepScratch};
+use crate::step::{step, Arcs, Step, StepPolicy, StepQuery, StepScratch};
 use mmt_graph::types::VertexId;
-use mmt_graph::SplitAdjacency;
-use mmt_platform::{EventCounters, MinCell};
+use mmt_graph::SplitCsr;
+use mmt_platform::EventCounters;
 
 /// Δ*-stepping's step: drain the bucket to a fixpoint over all arcs.
 struct DeltaStar;
 
 impl StepPolicy for DeltaStar {
-    fn step<C: MinCell, S: SplitAdjacency + Sync>(
-        &self,
-        st: &mut Step<'_, C, S>,
-        bucket: u64,
-    ) -> bool {
+    fn step(&self, st: &mut Step<'_>, bucket: u64) -> bool {
         st.fixpoint(bucket, Arcs::All)
     }
 }
@@ -32,10 +28,10 @@ impl StepPolicy for DeltaStar {
 ///
 /// Distances are left in `scratch`; counter conventions match
 /// [`crate::delta_stepping_presplit`].
-pub fn delta_star_presplit<C: MinCell, S: FitsCell<C>>(
-    split: &S,
+pub fn delta_star_presplit(
+    split: &SplitCsr,
     source: VertexId,
-    scratch: &mut StepScratch<C>,
+    scratch: &mut StepScratch,
     counters: Option<&EventCounters>,
 ) {
     let query = StepQuery {
@@ -54,7 +50,7 @@ mod tests {
     use crate::dijkstra::dijkstra;
     use mmt_graph::gen::{shapes, GraphClass, WeightDist, WorkloadSpec};
     use mmt_graph::types::{Dist, EdgeList};
-    use mmt_graph::{CsrGraph, SplitCsr};
+    use mmt_graph::CsrGraph;
     use mmt_platform::CancelToken;
 
     fn solve(g: &CsrGraph, s: VertexId, delta: u32) -> Vec<Dist> {
@@ -120,28 +116,6 @@ mod tests {
             rho_stepping_presplit(&split, s, default_rho(g.n()), &mut scratch, None);
             scratch.copy_distances_into(&mut out);
             assert_eq!(out, want, "rho source {s}");
-        }
-    }
-
-    #[test]
-    fn arena_view_matches_duplicating_split() {
-        use mmt_graph::CsrArena;
-        let mut spec = WorkloadSpec::new(GraphClass::Rmat, WeightDist::PolyLog, 8, 10);
-        spec.seed = 43;
-        let g = CsrGraph::from_edge_list(&spec.generate());
-        let arena = CsrArena::new(&g);
-        let delta = adaptive_delta(&g).min(u32::MAX as u64) as u32;
-        let dup = SplitCsr::new(&g, delta);
-        let view = arena.split(delta);
-        let mut scratch = StepScratch::new(&view);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for s in [0u32, 17, 200] {
-            delta_star_presplit(&view, s, &mut scratch, None);
-            scratch.copy_distances_into(&mut a);
-            delta_star_presplit(&dup, s, &mut scratch, None);
-            scratch.copy_distances_into(&mut b);
-            assert_eq!(a, b, "source={s}");
-            assert_eq!(a, dijkstra(&g, s), "source={s}");
         }
     }
 

@@ -10,18 +10,18 @@
 //! split is a policy detail: Δ*-stepping ([`crate::delta_star`]) drains
 //! the same buckets over all arcs.
 //!
-//! * [`delta_stepping_presplit`] — the hot path over a pre-split adjacency
-//!   ([`SplitCsr`] or an arena view) and a reusable [`DeltaScratch`]. After
+//! * [`delta_stepping_presplit`] — the hot path over a pre-split
+//!   [`SplitCsr`] and a reusable [`DeltaScratch`]. After
 //!   the first query warms the scratch, a query allocates nothing.
 //! * [`delta_stepping_st`] — the same solve, stopped once the target's
 //!   bucket has settled.
 //! * [`delta_stepping`] — the one-shot convenience: builds the split and a
 //!   scratch per call.
 
-use crate::step::{step, Arcs, FitsCell, Step, StepPolicy, StepQuery, StepScratch};
+use crate::step::{step, Arcs, Step, StepPolicy, StepQuery, StepScratch};
 use mmt_graph::types::{Dist, VertexId, Weight};
-use mmt_graph::{CsrGraph, SplitAdjacency, SplitCsr};
-use mmt_platform::{CancelToken, EventCounters, MinCell};
+use mmt_graph::{CsrGraph, SplitCsr};
+use mmt_platform::{CancelToken, EventCounters};
 
 /// Δ-stepping parameters. Construct with [`DeltaConfig::new`],
 /// [`DeltaConfig::auto`], or [`DeltaConfig::adaptive`] and adjust via the
@@ -107,11 +107,7 @@ pub type DeltaScratch = StepScratch;
 struct Delta;
 
 impl StepPolicy for Delta {
-    fn step<C: MinCell, S: SplitAdjacency + Sync>(
-        &self,
-        st: &mut Step<'_, C, S>,
-        bucket: u64,
-    ) -> bool {
+    fn step(&self, st: &mut Step<'_>, bucket: u64) -> bool {
         if !st.fixpoint(bucket, Arcs::Light) {
             return false;
         }
@@ -154,15 +150,10 @@ pub fn delta_stepping(g: &CsrGraph, source: VertexId, cfg: DeltaConfig) -> Vec<D
 /// heavy passes), `arcs_scanned` = `relaxations` = arcs walked, `settled`
 /// = distinct vertices extracted, and `improvements` = strict `fetch_min`
 /// wins.
-///
-/// Generic over the representation — the duplicating [`SplitCsr`] or the
-/// arena-backed [`SplitView`](mmt_graph::SplitView), whose light/heavy
-/// *order* differs — and over the scratch's distance cell: a
-/// `StepScratch<AtomicMinU32>` runs on certified compact splits only.
-pub fn delta_stepping_presplit<C: MinCell, S: FitsCell<C>>(
-    split: &S,
+pub fn delta_stepping_presplit(
+    split: &SplitCsr,
     source: VertexId,
-    scratch: &mut StepScratch<C>,
+    scratch: &mut StepScratch,
     counters: Option<&EventCounters>,
 ) {
     let query = StepQuery {
@@ -188,11 +179,11 @@ pub fn delta_stepping_presplit<C: MinCell, S: FitsCell<C>>(
 /// proven unreachable. `counters` accounting is identical to the full
 /// solve, so `arcs_scanned` directly measures the work the early exit
 /// avoided.
-pub fn delta_stepping_st<C: MinCell, S: FitsCell<C>>(
-    split: &S,
+pub fn delta_stepping_st(
+    split: &SplitCsr,
     source: VertexId,
     target: VertexId,
-    scratch: &mut StepScratch<C>,
+    scratch: &mut StepScratch,
     counters: Option<&EventCounters>,
     cancel: Option<&CancelToken>,
 ) -> Option<Dist> {
@@ -212,16 +203,6 @@ mod tests {
     use mmt_graph::gen::shapes;
     use mmt_graph::gen::{GraphClass, WeightDist, WorkloadSpec};
     use mmt_graph::types::{EdgeList, INF};
-    use mmt_graph::CompactSplitCsr;
-    use mmt_platform::AtomicMinU32;
-
-    /// The one-shot Δ-stepping on the u32 cell.
-    fn compact_solve(g: &CsrGraph, source: VertexId, delta: u64) -> Vec<Dist> {
-        let split = CompactSplitCsr::try_new(g, delta as Weight).expect("graph narrows");
-        let mut scratch = StepScratch::<AtomicMinU32>::new(&split);
-        delta_stepping_presplit(&split, source, &mut scratch, None);
-        scratch.to_distances()
-    }
 
     fn check_graph(el: &EdgeList, deltas: &[u64]) {
         let g = CsrGraph::from_edge_list(el);
@@ -302,29 +283,6 @@ mod tests {
         delta_stepping_presplit(&small_split, 0, &mut scratch, None);
         scratch.copy_distances_into(&mut out);
         assert_eq!(out, dijkstra(&small, 0));
-    }
-
-    #[test]
-    fn arena_view_matches_duplicating_split() {
-        use mmt_graph::CsrArena;
-        let mut spec = WorkloadSpec::new(GraphClass::Rmat, WeightDist::PolyLog, 8, 10);
-        spec.seed = 41;
-        let g = CsrGraph::from_edge_list(&spec.generate());
-        let arena = CsrArena::new(&g);
-        for delta in [1u32, adaptive_delta(&g) as u32, 64] {
-            let dup = SplitCsr::new(&g, delta);
-            let view = arena.split(delta);
-            let mut scratch = DeltaScratch::new(&view);
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            for s in [0u32, 17, 200] {
-                delta_stepping_presplit(&view, s, &mut scratch, None);
-                scratch.copy_distances_into(&mut a);
-                delta_stepping_presplit(&dup, s, &mut scratch, None);
-                scratch.copy_distances_into(&mut b);
-                assert_eq!(a, b, "delta={delta} source={s}");
-                assert_eq!(a, dijkstra(&g, s), "delta={delta} source={s}");
-            }
-        }
     }
 
     #[test]
@@ -535,95 +493,5 @@ mod tests {
         let g = CsrGraph::from_edge_list(&shapes::path(10, 3));
         let d = delta_stepping(&g, 0, DeltaConfig::new(u64::MAX / 4));
         assert_eq!(d, dijkstra(&g, 0));
-    }
-
-    #[test]
-    fn compact_cell_matches_dijkstra_on_workloads() {
-        for (class, wd) in [
-            (GraphClass::Random, WeightDist::Uniform),
-            (GraphClass::Random, WeightDist::PolyLog),
-            (GraphClass::Rmat, WeightDist::Uniform),
-            (GraphClass::Rmat, WeightDist::PolyLog),
-        ] {
-            let mut spec = WorkloadSpec::new(class, wd, 8, 8);
-            spec.seed = 23;
-            let g = CsrGraph::from_edge_list(&spec.generate());
-            for s in [0u32, 17, 200] {
-                let got = compact_solve(&g, s, adaptive_delta(&g));
-                assert_eq!(got, dijkstra(&g, s), "{} source {s}", spec.name());
-            }
-        }
-    }
-
-    #[test]
-    fn compact_scratch_reuse_across_queries() {
-        let mut spec = WorkloadSpec::new(GraphClass::Random, WeightDist::PolyLog, 7, 9);
-        spec.seed = 99;
-        let g = CsrGraph::from_edge_list(&spec.generate());
-        let split = CompactSplitCsr::try_new(&g, adaptive_delta(&g) as Weight).unwrap();
-        let mut scratch = StepScratch::<AtomicMinU32>::new(&split);
-        let mut out = Vec::new();
-        for s in [0u32, 3, 50, 100, 3, 0] {
-            delta_stepping_presplit(&split, s, &mut scratch, None);
-            scratch.copy_distances_into(&mut out);
-            assert_eq!(out, dijkstra(&g, s), "source {s}");
-        }
-        // Regrows for a differently-sized split.
-        let small = CsrGraph::from_edge_list(&shapes::path(5, 2));
-        let small_split = CompactSplitCsr::try_new(&small, 2).unwrap();
-        delta_stepping_presplit(&small_split, 0, &mut scratch, None);
-        scratch.copy_distances_into(&mut out);
-        assert_eq!(out, dijkstra(&small, 0));
-    }
-
-    #[test]
-    fn compact_arena_view_matches_duplicating_split() {
-        use mmt_graph::CsrArena;
-        let mut spec = WorkloadSpec::new(GraphClass::Random, WeightDist::Uniform, 8, 8);
-        spec.seed = 41;
-        let g = CsrGraph::from_edge_list(&spec.generate());
-        let delta = adaptive_delta(&g) as u32;
-        let dup = CompactSplitCsr::try_new(&g, delta).unwrap();
-        let view = CsrArena::new(&g).compact_split(delta).unwrap();
-        let mut scratch = StepScratch::<AtomicMinU32>::new(&view);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for s in [0u32, 17, 200] {
-            delta_stepping_presplit(&view, s, &mut scratch, None);
-            scratch.copy_distances_into(&mut a);
-            delta_stepping_presplit(&dup, s, &mut scratch, None);
-            scratch.copy_distances_into(&mut b);
-            assert_eq!(a, b, "source {s}");
-            assert_eq!(a, dijkstra(&g, s), "source {s}");
-        }
-    }
-
-    #[test]
-    fn compact_unreached_vertices_widen_to_inf() {
-        let g = CsrGraph::from_edge_list(&EdgeList::from_triples(4, [(0, 1, 6)]));
-        assert_eq!(compact_solve(&g, 0, 3), vec![0, 6, INF, INF]);
-    }
-
-    #[test]
-    fn compact_near_sentinel_distances_stay_exact() {
-        // A path whose far end sits just below the u32 sentinel: the u32
-        // cell must neither saturate a true distance nor misbucket it.
-        let big = (u32::MAX - 10) / 2;
-        let g = CsrGraph::from_edge_list(&EdgeList::from_triples(3, [(0, 1, big), (1, 2, big)]));
-        let want = dijkstra(&g, 0);
-        assert_eq!(want[2], 2 * big as u64);
-        assert_eq!(compact_solve(&g, 0, adaptive_delta(&g)), want);
-    }
-
-    #[test]
-    fn compact_counters_match_the_wide_cell() {
-        let g = CsrGraph::from_edge_list(&shapes::path(20, 3));
-        let split = CompactSplitCsr::try_new(&g, 6).unwrap();
-        let mut scratch = StepScratch::<AtomicMinU32>::new(&split);
-        let ev = EventCounters::new();
-        delta_stepping_presplit(&split, 0, &mut scratch, Some(&ev));
-        assert_eq!(scratch.to_distances(), dijkstra(&g, 0));
-        assert_eq!(ev.settled.get(), 20);
-        assert_eq!(ev.relaxations.get() as usize, g.num_arcs());
-        assert_eq!(ev.arcs_scanned.get() as usize, g.num_arcs());
     }
 }

@@ -14,8 +14,8 @@
 //!   (Dong–Gu–Sun–Zhang): Δ*-stepping drains each bucket to a fixpoint over
 //!   all arcs, ρ-stepping extracts the ~ρ closest frontier vertices per step
 //!   and relaxes all of their arcs. All three are policies over one private
-//!   stepping loop on contention-free per-thread frontier bins, generic over
-//!   the distance cell (`u64`, or `u32` on certified compact splits);
+//!   stepping loop on contention-free per-thread frontier bins, over a
+//!   pre-split `SplitCsr` and `u64` atomic distance cells;
 //! * [`relax_core`] — the unrolled, read-ahead relax inner loop of that
 //!   stepping loop;
 //! * [`verify`] — an oracle-free certificate checker for SSSP outputs,
@@ -57,5 +57,5 @@ pub use dijkstra::{dijkstra, dijkstra_with_parents};
 pub use goldberg::goldberg_sssp;
 pub use relax_core::{relax_arcs, RELAX_AHEAD};
 pub use rho_stepping::{default_rho, rho_stepping_presplit};
-pub use step::{FitsCell, StepScratch};
+pub use step::StepScratch;
 pub use verify::{verify_sssp, verify_sssp_engine, Divergence, DivergenceKind};

@@ -16,14 +16,11 @@
 //!
 //! Both are behavioural no-ops: same `fetch_min` sequence per arc, same
 //! improvements, and counter accounting is untouched (`arcs_scanned`
-//! counts arcs, not read-ahead touches). [`relax_arcs`] is generic over
-//! the distance cell: it computes `d(u) + w` in widened `u64`, and the
-//! narrow [`AtomicMinU32`](mmt_platform::AtomicMinU32) saturates a
-//! candidate past its range into the sentinel, which `fetch_min` never
-//! accepts — the same labels as the wide cell on a certified split.
+//! counts arcs, not read-ahead touches). [`relax_arcs`] lowers
+//! [`AtomicMinU64`] cells, the one distance cell of the stepping loop.
 
 use mmt_graph::types::{Dist, VertexId, Weight};
-use mmt_platform::MinCell;
+use mmt_platform::AtomicMinU64;
 
 /// Read-ahead depth of every stepping policy: deep enough to cover an L2
 /// miss at typical adjacency lengths, shallow enough that short slices
@@ -34,8 +31,8 @@ pub const RELAX_AHEAD: usize = 8;
 /// One relaxation at index `i`, with an `AHEAD`-deep read-ahead touch of
 /// the distance slot a later iteration will `fetch_min`.
 #[inline(always)]
-fn relax_one<const AHEAD: usize, C: MinCell>(
-    dist: &[C],
+fn relax_one<const AHEAD: usize>(
+    dist: &[AtomicMinU64],
     du: Dist,
     ts: &[VertexId],
     ws: &[Weight],
@@ -56,8 +53,8 @@ fn relax_one<const AHEAD: usize, C: MinCell>(
 /// win. The loop is unrolled ×4 with an `AHEAD`-deep read-ahead; `AHEAD
 /// = 0` compiles to the plain loop.
 #[inline]
-pub fn relax_arcs<const AHEAD: usize, C: MinCell>(
-    dist: &[C],
+pub fn relax_arcs<const AHEAD: usize>(
+    dist: &[AtomicMinU64],
     du: Dist,
     ts: &[VertexId],
     ws: &[Weight],
@@ -67,14 +64,14 @@ pub fn relax_arcs<const AHEAD: usize, C: MinCell>(
     let len = ts.len();
     let mut i = 0;
     while i + 4 <= len {
-        relax_one::<AHEAD, C>(dist, du, ts, ws, i, &mut on_improve);
-        relax_one::<AHEAD, C>(dist, du, ts, ws, i + 1, &mut on_improve);
-        relax_one::<AHEAD, C>(dist, du, ts, ws, i + 2, &mut on_improve);
-        relax_one::<AHEAD, C>(dist, du, ts, ws, i + 3, &mut on_improve);
+        relax_one::<AHEAD>(dist, du, ts, ws, i, &mut on_improve);
+        relax_one::<AHEAD>(dist, du, ts, ws, i + 1, &mut on_improve);
+        relax_one::<AHEAD>(dist, du, ts, ws, i + 2, &mut on_improve);
+        relax_one::<AHEAD>(dist, du, ts, ws, i + 3, &mut on_improve);
         i += 4;
     }
     while i < len {
-        relax_one::<AHEAD, C>(dist, du, ts, ws, i, &mut on_improve);
+        relax_one::<AHEAD>(dist, du, ts, ws, i, &mut on_improve);
         i += 1;
     }
 }
@@ -83,10 +80,8 @@ pub fn relax_arcs<const AHEAD: usize, C: MinCell>(
 mod tests {
     use super::*;
     use mmt_graph::types::INF;
-    use mmt_graph::COMPACT_DIST_INF;
-    use mmt_platform::{AtomicMinU32, AtomicMinU64};
 
-    fn wide(vals: &[Dist]) -> Vec<AtomicMinU64> {
+    fn cells(vals: &[Dist]) -> Vec<AtomicMinU64> {
         vals.iter().map(|&v| AtomicMinU64::new(v)).collect()
     }
 
@@ -98,9 +93,9 @@ mod tests {
         for len in [0usize, 1, 3, 4, 5, 7, 8, 11] {
             let ts: Vec<VertexId> = (0..len as u32).collect();
             let ws: Vec<Weight> = (0..len as u32).map(|i| i + 1).collect();
-            let dist = wide(&vec![INF; len]);
+            let dist = cells(&vec![INF; len]);
             let mut improved = Vec::new();
-            relax_arcs::<0, _>(&dist, 10, &ts, &ws, |v, nd| improved.push((v, nd)));
+            relax_arcs::<0>(&dist, 10, &ts, &ws, |v, nd| improved.push((v, nd)));
             let want: Vec<(VertexId, Dist)> =
                 (0..len as u32).map(|i| (i, 10 + i as Dist + 1)).collect();
             assert_eq!(improved, want, "len={len}");
@@ -117,46 +112,16 @@ mod tests {
         for len in [1usize, 4, 6, 9, 16, 33] {
             let ts: Vec<VertexId> = (0..len as u32).map(|i| i % 5).collect();
             let ws: Vec<Weight> = (0..len as u32).map(|i| (i * 7) % 13 + 1).collect();
-            let plain = wide(&[100; 5]);
-            let ra = wide(&[100; 5]);
+            let plain = cells(&[100; 5]);
+            let ra = cells(&[100; 5]);
             let mut a = Vec::new();
             let mut b = Vec::new();
-            relax_arcs::<0, _>(&plain, 50, &ts, &ws, |v, nd| a.push((v, nd)));
-            relax_arcs::<RELAX_AHEAD, _>(&ra, 50, &ts, &ws, |v, nd| b.push((v, nd)));
+            relax_arcs::<0>(&plain, 50, &ts, &ws, |v, nd| a.push((v, nd)));
+            relax_arcs::<RELAX_AHEAD>(&ra, 50, &ts, &ws, |v, nd| b.push((v, nd)));
             assert_eq!(a, b, "len={len}");
             for (p, r) in plain.iter().zip(ra.iter()) {
                 assert_eq!(p.load(), r.load());
             }
         }
-    }
-
-    /// The narrow cell mirrors the wide one bit-for-bit on a certified
-    /// domain, and a candidate past the `u32` range saturates into the
-    /// sentinel, which `fetch_min` ignores.
-    #[test]
-    fn compact_matches_wide_and_saturates_to_sentinel() {
-        let ts: Vec<VertexId> = vec![0, 1, 2, 3, 4, 1];
-        let ws: Vec<Weight> = vec![3, 9, 1, 4, 7, 2];
-        let w64 = wide(&[INF, INF, 5, INF, 6, INF]);
-        let w32: Vec<AtomicMinU32> = [COMPACT_DIST_INF, COMPACT_DIST_INF, 5, COMPACT_DIST_INF, 6]
-            .iter()
-            .map(|&v| AtomicMinU32::new(v))
-            .collect();
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        relax_arcs::<RELAX_AHEAD, _>(&w64, 4, &ts, &ws, |v, nd| a.push((v, nd)));
-        relax_arcs::<RELAX_AHEAD, _>(&w32, 4, &ts, &ws, |v, nd| b.push((v, nd)));
-        assert_eq!(a, b);
-        for (x, y) in w64.iter().zip(w32.iter()) {
-            assert_eq!(x.load(), MinCell::load(y));
-        }
-
-        // Near-sentinel: the candidate saturates, the sentinel never wins.
-        let sat: Vec<AtomicMinU32> = vec![AtomicMinU32::new(COMPACT_DIST_INF)];
-        let mut wins = Vec::new();
-        let du = (COMPACT_DIST_INF - 1) as Dist;
-        relax_arcs::<0, _>(&sat, du, &[0], &[100], |v, nd| wins.push((v, nd)));
-        assert!(wins.is_empty(), "saturated relaxation must not improve");
-        assert_eq!(sat[0].load(), COMPACT_DIST_INF);
     }
 }

@@ -9,10 +9,10 @@
 //! extraction sound, since a vertex whose label improves is re-inserted
 //! and relaxed again.
 
-use crate::step::{step, Arcs, FitsCell, Step, StepPolicy, StepQuery, StepScratch};
+use crate::step::{step, Arcs, Step, StepPolicy, StepQuery, StepScratch};
 use mmt_graph::types::VertexId;
-use mmt_graph::SplitAdjacency;
-use mmt_platform::{EventCounters, MinCell};
+use mmt_graph::SplitCsr;
+use mmt_platform::EventCounters;
 
 /// Default extraction target: large enough that a step saturates the
 /// pool on the workloads this repo runs, small enough that distance
@@ -34,11 +34,7 @@ impl StepPolicy for Rho {
         2 * window
     }
 
-    fn step<C: MinCell, S: SplitAdjacency + Sync>(
-        &self,
-        st: &mut Step<'_, C, S>,
-        first: u64,
-    ) -> bool {
+    fn step(&self, st: &mut Step<'_>, first: u64) -> bool {
         let mut bucket = first;
         loop {
             st.extract(bucket);
@@ -65,11 +61,11 @@ impl StepPolicy for Rho {
 /// where the output goes without a forced allocation. Counter
 /// conventions match [`crate::delta_stepping_presplit`]:
 /// `bucket_expansions` counts relax steps.
-pub fn rho_stepping_presplit<C: MinCell, S: FitsCell<C>>(
-    split: &S,
+pub fn rho_stepping_presplit(
+    split: &SplitCsr,
     source: VertexId,
     rho: usize,
-    scratch: &mut StepScratch<C>,
+    scratch: &mut StepScratch,
     counters: Option<&EventCounters>,
 ) {
     let query = StepQuery {
@@ -88,7 +84,7 @@ mod tests {
     use crate::dijkstra::dijkstra;
     use mmt_graph::gen::{shapes, GraphClass, WeightDist, WorkloadSpec};
     use mmt_graph::types::{Dist, EdgeList, INF};
-    use mmt_graph::{CsrGraph, SplitCsr};
+    use mmt_graph::CsrGraph;
     use mmt_platform::CancelToken;
 
     fn solve(g: &CsrGraph, s: VertexId, delta: u32, rho: usize) -> Vec<Dist> {
@@ -162,28 +158,6 @@ mod tests {
         rho_stepping_presplit(&small_split, 0, rho, &mut scratch, None);
         scratch.copy_distances_into(&mut out);
         assert_eq!(out, dijkstra(&small, 0));
-    }
-
-    #[test]
-    fn arena_view_matches_duplicating_split() {
-        use mmt_graph::CsrArena;
-        let mut spec = WorkloadSpec::new(GraphClass::Rmat, WeightDist::PolyLog, 8, 10);
-        spec.seed = 41;
-        let g = CsrGraph::from_edge_list(&spec.generate());
-        let arena = CsrArena::new(&g);
-        let delta = adaptive_delta(&g).min(u32::MAX as u64) as u32;
-        let dup = SplitCsr::new(&g, delta);
-        let view = arena.split(delta);
-        let mut scratch = StepScratch::new(&view);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for s in [0u32, 17, 200] {
-            rho_stepping_presplit(&view, s, 64, &mut scratch, None);
-            scratch.copy_distances_into(&mut a);
-            rho_stepping_presplit(&dup, s, 64, &mut scratch, None);
-            scratch.copy_distances_into(&mut b);
-            assert_eq!(a, b, "source={s}");
-            assert_eq!(a, dijkstra(&g, s), "source={s}");
-        }
     }
 
     #[test]

@@ -23,31 +23,17 @@
 //! across cycles. Entries are never removed when a vertex migrates to a
 //! lower bucket; the extraction filter skips the stale copy.
 //!
-//! [`StepScratch`] carries everything across queries, so after the first
-//! (warm-up) query a solve performs zero heap allocations. Its cell type
-//! chooses the distance width: [`AtomicMinU64`], or [`AtomicMinU32`] for
-//! splits whose construction certified that every finite distance fits
-//! below the `u32` sentinel ([`FitsCell`]). The loop computes in widened
-//! `u64`; the narrow cell saturates an over-long candidate into the
-//! sentinel, which `fetch_min` never accepts, so both widths converge to
-//! the same labels.
+//! The loop runs on one adjacency and one distance cell: a [`SplitCsr`]
+//! (light arcs first, heavy arcs after, per vertex) and [`AtomicMinU64`]
+//! tentative distances. [`StepScratch`] carries everything across
+//! queries, so after the first (warm-up) query a solve performs zero heap
+//! allocations.
 
 use crate::relax_core::{relax_arcs, RELAX_AHEAD};
 use mmt_graph::types::{Dist, VertexId, Weight, INF};
-use mmt_graph::{CompactCertified, SplitAdjacency};
+use mmt_graph::SplitCsr;
 use mmt_platform::bins::FrontierBins;
-use mmt_platform::{AtomicMinU32, AtomicMinU64, CancelToken, EventCounters, MinCell};
-
-/// A split whose every finite distance fits the cell `C`: any split for
-/// [`AtomicMinU64`], only a [`CompactCertified`] one for [`AtomicMinU32`].
-/// The stepping functions and [`StepScratch::new`] take their split
-/// through this bound, so a narrow solve over an uncertified split does
-/// not compile.
-pub trait FitsCell<C: MinCell>: SplitAdjacency + Sync {}
-
-impl<S: SplitAdjacency + Sync> FitsCell<AtomicMinU64> for S {}
-
-impl<S: CompactCertified + Sync> FitsCell<AtomicMinU32> for S {}
+use mmt_platform::{AtomicMinU64, CancelToken, EventCounters};
 
 /// Reusable per-query state for every stepping function: the tentative
 /// distances, the `relaxed_at` re-relax guard, the per-thread frontier
@@ -55,8 +41,8 @@ impl<S: CompactCertified + Sync> FitsCell<AtomicMinU32> for S {}
 /// queries; after the first (warm-up) query a solve allocates nothing.
 /// A service can run Δ-, Δ*- and ρ-queries off one warm scratch.
 #[derive(Debug)]
-pub struct StepScratch<C: MinCell = AtomicMinU64> {
-    dist: Vec<C>,
+pub struct StepScratch {
+    dist: Vec<AtomicMinU64>,
     /// Distance at which each vertex was last relaxed this query (`INF` =
     /// never): a vertex re-relaxes only after a strict improvement.
     relaxed_at: Vec<Dist>,
@@ -69,15 +55,15 @@ pub struct StepScratch<C: MinCell = AtomicMinU64> {
     settled: Vec<VertexId>,
 }
 
-impl<C: MinCell> StepScratch<C> {
+impl StepScratch {
     /// Scratch sized for `split`. Lane count follows the *installed*
     /// thread budget (`rayon::current_num_threads()`), so a scratch built
     /// inside [`mmt_platform::with_pool`] gets one lane per pool worker,
     /// and a one-lane scratch never forks.
-    pub fn new(split: &impl FitsCell<C>) -> Self {
+    pub fn new(split: &SplitCsr) -> Self {
         let n = split.n();
         Self {
-            dist: (0..n).map(|_| C::new_cell(INF)).collect(),
+            dist: (0..n).map(|_| AtomicMinU64::new(INF)).collect(),
             relaxed_at: vec![INF; n],
             bins: FrontierBins::new(rayon::current_num_threads(), window(split) as usize, n),
             frontier: Vec::new(),
@@ -95,7 +81,7 @@ impl<C: MinCell> StepScratch<C> {
     /// resets per-query state, with `ring` bins per lane.
     fn reset(&mut self, n: usize, ring: usize) {
         if self.dist.len() != n {
-            self.dist.resize_with(n, || C::new_cell(INF));
+            self.dist.resize_with(n, || AtomicMinU64::new(INF));
             self.relaxed_at.resize(n, INF);
         }
         for d in &self.dist {
@@ -127,7 +113,7 @@ impl<C: MinCell> StepScratch<C> {
     pub fn heap_bytes(&self) -> usize {
         use mmt_platform::MemFootprint;
         let buffers = self.frontier.capacity() + self.staging.capacity() + self.settled.capacity();
-        self.dist.capacity() * std::mem::size_of::<C>()
+        self.dist.capacity() * std::mem::size_of::<AtomicMinU64>()
             + self.relaxed_at.heap_bytes()
             + self.bins.heap_bytes()
             + buffers * std::mem::size_of::<VertexId>()
@@ -135,7 +121,7 @@ impl<C: MinCell> StepScratch<C> {
 }
 
 /// The cyclic window one bucket's pushes can reach: `C/Δ + 2` buckets.
-fn window(split: &impl SplitAdjacency) -> u64 {
+fn window(split: &SplitCsr) -> u64 {
     split.max_weight() as u64 / split.delta().max(1) as u64 + 2
 }
 
@@ -171,30 +157,19 @@ pub(crate) trait StepPolicy {
 
     /// Runs one step from bucket `first`. Returns `false` if the query's
     /// cancel token fired mid-step.
-    fn step<C: MinCell, S: SplitAdjacency + Sync>(
-        &self,
-        st: &mut Step<'_, C, S>,
-        first: u64,
-    ) -> bool;
+    fn step(&self, st: &mut Step<'_>, first: u64) -> bool;
 }
 
 /// What a relax phase reads: the split, the distances and the counters.
-struct Relaxer<'a, C, S> {
-    split: &'a S,
+#[derive(Clone, Copy)]
+struct Relaxer<'a> {
+    split: &'a SplitCsr,
     width: u64,
-    dist: &'a [C],
+    dist: &'a [AtomicMinU64],
     counters: Option<&'a EventCounters>,
 }
 
-impl<C, S> Clone for Relaxer<'_, C, S> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<C, S> Copy for Relaxer<'_, C, S> {}
-
-impl<'a, C: MinCell, S: SplitAdjacency + Sync> Relaxer<'a, C, S> {
+impl<'a> Relaxer<'a> {
     /// Relaxes `arcs` out of every vertex in `list` in one parallel phase.
     fn relax(self, bins: &mut FrontierBins, list: &[VertexId], arcs: Arcs) {
         let split = self.split;
@@ -238,7 +213,7 @@ impl<'a, C: MinCell, S: SplitAdjacency + Sync> Relaxer<'a, C, S> {
         bins.scatter(list, |&u, lane| {
             let du = dist[u as usize].load();
             for &(ts, ws) in &slices(u) {
-                relax_arcs::<RELAX_AHEAD, C>(dist, du, ts, ws, |v, nd| lane.push(nd / width, v));
+                relax_arcs::<RELAX_AHEAD>(dist, du, ts, ws, |v, nd| lane.push(nd / width, v));
             }
         });
         if let Some(ev) = counters {
@@ -248,8 +223,8 @@ impl<'a, C: MinCell, S: SplitAdjacency + Sync> Relaxer<'a, C, S> {
 }
 
 /// A policy's handle on the running query.
-pub(crate) struct Step<'a, C: MinCell, S> {
-    g: Relaxer<'a, C, S>,
+pub(crate) struct Step<'a> {
+    g: Relaxer<'a>,
     window: u64,
     relaxed_at: &'a mut [Dist],
     bins: &'a mut FrontierBins,
@@ -259,7 +234,7 @@ pub(crate) struct Step<'a, C: MinCell, S> {
     cancel: Option<&'a CancelToken>,
 }
 
-impl<C: MinCell, S: SplitAdjacency + Sync> Step<'_, C, S> {
+impl Step<'_> {
     /// The cyclic window of `C/Δ + 2` buckets.
     pub(crate) fn window(&self) -> u64 {
         self.window
@@ -331,10 +306,10 @@ impl<C: MinCell, S: SplitAdjacency + Sync> Step<'_, C, S> {
 /// The stepping loop: solves `query` over `split` into `scratch` under
 /// `policy`. Returns `false` iff the cancel token fired first; the scratch
 /// stays reusable on every exit path.
-pub(crate) fn step<P: StepPolicy, C: MinCell, S: SplitAdjacency + Sync>(
+pub(crate) fn step<P: StepPolicy>(
     policy: &P,
-    split: &S,
-    scratch: &mut StepScratch<C>,
+    split: &SplitCsr,
+    scratch: &mut StepScratch,
     query: &StepQuery<'_>,
 ) -> bool {
     let n = split.n();

@@ -7,9 +7,7 @@
 //! `(arcs_scanned, relaxations, settled, bucket_expansions)` and an FNV-1a
 //! fingerprint of the distance array for Δ-, Δ*- and ρ-stepping from fixed
 //! sources, and for Δ-early s–t on fixed pairs (whose fingerprint covers
-//! the tentative labels left at the early exit), on seeded 2^10 graphs. It
-//! also holds the u32-cell Δ-stepping to the u64 one on every count and
-//! distance.
+//! the tentative labels left at the early exit), on seeded 2^10 graphs.
 
 use mmt_baselines::{
     adaptive_delta, default_rho, delta_star_presplit, delta_stepping_presplit, delta_stepping_st,
@@ -17,8 +15,8 @@ use mmt_baselines::{
 };
 use mmt_graph::gen::{GraphClass, WeightDist, WorkloadSpec};
 use mmt_graph::types::{Dist, VertexId};
-use mmt_graph::{CompactSplitCsr, CsrGraph, SplitCsr};
-use mmt_platform::{with_pool, AtomicMinU32, CountersSnapshot, EventCounters};
+use mmt_graph::{CsrGraph, SplitCsr};
+use mmt_platform::{with_pool, CountersSnapshot, EventCounters};
 
 /// `(arcs_scanned, relaxations, settled, bucket_expansions, fnv1a(dist))`.
 type Work = [u64; 5];
@@ -86,21 +84,6 @@ fn measure(g: &CsrGraph) -> Vec<Work> {
         out.push(work(ev.snapshot(), &dist));
     }
     out
-}
-
-/// The u32-cell Δ-stepping from `sources`, one row per source.
-fn measure_u32(g: &CsrGraph) -> Vec<Work> {
-    let delta = adaptive_delta(g).min(u32::MAX as u64) as u32;
-    let split = CompactSplitCsr::try_new(g, delta).expect("2^10 graphs narrow");
-    let mut scratch = StepScratch::<AtomicMinU32>::new(&split);
-    sources(g.n())
-        .into_iter()
-        .map(|s| {
-            let ev = EventCounters::new();
-            delta_stepping_presplit(&split, s, &mut scratch, Some(&ev));
-            work(ev.snapshot(), &scratch.to_distances())
-        })
-        .collect()
 }
 
 /// Recorded on the four kernels this loop replaced (one row per solve, in
@@ -172,8 +155,6 @@ fn one_lane_stepping_work_is_pinned() {
             assert_eq!(spec_name, name);
             let got = measure(&g);
             assert_eq!(got, want, "{name}: one-lane work moved; got {got:?}");
-            let wide_delta: Vec<Work> = got.iter().step_by(3).take(3).copied().collect();
-            assert_eq!(measure_u32(&g), wide_delta, "{name}: u32 cell vs u64 cell");
         }
     });
 }

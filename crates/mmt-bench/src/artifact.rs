@@ -95,13 +95,22 @@ impl Header {
     }
 }
 
-/// Parses `text` and validates it against `schema`, the checked-in JSON
-/// schema of its family. This is what `bench <family> --check` runs.
-pub fn check_artifact(schema: &str, text: &str) -> Result<Json, String> {
+/// Parses `text`, validates it against `schema`, the checked-in JSON
+/// schema of its family, and requires its `version` to be `version`, the
+/// family's current format: an artifact recorded by an older format fails
+/// even where its keys still satisfy the schema. This is what
+/// `bench <family> --check` runs.
+pub fn check_artifact(schema: &str, version: u64, text: &str) -> Result<Json, String> {
     let schema = json::parse(schema).map_err(|e| format!("schema is invalid JSON: {e}"))?;
     let value = json::parse(text).map_err(|e| format!("artifact does not parse: {e}"))?;
     json::validate(&value, &schema).map_err(|e| format!("artifact violates schema: {e}"))?;
-    Ok(value)
+    match value.get("version").and_then(Json::as_num) {
+        Some(v) if v == version as f64 => Ok(value),
+        found => Err(format!(
+            "artifact is format version {}, expected {version}: re-record it",
+            found.map_or_else(|| "(none)".to_string(), |v| v.to_string())
+        )),
+    }
 }
 
 /// `count` per second of `secs` (0 when nothing was measured).
@@ -119,5 +128,19 @@ pub(crate) fn comma(i: usize, len: usize) -> &'static str {
         ","
     } else {
         ""
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_artifact_one_version_behind_fails_the_check() {
+        let schema = r#"{"type": "object", "required": ["version"],
+            "properties": {"version": {"type": "integer", "minimum": 1}}}"#;
+        assert!(check_artifact(schema, 8, r#"{"version": 8}"#).is_ok());
+        let err = check_artifact(schema, 8, r#"{"version": 7}"#).unwrap_err();
+        assert!(err.contains("version 7, expected 8"), "{err}");
     }
 }

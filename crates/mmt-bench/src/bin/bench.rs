@@ -11,12 +11,12 @@
 //! * `--smoke`: the CI shape — tiny scale, two iterations, same artifact;
 //! * `--out PATH`: write the artifact somewhere else;
 //! * `--check PATH`: don't run anything — parse an existing artifact and
-//!   validate it against the family's checked-in schema, exiting non-zero
-//!   on any violation;
+//!   validate it against the family's checked-in schema and current
+//!   format version, exiting non-zero on any violation;
 //! * `--diff BASE CUR` (hotpath only): compare two artifacts'
 //!   relaxations/sec per `(workload, engine)` pair, exiting non-zero when
-//!   the current run is more than 2x slower than the baseline anywhere (or
-//!   when the artifacts share no pairs). This is the CI throughput gate
+//!   the current run is more than 2x slower than the baseline anywhere, or
+//!   lacks any pair the baseline has. This is the CI throughput gate
 //!   against the checked-in `BENCH_hotpath.json`.
 //!
 //! Build with `--features count-alloc` to populate hotpath's per-query
@@ -54,6 +54,13 @@ impl Family {
         match self {
             Family::Hotpath => hotpath::SCHEMA_TEXT,
             Family::Layout => layout::SCHEMA_TEXT,
+        }
+    }
+
+    fn version(self) -> u64 {
+        match self {
+            Family::Hotpath => hotpath::FORMAT_VERSION,
+            Family::Layout => layout::FORMAT_VERSION,
         }
     }
 }
@@ -146,7 +153,7 @@ fn main() -> ExitCode {
 
 fn read_checked(family: Family, path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    check_artifact(family.schema(), &text).map_err(|e| format!("{path}: {e}"))
+    check_artifact(family.schema(), family.version(), &text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn run(family: Family, shape: RunShape, out: &str) -> Result<(), String> {
@@ -176,7 +183,7 @@ fn run(family: Family, shape: RunShape, out: &str) -> Result<(), String> {
     };
     // The emitter and the schema live in the same crate; disagreement is a
     // bug worth failing loudly on before the artifact lands.
-    check_artifact(family.schema(), &text)
+    check_artifact(family.schema(), family.version(), &text)
         .map_err(|e| format!("emitted artifact failed self-check: {e}"))?;
     std::fs::write(out, &text).map_err(|e| format!("cannot write {out}: {e}"))?;
     println!("{out}");
@@ -200,16 +207,7 @@ fn print_hotpath(report: &hotpath::HotpathReport) {
         }
     }
     let r = &report.registry;
-    eprintln!(
-        "  registry ({}, arena {} bytes)",
-        r.workload, r.arena_arc_bytes
-    );
-    for s in &r.splits {
-        eprintln!(
-            "    {:>2} deltas: {:>12} bytes duplicated vs {:>12} offset-view",
-            s.delta_count, s.duplicated_bytes, s.offset_view_bytes
-        );
-    }
+    eprintln!("  registry ({})", r.workload);
     for g in &r.grid {
         eprintln!(
             "    {:>2} graphs: {:>12} bytes resident  {:>12.0} relax/s",
@@ -222,14 +220,7 @@ fn print_hotpath(report: &hotpath::HotpathReport) {
 
 fn print_layout(report: &layout::LayoutReport) {
     for w in &report.workloads {
-        eprintln!(
-            "  {} (n={}, m={}, delta {}, compact {})",
-            w.name,
-            w.n,
-            w.m,
-            w.delta,
-            if w.compact_ok { "ok" } else { "refused" }
-        );
+        eprintln!("  {} (n={}, m={}, delta {})", w.name, w.n, w.m, w.delta);
         for s in &w.samples {
             eprintln!(
                 "    {:<10} {:<8} {:>10.4}s  {:>12.0} relax/s  (+{:.4}s permute)",

@@ -17,7 +17,7 @@ use mmt_baselines::{
 };
 use mmt_graph::gen::{GraphClass, WeightDist, WorkloadSpec};
 use mmt_graph::types::Weight;
-use mmt_graph::{CsrArena, SplitCsr};
+use mmt_graph::SplitCsr;
 use mmt_platform::{CountersSnapshot, EventCounters};
 use mmt_thorup::{
     BatchSolver, GraphRegistry, InstancePool, QueryRequest, QueryServiceBuilder, ShutdownMode,
@@ -41,9 +41,12 @@ pub const SCHEMA_TEXT: &str = include_str!("../schema/BENCH_hotpath.schema.json"
 /// `delta-reference` row with the seed kernel it measured; the
 /// `delta-stepping` row now builds its split and scratch per query.
 /// Version 7 dropped the `pin_policy` and `numa_nodes` header keys with
-/// worker pinning; version-6 artifacts still validate, since the checker
-/// ignores extra keys.
-pub const FORMAT_VERSION: u64 = 7;
+/// worker pinning. Version 8 retired the registry's `arena_arc_bytes`
+/// and its `splits` table (duplicated vs offset-view arc bytes per Δ
+/// count) with the shared arena. `--check` accepts only this version, so
+/// an artifact recorded by an older format fails it and must be
+/// re-recorded.
+pub const FORMAT_VERSION: u64 = 8;
 
 /// The default measurement shape: `MMT_SCALE` (default 12) and every one
 /// of `MMT_RUNS`.
@@ -99,28 +102,14 @@ pub struct WorkloadSamples {
     pub engines: Vec<EngineSample>,
 }
 
-/// Arc-array bytes at one Δ count: what `count` duplicating [`SplitCsr`]
-/// builds cost versus `count` offset views over one shared [`CsrArena`].
-/// Both are measured from live structures, not computed.
-#[derive(Debug, Clone)]
-pub struct SplitBytesSample {
-    /// Number of distinct Δ values split for.
-    pub delta_count: usize,
-    /// Heap bytes when every Δ duplicates the adjacency ([`SplitCsr`]).
-    pub duplicated_bytes: usize,
-    /// Heap bytes with one arena plus a `u32` light-prefix length per
-    /// vertex per Δ ([`CsrArena::split`]).
-    pub offset_view_bytes: usize,
-}
-
 /// One registry serving measurement: `graphs` tenants registered, queries
 /// routed round-robin across them through the sharded `QueryService`.
 #[derive(Debug, Clone)]
 pub struct RegistryGridSample {
     /// Graphs registered (each with distinct content).
     pub graphs: usize,
-    /// Registry-accounted resident bytes after registration (arena arc
-    /// arrays + hierarchies, each stored exactly once).
+    /// Registry-accounted resident bytes after registration (graphs +
+    /// hierarchies, each stored exactly once).
     pub resident_bytes: usize,
     /// Queries answered inside `wall_secs`.
     pub queries: usize,
@@ -138,16 +127,12 @@ impl RegistryGridSample {
     }
 }
 
-/// The registry grid: the multi-tenant serving and shared-arena memory
-/// story for one fixed workload.
+/// The registry grid: the multi-tenant serving and resident-memory story
+/// for one fixed workload.
 #[derive(Debug, Clone)]
 pub struct RegistrySamples {
     /// The workload the grid runs on (the first hot-path spec).
     pub workload: String,
-    /// Shared arc-payload bytes of one arena over that workload.
-    pub arena_arc_bytes: usize,
-    /// Duplicated vs offset-view bytes at 1, 2, and 4 Δ values.
-    pub splits: Vec<SplitBytesSample>,
     /// Serving throughput and resident bytes with 1 vs 4 tenants.
     pub grid: Vec<RegistryGridSample>,
 }
@@ -160,7 +145,7 @@ pub struct HotpathReport {
     /// Per-workload measurements.
     pub workloads: Vec<WorkloadSamples>,
     /// The multi-graph registry grid (resident bytes + relax/s, 1 vs 4
-    /// graphs) and the per-Δ-count arc-byte table.
+    /// graphs).
     pub registry: RegistrySamples,
 }
 
@@ -217,44 +202,11 @@ pub fn run(opts: RunShape) -> HotpathReport {
     }
 }
 
-/// Measures the registry grid on the first hot-path workload: the
-/// duplicated-vs-offset-view arc-byte table at 1/2/4 Δ values, then
-/// serving throughput and registry-resident bytes with 1 vs 4 registered
-/// graphs (distinct content, same shape) behind the sharded
-/// `QueryService`.
+/// Measures the registry grid on the first hot-path workload: serving
+/// throughput and registry-resident bytes with 1 vs 4 registered graphs
+/// (distinct content, same shape) behind the sharded `QueryService`.
 fn run_registry(opts: RunShape) -> RegistrySamples {
     let spec = hotpath_specs(opts.scale).remove(0);
-    let w = crate::Workload::generate(spec);
-    let g = &w.graph;
-
-    let arena = CsrArena::new(g);
-    let base_delta = adaptive_delta(g).min(u32::MAX as u64).max(1) as Weight;
-    let splits = [1usize, 2, 4]
-        .iter()
-        .map(|&count| {
-            // Distinct Δ values: base, 2·base, ... — the byte cost of a
-            // duplicating split does not depend on Δ, but building real
-            // structures keeps this a measurement rather than arithmetic.
-            let deltas: Vec<Weight> = (0..count)
-                .map(|k| base_delta.saturating_mul(k as Weight + 1))
-                .collect();
-            let duplicated_bytes = deltas
-                .iter()
-                .map(|&d| SplitCsr::new(g, d).heap_bytes())
-                .sum();
-            let offset_view_bytes = arena.arc_bytes()
-                + deltas
-                    .iter()
-                    .map(|&d| arena.split(d).view_bytes())
-                    .sum::<usize>();
-            SplitBytesSample {
-                delta_count: count,
-                duplicated_bytes,
-                offset_view_bytes,
-            }
-        })
-        .collect();
-
     let mut grid = Vec::new();
     for &count in &[1usize, 4] {
         let mut registry = GraphRegistry::new();
@@ -332,8 +284,6 @@ fn run_registry(opts: RunShape) -> RegistrySamples {
 
     RegistrySamples {
         workload: spec.name(),
-        arena_arc_bytes: arena.arc_bytes(),
-        splits,
         grid,
     }
 }
@@ -551,22 +501,6 @@ impl HotpathReport {
             "    \"workload\": \"{}\",\n",
             json::escape(&r.workload)
         ));
-        out.push_str(&format!(
-            "    \"arena_arc_bytes\": {},\n",
-            r.arena_arc_bytes
-        ));
-        out.push_str("    \"splits\": [\n");
-        for (si, s) in r.splits.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"delta_count\": {}, \"duplicated_bytes\": {}, \
-                 \"offset_view_bytes\": {}}}{}\n",
-                s.delta_count,
-                s.duplicated_bytes,
-                s.offset_view_bytes,
-                comma(si, r.splits.len())
-            ));
-        }
-        out.push_str("    ],\n");
         out.push_str("    \"grid\": [\n");
         for (gi, gs) in r.grid.iter().enumerate() {
             out.push_str(&format!(
@@ -654,11 +588,13 @@ fn relax_per_sec_index(value: &Json) -> Vec<(String, String, f64)> {
 }
 
 /// Compares two schema-valid artifacts' relaxations/sec for every
-/// `(workload, engine)` pair present in both, failing when the current run
+/// `(workload, engine)` pair of the baseline, failing when the current run
 /// is more than `tolerance`× slower than the baseline. The wide tolerance
 /// absorbs machine-to-machine noise while still catching a hot path that
-/// fell off a cliff. Errs when the artifacts share no pairs at all — a
-/// renamed grid must come with a regenerated baseline, not a silent pass.
+/// fell off a cliff. Errs, naming them, when the current run lacks any
+/// baseline pair, and when the artifacts share no pairs at all — a
+/// dropped or renamed row must come with a regenerated baseline, not a
+/// silent pass.
 pub fn diff_artifacts(
     baseline: &Json,
     current: &Json,
@@ -668,9 +604,11 @@ pub fn diff_artifacts(
     let base = relax_per_sec_index(baseline);
     let cur = relax_per_sec_index(current);
     let mut lines = Vec::new();
+    let mut missing = Vec::new();
     for (wname, ename, baseline_rps) in &base {
         let Some((_, _, current_rps)) = cur.iter().find(|(w, e, _)| w == wname && e == ename)
         else {
+            missing.push(format!("{wname} / {ename}"));
             continue;
         };
         lines.push(DiffLine {
@@ -682,6 +620,13 @@ pub fn diff_artifacts(
     }
     if lines.is_empty() {
         return Err("artifacts share no (workload, engine) pairs to compare".into());
+    }
+    if !missing.is_empty() {
+        return Err(format!(
+            "current run lacks {} baseline pair(s): {}",
+            missing.len(),
+            missing.join(", ")
+        ));
     }
     if let Some(worst) = lines
         .iter()
@@ -740,25 +685,9 @@ mod tests {
                 .all(|e| e.counters.relaxations == e.relaxations));
         }
         let reg = &report.registry;
-        assert_eq!(reg.splits.len(), 3);
         assert_eq!(reg.grid.len(), 2);
-        assert!(reg.arena_arc_bytes > 0);
-        // Duplicating splits pay the adjacency once per Δ; offset views
-        // pay it once total plus n·4 bytes per Δ.
-        let one = &reg.splits[0];
-        let four = &reg.splits[2];
-        assert_eq!(four.delta_count, 4);
-        assert!(four.duplicated_bytes >= 4 * one.duplicated_bytes);
-        assert!(
-            four.offset_view_bytes < 2 * reg.arena_arc_bytes,
-            "4 offset views must stay well under two arena copies \
-             ({} vs arena {})",
-            four.offset_view_bytes,
-            reg.arena_arc_bytes
-        );
         // Four registered graphs hold each arc array exactly once: the
-        // accounted bytes scale with tenant count, with no per-Δ
-        // duplication on top.
+        // accounted bytes scale with tenant count and nothing else.
         let single = &reg.grid[0];
         let multi = &reg.grid[1];
         assert_eq!((single.graphs, multi.graphs), (1, 4));
@@ -767,11 +696,8 @@ mod tests {
         assert!(reg.grid.iter().all(|g| g.wall_secs > 0.0));
 
         let text = report.to_json();
-        let value = check_artifact(SCHEMA_TEXT, &text).expect("artifact must satisfy the schema");
-        assert_eq!(
-            value.get("version").and_then(Json::as_num),
-            Some(FORMAT_VERSION as f64)
-        );
+        let value = check_artifact(SCHEMA_TEXT, FORMAT_VERSION, &text)
+            .expect("artifact must satisfy the schema");
         let workloads = value.get("workloads").and_then(Json::as_arr).unwrap();
         assert_eq!(workloads.len(), 4);
         // The registry grid feeds the --diff gate alongside the engines.
@@ -824,6 +750,23 @@ mod tests {
     }
 
     #[test]
+    fn diff_fails_naming_a_baseline_pair_the_current_run_lacks() {
+        let baseline = json::parse(
+            r#"{"workloads": [{"name": "w", "engines": [
+                {"name": "delta-presplit", "relaxations_per_sec": 1000.0},
+                {"name": "thorup", "relaxations_per_sec": 500.0},
+                {"name": "dropped", "relaxations_per_sec": 700.0}
+            ]}]}"#,
+        )
+        .unwrap();
+        let err = diff_artifacts(&baseline, &fake_artifact(1000.0), 2.0).unwrap_err();
+        assert!(
+            err.contains("lacks 1 baseline pair(s): w / dropped"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn truncated_artifact_fails_the_check() {
         let report = run(RunShape {
             scale: 6,
@@ -832,9 +775,9 @@ mod tests {
             smoke: true,
         });
         let text = report.to_json();
-        assert!(check_artifact(SCHEMA_TEXT, &text[..text.len() / 2]).is_err());
+        assert!(check_artifact(SCHEMA_TEXT, FORMAT_VERSION, &text[..text.len() / 2]).is_err());
         // A parseable document missing required keys also fails.
-        assert!(check_artifact(SCHEMA_TEXT, "{\"version\": 1}").is_err());
+        assert!(check_artifact(SCHEMA_TEXT, FORMAT_VERSION, "{\"version\": 1}").is_err());
     }
 
     #[cfg(feature = "count-alloc")]
@@ -843,14 +786,12 @@ mod tests {
         use mmt_baselines::{
             default_rho, delta_star_presplit, delta_stepping_st, rho_stepping_presplit, StepScratch,
         };
-        use mmt_graph::{CompactSplitCsr, CsrGraph};
-        use mmt_platform::AtomicMinU32;
+        use mmt_graph::CsrGraph;
         for class in [GraphClass::Random, GraphClass::Road] {
             let spec = WorkloadSpec::new(class, WeightDist::Uniform, 12, 12);
             let g = CsrGraph::from_edge_list(&spec.generate());
             let delta = adaptive_delta(&g).clamp(1, u32::MAX as u64) as u32;
             let split = SplitCsr::new(&g, delta);
-            let compact = CompactSplitCsr::try_new(&g, delta).expect("2^12 graphs narrow");
             let sources: Vec<u32> = (0..4).map(|i| (i * g.n() / 4) as u32).collect();
             let rho = default_rho(g.n());
             mmt_platform::with_pool(1, || {
@@ -858,22 +799,20 @@ mod tests {
                 let mut steps = StepScratch::new(&split);
                 let mut star = StepScratch::new(&split);
                 let mut early = DeltaScratch::new(&split);
-                let mut narrow = StepScratch::<AtomicMinU32>::new(&compact);
                 let mut solve = |kernel: usize| {
                     for (i, &s) in sources.iter().enumerate() {
                         match kernel {
                             0 => delta_stepping_presplit(&split, s, &mut delta, None),
                             1 => rho_stepping_presplit(&split, s, rho, &mut steps, None),
                             2 => delta_star_presplit(&split, s, &mut star, None),
-                            3 => {
+                            _ => {
                                 let t = sources[(i + 1) % sources.len()] + 1;
                                 delta_stepping_st(&split, s, t, &mut early, None, None);
                             }
-                            _ => delta_stepping_presplit(&compact, s, &mut narrow, None),
                         }
                     }
                 };
-                let kernels = ["delta", "rho", "delta-star", "delta-early", "delta-u32"];
+                let kernels = ["delta", "rho", "delta-star", "delta-early"];
                 for (kernel, name) in kernels.into_iter().enumerate() {
                     solve(kernel);
                     let ((), allocs) = crate::alloc_count::measure_thread(|| solve(kernel));

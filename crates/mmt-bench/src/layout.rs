@@ -4,13 +4,10 @@
 //! vertex order is performance-irrelevant there. On cache-based commodity
 //! hardware it is anything but, so this grid measures the same fixed-seed
 //! workloads as `bench hotpath` under every vertex ordering in
-//! [`LayoutKind`] and both distance widths:
+//! [`LayoutKind`]:
 //!
 //! * `delta-u64` — the pre-split Δ-stepping hot path on the natural,
 //!   degree-sorted, BFS, and CH-DFS relabeled graphs;
-//! * `delta-u32` — the same Δ-stepping on the `u32` distance cell over the
-//!   all-`u32` compact split (skipped per workload when checked narrowing
-//!   refuses);
 //! * `rho-u64` — ρ-stepping on every layout;
 //! * `thorup` — parallel Thorup on the natural and CH-DFS layouts (the
 //!   ordering that makes its components index-contiguous).
@@ -24,23 +21,20 @@
 //! many there are).
 //!
 //! The workloads reuse the hotpath families (Rand/RMAT × UWD/PWD,
-//! seed 0x2007) with the weight exponent capped at 2^10 so the undirected
-//! weight sum stays inside the `u32` cell's budget at every
-//! scale this harness runs at — otherwise the u32 column would silently
-//! vanish exactly at the scales where locality matters.
+//! seed 0x2007) with the weight exponent capped at 2^10, the shape every
+//! recorded version of this artifact measured, so its rows stay
+//! comparable with that history.
 
 use crate::artifact::{comma, per_sec, Header, RunShape};
 use crate::hotpath::counters_json;
 use crate::json;
 use mmt_baselines::{
-    adaptive_delta, default_rho, delta_stepping_presplit, rho_stepping_presplit, FitsCell,
-    StepScratch,
+    adaptive_delta, default_rho, delta_stepping_presplit, rho_stepping_presplit, StepScratch,
 };
-use mmt_graph::compact::CompactSplitCsr;
 use mmt_graph::gen::{GraphClass, WeightDist, WorkloadSpec};
 use mmt_graph::types::{Dist, VertexId, Weight};
 use mmt_graph::{CsrGraph, SplitCsr, VertexPermutation};
-use mmt_platform::{AtomicMinU32, AtomicMinU64, CountersSnapshot, EventCounters, MinCell};
+use mmt_platform::{CountersSnapshot, EventCounters};
 use mmt_thorup::{GraphLayout, InstancePool, LayoutKind, ThorupSolver};
 use std::sync::Arc;
 use std::time::Instant;
@@ -57,9 +51,11 @@ pub const SCHEMA_TEXT: &str = include_str!("../schema/BENCH_layout.schema.json")
 /// and the `rho-part` rows with the owned-partition kernel. Version 5
 /// retired the `thorup-u32` rows with the `u32`-cell Thorup instance.
 /// Version 6 dropped the `pin_policy` and `numa_nodes` header keys with
-/// worker pinning; version-5 artifacts still validate, since the checker
-/// ignores extra keys.
-pub const FORMAT_VERSION: u64 = 6;
+/// worker pinning. Version 7 retired the `delta-u32` rows and the
+/// workload's `compact_ok` flag with the `u32` distance cell. `--check`
+/// accepts only this version, so an artifact recorded by an older format
+/// fails it and must be re-recorded.
+pub const FORMAT_VERSION: u64 = 7;
 
 /// The default measurement shape: `MMT_SCALE` (default 16) and at most
 /// four of `MMT_RUNS`. Locality effects only show once the working set
@@ -71,7 +67,7 @@ pub fn full_shape() -> RunShape {
 /// One `(engine, layout)` measurement on one workload.
 #[derive(Debug, Clone)]
 pub struct LayoutSample {
-    /// Kernel under test: `delta-u64`, `delta-u32`, `rho-u64` or `thorup`.
+    /// Kernel under test: `delta-u64`, `rho-u64` or `thorup`.
     pub engine: &'static str,
     /// Ordering: `natural`, `degree`, `bfs`, or `chdfs`.
     pub layout: &'static str,
@@ -104,9 +100,6 @@ pub struct LayoutWorkload {
     pub m: usize,
     /// The adaptive Δ shared by every Δ-stepping sample.
     pub delta: u64,
-    /// True when the compact `u32` kernel could run (checked narrowing
-    /// accepted the graph).
-    pub compact_ok: bool,
     /// Per-`(engine, layout)` measurements.
     pub samples: Vec<LayoutSample>,
 }
@@ -121,7 +114,8 @@ pub struct LayoutReport {
 }
 
 /// The four fixed-seed layout workloads at `scale`: the hotpath
-/// families with `log_c` capped so checked `u32` narrowing stays feasible.
+/// families with `log_c` capped at 10, as every recorded version of this
+/// artifact ran them.
 pub fn layout_specs(scale: u32) -> Vec<WorkloadSpec> {
     use GraphClass::{Random, Rmat};
     use WeightDist::{PolyLog, Uniform};
@@ -162,7 +156,6 @@ fn run_workload(spec: WorkloadSpec, opts: RunShape) -> LayoutWorkload {
     let delta = adaptive_delta(&graph);
     let delta_w = delta.min(u32::MAX as u64) as Weight;
 
-    let mut compact_ok = true;
     let mut samples = Vec::new();
     for kind in LayoutKind::all() {
         // One permutation per ordering, shared by every kernel on it. Its
@@ -176,8 +169,7 @@ fn run_workload(spec: WorkloadSpec, opts: RunShape) -> LayoutWorkload {
         };
 
         let split = SplitCsr::new(&pg, delta_w);
-        samples.push(measure_delta::<AtomicMinU64, _>(
-            "delta-u64",
+        samples.push(measure_delta(
             &split,
             perm.as_ref(),
             kind,
@@ -185,18 +177,6 @@ fn run_workload(spec: WorkloadSpec, opts: RunShape) -> LayoutWorkload {
             opts.iterations,
             permute_secs,
         ));
-        match CompactSplitCsr::try_new(&pg, delta_w) {
-            Ok(compact) => samples.push(measure_delta::<AtomicMinU32, _>(
-                "delta-u32",
-                &compact,
-                perm.as_ref(),
-                kind,
-                &sources,
-                opts.iterations,
-                permute_secs,
-            )),
-            Err(_) => compact_ok = false,
-        }
         samples.push(measure_rho(
             &split,
             perm.as_ref(),
@@ -215,7 +195,6 @@ fn run_workload(spec: WorkloadSpec, opts: RunShape) -> LayoutWorkload {
         n: graph.n(),
         m: graph.m(),
         delta,
-        compact_ok,
         samples,
     }
 }
@@ -224,18 +203,16 @@ fn map_source(perm: Option<&VertexPermutation>, s: VertexId) -> VertexId {
     perm.map_or(s, |p| p.to_new(s))
 }
 
-/// Δ-stepping on one layout, on the cell `C`: `delta-u64` over the
-/// wide split, `delta-u32` over the certified compact one.
-fn measure_delta<C: MinCell, S: FitsCell<C>>(
-    engine: &'static str,
-    split: &S,
+/// Δ-stepping on one layout (`delta-u64`).
+fn measure_delta(
+    split: &SplitCsr,
     perm: Option<&VertexPermutation>,
     kind: LayoutKind,
     sources: &[VertexId],
     iterations: usize,
     permute_secs: f64,
 ) -> LayoutSample {
-    let mut scratch = StepScratch::<C>::new(split);
+    let mut scratch = StepScratch::new(split);
     let mut internal: Vec<Dist> = Vec::with_capacity(split.n());
     let mut out: Vec<Dist> = Vec::with_capacity(split.n());
     delta_stepping_presplit(split, map_source(perm, sources[0]), &mut scratch, None);
@@ -257,7 +234,7 @@ fn measure_delta<C: MinCell, S: FitsCell<C>>(
         }
     }
     LayoutSample {
-        engine,
+        engine: "delta-u64",
         layout: kind.short_name(),
         queries: sources.len() * iterations,
         wall_secs: t0.elapsed().as_secs_f64(),
@@ -363,7 +340,6 @@ impl LayoutReport {
             out.push_str(&format!("      \"n\": {},\n", w.n));
             out.push_str(&format!("      \"m\": {},\n", w.m));
             out.push_str(&format!("      \"delta\": {},\n", w.delta));
-            out.push_str(&format!("      \"compact_ok\": {},\n", w.compact_ok));
             out.push_str("      \"samples\": [\n");
             for (si, s) in w.samples.iter().enumerate() {
                 out.push_str("        {");
@@ -394,7 +370,6 @@ impl LayoutReport {
 mod tests {
     use super::*;
     use crate::artifact::check_artifact;
-    use crate::json::Json;
 
     #[test]
     fn specs_cap_the_weight_exponent_for_narrowing() {
@@ -414,28 +389,24 @@ mod tests {
         });
         assert_eq!(report.workloads.len(), 4);
         for w in &report.workloads {
-            assert!(w.compact_ok, "small smoke graphs must narrow");
-            // 4 layouts x (u64 + u32 + rho-u64) + thorup on natural + chdfs.
-            assert_eq!(w.samples.len(), 14);
+            // 4 layouts x (delta-u64 + rho-u64) + thorup on natural + chdfs.
+            assert_eq!(w.samples.len(), 10);
             for s in &w.samples {
                 assert!(s.wall_secs > 0.0, "{} {}", s.engine, s.layout);
                 assert!(s.counters.relaxations > 0);
                 assert!(s.counters.arcs_scanned > 0);
             }
-            // Arc scans are layout-invariant per kernel: the permutation
-            // moves reads around, it cannot change their number.
-            for engine in ["delta-u64", "delta-u32"] {
-                // (rho rows are excluded: ρ re-scans a frontier vertex
-                // per extraction, and extraction grouping is
-                // layout-sensitive.)
-                let arcs: Vec<u64> = w
-                    .samples
-                    .iter()
-                    .filter(|s| s.engine == engine)
-                    .map(|s| s.counters.arcs_scanned)
-                    .collect();
-                assert!(arcs.windows(2).all(|p| p[0] == p[1]), "{engine}: {arcs:?}");
-            }
+            // Arc scans are layout-invariant for Δ-stepping: the
+            // permutation moves reads around, it cannot change their
+            // number. (rho rows are excluded: ρ re-scans a frontier vertex
+            // per extraction, and extraction grouping is layout-sensitive.)
+            let arcs: Vec<u64> = w
+                .samples
+                .iter()
+                .filter(|s| s.engine == "delta-u64")
+                .map(|s| s.counters.arcs_scanned)
+                .collect();
+            assert!(arcs.windows(2).all(|p| p[0] == p[1]), "{arcs:?}");
             let natural = w
                 .samples
                 .iter()
@@ -449,16 +420,13 @@ mod tests {
             }
         }
         let text = report.to_json();
-        let value = check_artifact(SCHEMA_TEXT, &text).expect("artifact must satisfy the schema");
-        assert_eq!(
-            value.get("version").and_then(Json::as_num),
-            Some(FORMAT_VERSION as f64)
-        );
+        check_artifact(SCHEMA_TEXT, FORMAT_VERSION, &text)
+            .expect("artifact must satisfy the schema");
     }
 
     #[test]
     fn malformed_layout_artifacts_fail_the_check() {
-        assert!(check_artifact(SCHEMA_TEXT, "{\"version\": 1}").is_err());
-        assert!(check_artifact(SCHEMA_TEXT, "not json").is_err());
+        assert!(check_artifact(SCHEMA_TEXT, FORMAT_VERSION, "{\"version\": 1}").is_err());
+        assert!(check_artifact(SCHEMA_TEXT, FORMAT_VERSION, "not json").is_err());
     }
 }

@@ -267,135 +267,6 @@ pub fn read_gr_streaming<P: AsRef<Path>>(path: P) -> Result<EdgeList, GrError> {
     })
 }
 
-/// Builds a [`CsrGraph`](crate::CsrGraph) directly from a `.gr` source,
-/// without ever materialising the intermediate [`EdgeList`].
-///
-/// `open` is called once per pass (twice total) and must yield a fresh
-/// reader over the same bytes — a fresh [`BufReader`] over the file, or a
-/// slice for in-memory input. Pass one validates the whole stream (so a
-/// [`GrError::Truncated`] tail or [`GrError::WeightOverflow`] is reported
-/// before any arc storage is committed) and counts canonical-tail degrees;
-/// pass two places each arc's `(other endpoint, weight)` into an
-/// exact-capacity per-vertex staging area, which is then sorted and
-/// pair-folded in place and scattered into the final CSR arrays.
-///
-/// Peak memory is the 8-byte-per-arc staging area plus the final CSR —
-/// never the 12-byte-per-arc raw [`Edge`] array plus a retained edge list
-/// that the `read_gr`-then-`from_edge_list` route holds live together.
-///
-/// The result is **identical** (field for field) to
-/// `CsrGraph::from_edge_list(&read_gr(..)?)`: the staged fold reproduces
-/// [`read_gr`]'s symmetric-pair semantics (arc pairs collapse to one
-/// undirected edge, odd occurrences survive) and the per-bucket sorted
-/// placement reproduces `from_edge_list`'s adjacency order exactly. The
-/// property suite in `tests/prop.rs` holds the two paths equal — errors
-/// included — over seeded corpora.
-pub fn read_gr_csr<R: BufRead>(
-    mut open: impl FnMut() -> Result<R, GrError>,
-) -> Result<crate::CsrGraph, GrError> {
-    // Pass 1: validate + count arcs per canonical tail (min endpoint).
-    // The vertex count arrives mid-scan (on the problem line), so the
-    // degree array grows on demand and is right-sized afterwards.
-    let mut stage_deg: Vec<u64> = Vec::new();
-    let scan = scan_gr(&mut open()?, |e| {
-        let a = e.u.min(e.v) as usize;
-        if stage_deg.len() < a + 2 {
-            stage_deg.resize(a + 2, 0);
-        }
-        stage_deg[a + 1] += 1;
-    })?;
-    let n = scan.n;
-    stage_deg.resize(n + 1, 0);
-    for i in 0..n {
-        stage_deg[i + 1] += stage_deg[i];
-    }
-    let stage_off = stage_deg;
-
-    // Pass 2: place each arc as (max endpoint, weight) at its canonical
-    // tail's cursor. A file that changed between passes can only misplace
-    // within bounds; the flag (plus the scan totals) turns any drift into
-    // a typed error instead of a bogus graph.
-    let mut stage: Vec<(VertexId, Weight)> = vec![(0, 0); scan.arcs_found];
-    let mut cursor: Vec<u64> = stage_off[..n].to_vec();
-    let mut drifted = false;
-    let rescan = scan_gr(&mut open()?, |e| {
-        let (a, b) = if e.u <= e.v { (e.u, e.v) } else { (e.v, e.u) };
-        let ai = a as usize;
-        if ai + 1 >= stage_off.len() || cursor[ai] >= stage_off[ai + 1] {
-            drifted = true;
-            return;
-        }
-        stage[cursor[ai] as usize] = (b, e.w);
-        cursor[ai] += 1;
-    })?;
-    if drifted || rescan.n != n || rescan.arcs_found != scan.arcs_found {
-        return Err(parse_err(0, "file changed between validation and read"));
-    }
-
-    // Sort each canonical bucket by (other, weight) and fold identical
-    // pairs in place — bucket-by-bucket this is exactly `fold_symmetric`'s
-    // global (u, v, w) order. Folded degrees charge both endpoints (a
-    // self loop charges its vertex twice), matching `CsrGraph` placement.
-    let mut fdeg = vec![0u64; n + 1];
-    let mut fold_off = vec![0usize; n + 1];
-    let mut write = 0usize;
-    let mut max_weight: Weight = 0;
-    for a in 0..n {
-        let (lo, hi) = (stage_off[a] as usize, stage_off[a + 1] as usize);
-        stage[lo..hi].sort_unstable();
-        fold_off[a] = write;
-        let mut i = lo;
-        while i < hi {
-            let e = stage[i];
-            i += if i + 1 < hi && stage[i + 1] == e {
-                2
-            } else {
-                1
-            };
-            stage[write] = e;
-            write += 1;
-            fdeg[a + 1] += 1;
-            fdeg[e.0 as usize + 1] += 1;
-            max_weight = max_weight.max(e.1);
-        }
-    }
-    fold_off[n] = write;
-
-    // Final CSR: prefix-sum the folded degrees and scatter every folded
-    // edge at both endpoints, in the same order `CsrGraph::build` walks
-    // its (sorted) edge list.
-    for i in 0..n {
-        fdeg[i + 1] += fdeg[i];
-    }
-    let offsets = fdeg;
-    let dm = offsets[n] as usize;
-    let mut targets = vec![0 as VertexId; dm];
-    let mut weights = vec![0 as Weight; dm];
-    let mut cur: Vec<u64> = offsets[..n].to_vec();
-    for a in 0..n {
-        for &(b, w) in &stage[fold_off[a]..fold_off[a + 1]] {
-            let ca = cur[a] as usize;
-            targets[ca] = b;
-            weights[ca] = w;
-            cur[a] += 1;
-            let cb = cur[b as usize] as usize;
-            targets[cb] = a as VertexId;
-            weights[cb] = w;
-            cur[b as usize] += 1;
-        }
-    }
-    Ok(crate::CsrGraph::from_parts(
-        offsets, targets, weights, n, write, max_weight,
-    ))
-}
-
-/// [`read_gr_csr`] over a file path: the on-the-fly CSR route for DIMACS
-/// instances too large to hold as an edge list next to their CSR.
-pub fn read_gr_csr_path<P: AsRef<Path>>(path: P) -> Result<crate::CsrGraph, GrError> {
-    let path = path.as_ref();
-    read_gr_csr(|| Ok(BufReader::new(File::open(path)?)))
-}
-
 /// Reads a `.gr` file from disk, choosing the in-memory single-pass
 /// reader for small files and the two-pass streaming reader (bounded
 /// buffers, exact-capacity arc storage) for files of at least
@@ -669,90 +540,6 @@ mod tests {
             nb.sort_unstable();
             assert_eq!(na, nb, "vertex {v}");
         }
-    }
-
-    #[test]
-    fn csr_builder_is_identical_to_the_edge_list_route() {
-        // Self loops, duplicate edges, and an isolated vertex — the cases
-        // where fold/placement order could drift. `CsrGraph` derives `Eq`,
-        // so identity here means field-for-field identity.
-        let el = EdgeList::from_triples(
-            7,
-            [
-                (0, 1, 5),
-                (1, 2, 7),
-                (3, 3, 2),
-                (0, 1, 5),
-                (4, 5, 1),
-                (2, 4, 9),
-                (2, 4, 9),
-            ],
-        );
-        let mut buf = Vec::new();
-        write_gr(&mut buf, &el, "csr identity fixture").unwrap();
-        let via_edge_list = crate::CsrGraph::from_edge_list(&read_gr(&buf[..]).unwrap());
-        let direct = read_gr_csr(|| Ok(buf.as_slice())).unwrap();
-        assert_eq!(direct, via_edge_list);
-        let file = TempGr::new("csr-direct", &buf);
-        assert_eq!(read_gr_csr_path(file.path()).unwrap(), via_edge_list);
-    }
-
-    #[test]
-    fn csr_builder_handles_asymmetric_arcs() {
-        // One-directional and odd-multiplicity arcs: the fold must keep
-        // the odd survivor exactly like the edge-list route does.
-        let text = b"p sp 4 5\na 1 2 3\na 3 2 8\na 2 3 8\na 2 3 8\na 4 4 1\n";
-        let via_edge_list = crate::CsrGraph::from_edge_list(&read_gr(&text[..]).unwrap());
-        let direct = read_gr_csr(|| Ok(&text[..])).unwrap();
-        assert_eq!(direct, via_edge_list);
-    }
-
-    #[test]
-    fn csr_builder_reports_the_same_typed_errors() {
-        let truncated = b"p sp 3 4\na 1 2 10\na 2 1 10\n";
-        let err = read_gr_csr(|| Ok(&truncated[..])).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                GrError::Truncated {
-                    declared: 4,
-                    found: 2
-                }
-            ),
-            "{err}"
-        );
-        let overflow = b"p sp 2 1\na 1 2 4294967296\n";
-        let err = read_gr_csr(|| Ok(&overflow[..])).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                GrError::WeightOverflow {
-                    line: 2,
-                    value: 4294967296
-                }
-            ),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn csr_builder_detects_input_changing_between_passes() {
-        // The second pass sees fewer arcs than the validated first pass —
-        // the moral equivalent of a file rewritten mid-read.
-        let full = b"p sp 3 2\na 1 2 4\na 2 3 5\n";
-        let short = b"p sp 3 2\na 1 2 4\n";
-        let mut call = 0;
-        let err = read_gr_csr(|| {
-            call += 1;
-            Ok(if call == 1 { &full[..] } else { &short[..] })
-        })
-        .unwrap_err();
-        // The rescan itself reports the missing arc as truncation — either
-        // typed shape is acceptable, silent drift is not.
-        assert!(
-            matches!(err, GrError::Truncated { .. } | GrError::Parse { .. }),
-            "{err}"
-        );
     }
 
     #[test]

@@ -14,20 +14,15 @@
 //! * [`dimacs`] — reader/writer for the challenge `.gr` format;
 //! * [`subgraph`] — induced-subgraph extraction (an MTGL operation the
 //!   paper names explicitly);
-//! * [`split`] — a light/heavy pre-split CSR view (edges `≤ Δ` vs `> Δ`
+//! * [`split`] — the light/heavy pre-split CSR (edges `≤ Δ` vs `> Δ`
 //!   contiguous per vertex) that removes delta-stepping's per-relaxation
-//!   weight filter;
-//! * [`arena`] — an `Arc`-shared, weight-sorted CSR arena whose Δ-splits
-//!   are `O(n)` offset views instead of `O(n + m)` duplicated copies — the
-//!   representation the multi-graph registry serves tenants from;
+//!   weight filter: the one adjacency every stepping kernel runs on;
 //! * [`stats`] — degree/weight summaries used by the bench harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod builder;
-pub mod compact;
 pub mod csr;
 pub mod dimacs;
 pub mod gen;
@@ -38,8 +33,6 @@ pub mod stats;
 pub mod subgraph;
 pub mod types;
 
-pub use arena::{CompactCertified, CompactSplitView, CsrArena, SplitAdjacency, SplitView};
-pub use compact::{CompactError, CompactSplitCsr, COMPACT_DIST_INF};
 pub use csr::CsrGraph;
 pub use gen::{GraphClass, WeightDist, WorkloadSpec};
 pub use order::VertexPermutation;

@@ -127,85 +127,6 @@ proptest! {
         }
     }
 
-    /// The on-the-fly CSR builder is *identical* — field for field, via
-    /// `CsrGraph`'s derived `Eq` — to folding with `read_gr` and building
-    /// with `from_edge_list`, over paired (write_gr) corpora.
-    #[test]
-    fn streaming_csr_builder_matches_read_gr(el in arb_edge_list()) {
-        let mut buf = Vec::new();
-        dimacs::write_gr(&mut buf, &el, "csr prop").unwrap();
-        let via_edge_list = CsrGraph::from_edge_list(&dimacs::read_gr(&buf[..]).unwrap());
-        let direct = dimacs::read_gr_csr(|| Ok(buf.as_slice())).unwrap();
-        prop_assert_eq!(direct, via_edge_list);
-    }
-
-    /// Same identity over raw *asymmetric* arc soup — arcs with no paired
-    /// reverse, odd multiplicities, self loops — where the pair-fold is
-    /// doing real work.
-    #[test]
-    fn streaming_csr_builder_matches_on_asymmetric_arcs(
-        n in 1usize..30,
-        arcs in proptest::collection::vec((0u32..30, 0u32..30, 1u32..100), 0..120),
-    ) {
-        let mut text = format!("p sp {n} {}\n", arcs.len());
-        for (u, v, w) in &arcs {
-            let (u, v) = (u % n as u32, v % n as u32);
-            text.push_str(&format!("a {} {} {w}\n", u + 1, v + 1));
-        }
-        let bytes = text.as_bytes();
-        let via_edge_list = CsrGraph::from_edge_list(&dimacs::read_gr(bytes).unwrap());
-        let direct = dimacs::read_gr_csr(|| Ok(bytes)).unwrap();
-        prop_assert_eq!(direct, via_edge_list);
-    }
-
-    /// Error parity: the builder reports the same typed error — same
-    /// variant, same fields — as the two-pass reader on truncated and
-    /// weight-overflowing inputs.
-    #[test]
-    fn streaming_csr_builder_error_parity(
-        el in arb_edge_list(),
-        extra in 1usize..4,
-        overflow_by in 1u64..1000,
-    ) {
-        use mmt_graph::dimacs::GrError;
-        // Truncation: declare more arcs than the body delivers.
-        let mut buf = Vec::new();
-        dimacs::write_gr(&mut buf, &el, "").unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let truncated = text.replacen(
-            &format!("p sp {} {}", el.n, 2 * el.m()),
-            &format!("p sp {} {}", el.n, 2 * el.m() + extra),
-            1,
-        );
-        let a = dimacs::read_gr(truncated.as_bytes()).unwrap_err();
-        let b = dimacs::read_gr_csr(|| Ok(truncated.as_bytes())).unwrap_err();
-        match (&a, &b) {
-            (
-                GrError::Truncated { declared: d1, found: f1 },
-                GrError::Truncated { declared: d2, found: f2 },
-            ) => {
-                prop_assert_eq!(d1, d2);
-                prop_assert_eq!(f1, f2);
-            }
-            other => return Err(TestCaseError::fail(format!("expected Truncated parity, got {other:?}"))),
-        }
-        // Overflow: one weight past u32::MAX, same line both routes.
-        let value = u32::MAX as u64 + overflow_by;
-        let bad = format!("p sp {} 1\na 1 1 {value}\n", el.n);
-        let a = dimacs::read_gr(bad.as_bytes()).unwrap_err();
-        let b = dimacs::read_gr_csr(|| Ok(bad.as_bytes())).unwrap_err();
-        match (&a, &b) {
-            (
-                GrError::WeightOverflow { line: l1, value: v1 },
-                GrError::WeightOverflow { line: l2, value: v2 },
-            ) => {
-                prop_assert_eq!(l1, l2);
-                prop_assert_eq!(v1, v2);
-            }
-            other => return Err(TestCaseError::fail(format!("expected WeightOverflow parity, got {other:?}"))),
-        }
-    }
-
     /// The road generator always yields a connected graph with in-range
     /// weights and the deterministic `grid + n/16` edge budget.
     #[test]

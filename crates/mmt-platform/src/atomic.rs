@@ -6,7 +6,7 @@
 //! mutated concurrently — tentative distances, per-component `mind` values,
 //! settled bits — goes through the primitives in this module.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A `u64` cell supporting an atomic *lower-or-leave* update.
 ///
@@ -110,200 +110,6 @@ impl Default for AtomicMinU64 {
 impl Clone for AtomicMinU64 {
     fn clone(&self) -> Self {
         Self::new(self.load())
-    }
-}
-
-/// A `u32` cell supporting an atomic *lower-or-leave* update.
-///
-/// The 32-bit sibling of [`AtomicMinU64`], used by the `u32`-cell stepping
-/// solves where the graph's weight sum is known to fit in `u32`. Halving the
-/// tentative-distance width halves the bytes touched per relaxation, which is
-/// the whole point of the compact layout; the semantics (strict-lowering
-/// return, relaxed fast path, `AcqRel` success ordering) are identical to the
-/// 64-bit cell.
-#[derive(Debug)]
-pub struct AtomicMinU32 {
-    cell: AtomicU32,
-}
-
-impl AtomicMinU32 {
-    /// Creates a cell holding `value`.
-    #[inline]
-    pub fn new(value: u32) -> Self {
-        Self {
-            cell: AtomicU32::new(value),
-        }
-    }
-
-    /// Reads the current value.
-    #[inline]
-    pub fn load(&self) -> u32 {
-        self.cell.load(Ordering::Acquire)
-    }
-
-    /// Unconditionally stores `value` (only safe from non-racing phases, e.g.
-    /// scratch reset between queries).
-    #[inline]
-    pub fn store(&self, value: u32) {
-        self.cell.store(value, Ordering::Release)
-    }
-
-    /// Single CAS attempt: replaces `current` with `new` if the cell still
-    /// holds `current`. The 32-bit sibling of
-    /// [`AtomicMinU64::compare_exchange`], with the same pull-refresh use
-    /// case (it may *raise* the value; a failed CAS means recompute).
-    #[inline]
-    pub fn compare_exchange(&self, current: u32, new: u32) -> Result<u32, u32> {
-        self.cell
-            .compare_exchange(current, new, Ordering::AcqRel, Ordering::Acquire)
-    }
-
-    /// Atomically lowers the cell to `min(current, value)`, returning `true`
-    /// iff this call strictly lowered the stored value. Same ordering contract
-    /// as [`AtomicMinU64::fetch_min`].
-    #[inline]
-    pub fn fetch_min(&self, value: u32) -> bool {
-        let mut current = self.cell.load(Ordering::Relaxed);
-        if current <= value {
-            return false;
-        }
-        loop {
-            match self.cell.compare_exchange_weak(
-                current,
-                value,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(observed) => {
-                    if observed <= value {
-                        return false;
-                    }
-                    current = observed;
-                }
-            }
-        }
-    }
-}
-
-impl Default for AtomicMinU32 {
-    fn default() -> Self {
-        Self::new(u32::MAX)
-    }
-}
-
-impl Clone for AtomicMinU32 {
-    fn clone(&self) -> Self {
-        Self::new(self.load())
-    }
-}
-
-/// A lower-or-leave cell with `u64` semantics, abstracting over storage
-/// width.
-///
-/// Algorithms generic over `MinCell` (the stepping loop, the shared relax
-/// core) run identically on the wide
-/// [`AtomicMinU64`] and the compact [`AtomicMinU32`]; only the bytes per
-/// cell change. The compact impl maps `u32::MAX ↔ u64::MAX` (the
-/// workspace's two infinity sentinels) and saturates finite values into
-/// the sentinel on the way down.
-///
-/// Exactness contract: callers must certify (as
-/// `mmt_graph::CompactSplitCsr` does) that every *finite* value the
-/// algorithm can produce is `< u32::MAX` before choosing the compact
-/// cell. Under that bound the narrow/widen mapping is a bijection on the
-/// reachable domain, so `fetch_min` / `compare_exchange` decisions are
-/// bit-identical across widths; without it saturation could conflate two
-/// distinct over-estimates (never a correct value — shortest paths are
-/// simple, so true distances respect the weight-sum bound).
-pub trait MinCell: Send + Sync + Sized + 'static {
-    /// A cell holding `value` (narrowed per the width's sentinel map).
-    fn new_cell(value: u64) -> Self;
-    /// Reads the current value, widened (sentinel ↦ `u64::MAX`).
-    fn load(&self) -> u64;
-    /// Unconditional store (non-racing phases only).
-    fn store(&self, value: u64);
-    /// Atomic lower-or-leave; `true` iff this call strictly lowered the
-    /// stored value.
-    fn fetch_min(&self, value: u64) -> bool;
-    /// Single CAS attempt in widened space.
-    fn compare_exchange(&self, current: u64, new: u64) -> Result<u64, u64>;
-}
-
-impl MinCell for AtomicMinU64 {
-    #[inline]
-    fn new_cell(value: u64) -> Self {
-        Self::new(value)
-    }
-
-    #[inline]
-    fn load(&self) -> u64 {
-        AtomicMinU64::load(self)
-    }
-
-    #[inline]
-    fn store(&self, value: u64) {
-        AtomicMinU64::store(self, value)
-    }
-
-    #[inline]
-    fn fetch_min(&self, value: u64) -> bool {
-        AtomicMinU64::fetch_min(self, value)
-    }
-
-    #[inline]
-    fn compare_exchange(&self, current: u64, new: u64) -> Result<u64, u64> {
-        AtomicMinU64::compare_exchange(self, current, new)
-    }
-}
-
-/// Saturating narrow: `u64::MAX` (and anything ≥ `u32::MAX`) becomes the
-/// `u32` sentinel.
-#[inline]
-fn narrow_min(value: u64) -> u32 {
-    if value >= u32::MAX as u64 {
-        u32::MAX
-    } else {
-        value as u32
-    }
-}
-
-/// Sentinel-mapped widen: `u32::MAX` becomes `u64::MAX`.
-#[inline]
-fn widen_min(value: u32) -> u64 {
-    if value == u32::MAX {
-        u64::MAX
-    } else {
-        value as u64
-    }
-}
-
-impl MinCell for AtomicMinU32 {
-    #[inline]
-    fn new_cell(value: u64) -> Self {
-        Self::new(narrow_min(value))
-    }
-
-    #[inline]
-    fn load(&self) -> u64 {
-        widen_min(AtomicMinU32::load(self))
-    }
-
-    #[inline]
-    fn store(&self, value: u64) {
-        AtomicMinU32::store(self, narrow_min(value))
-    }
-
-    #[inline]
-    fn fetch_min(&self, value: u64) -> bool {
-        AtomicMinU32::fetch_min(self, narrow_min(value))
-    }
-
-    #[inline]
-    fn compare_exchange(&self, current: u64, new: u64) -> Result<u64, u64> {
-        AtomicMinU32::compare_exchange(self, narrow_min(current), narrow_min(new))
-            .map(widen_min)
-            .map_err(widen_min)
     }
 }
 
@@ -507,93 +313,6 @@ mod tests {
             assert_eq!(wins.load(Ordering::Relaxed), 1, "one strict lowering");
             assert_eq!(a.load(), 3);
         }
-    }
-
-    #[test]
-    fn fetch_min_u32_lowers_and_reports() {
-        let a = AtomicMinU32::new(10);
-        assert!(a.fetch_min(5));
-        assert_eq!(a.load(), 5);
-        assert!(!a.fetch_min(7));
-        assert!(!a.fetch_min(5));
-        assert_eq!(a.load(), 5);
-        a.store(u32::MAX);
-        assert_eq!(a.load(), u32::MAX);
-        assert_eq!(AtomicMinU32::default().load(), u32::MAX);
-    }
-
-    #[test]
-    fn fetch_min_u32_concurrent_settles_on_global_min() {
-        let a = Arc::new(AtomicMinU32::new(u32::MAX));
-        std::thread::scope(|s| {
-            for t in 0..8u32 {
-                let a = Arc::clone(&a);
-                s.spawn(move || {
-                    for i in 0..1000u32 {
-                        a.fetch_min(1 + ((i * 7919 + t * 104729) % 5000));
-                    }
-                });
-            }
-        });
-        let mut expected = u32::MAX;
-        for t in 0..8u32 {
-            for i in 0..1000u32 {
-                expected = expected.min(1 + ((i * 7919 + t * 104729) % 5000));
-            }
-        }
-        assert_eq!(a.load(), expected);
-    }
-
-    /// Drives the same script through both [`MinCell`] widths and checks
-    /// every intermediate observation matches — the bijection argument
-    /// in the trait docs, executed.
-    fn min_cell_script<C: MinCell>() -> Vec<u64> {
-        let c = C::new_cell(u64::MAX);
-        let mut log = vec![c.load()];
-        log.push(c.fetch_min(100) as u64);
-        log.push(c.fetch_min(100) as u64);
-        log.push(c.fetch_min(40) as u64);
-        log.push(c.load());
-        log.push(match c.compare_exchange(40, 70) {
-            Ok(v) => v,
-            Err(v) => v + 1000,
-        });
-        log.push(match c.compare_exchange(40, 90) {
-            Ok(v) => v,
-            Err(v) => v + 1000,
-        });
-        c.store(u64::MAX);
-        log.push(c.load());
-        log.push(c.fetch_min(u64::MAX) as u64);
-        log
-    }
-
-    #[test]
-    fn min_cell_widths_agree_on_certified_values() {
-        let wide = min_cell_script::<AtomicMinU64>();
-        let compact = min_cell_script::<AtomicMinU32>();
-        assert_eq!(wide, compact);
-        assert_eq!(wide[0], u64::MAX, "sentinel round-trips");
-    }
-
-    #[test]
-    fn compact_cell_saturates_into_the_sentinel() {
-        let c = <AtomicMinU32 as MinCell>::new_cell(u64::MAX);
-        // A value past the certified domain saturates to the sentinel and
-        // therefore never counts as a lowering — exactly the compact
-        // Δ-stepping kernel's "fetch_min never accepts the sentinel".
-        assert!(!MinCell::fetch_min(&c, u32::MAX as u64 + 5));
-        assert_eq!(MinCell::load(&c), u64::MAX);
-        assert!(MinCell::fetch_min(&c, u32::MAX as u64 - 1));
-        assert_eq!(MinCell::load(&c), u32::MAX as u64 - 1);
-    }
-
-    #[test]
-    fn compare_exchange_u32_matches_u64_contract() {
-        let a = AtomicMinU32::new(10);
-        assert_eq!(a.compare_exchange(10, 25), Ok(10), "can raise");
-        assert_eq!(a.compare_exchange(10, 5), Err(25), "stale current fails");
-        assert_eq!(a.load(), 25);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod scratch;
 pub mod table;
 pub mod timing;
 
-pub use atomic::{AtomicBitSet, AtomicMinU32, AtomicMinU64, MinCell};
+pub use atomic::{AtomicBitSet, AtomicMinU64};
 pub use bins::{BinLane, FrontierBins};
 pub use cancel::CancelToken;
 pub use counters::{Counter, CountersSnapshot, EventCounters};

@@ -19,7 +19,7 @@ impl<T: Copy> MemFootprint for Vec<T> {
     }
 }
 
-/// A shared resident-bytes tally: registries add what they hold (arenas,
+/// A shared resident-bytes tally: registries add what they hold (graphs,
 /// hierarchies), evictions subtract it, and admission checks read the
 /// current total to shed work under memory pressure.
 ///

@@ -26,7 +26,7 @@ use mmt_graph::{CsrGraph, VertexPermutation};
 use std::sync::Arc;
 
 /// Which vertex order a layout relabels the graph into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LayoutKind {
     /// Generator order — no relabeling (the before-side of every
     /// locality measurement).
@@ -163,15 +163,6 @@ impl GraphLayout {
         }
     }
 
-    /// Maps an internal vertex id back to the caller's original id.
-    #[inline]
-    pub fn to_original(&self, v: VertexId) -> VertexId {
-        match &self.perm {
-            Some(p) => p.to_old(v),
-            None => v,
-        }
-    }
-
     /// Reorders a distance vector indexed by internal ids into original
     /// order, into `out` (cleared; no allocation once `out` has capacity).
     /// The natural layout copies straight through.
@@ -183,13 +174,6 @@ impl GraphLayout {
                 out.extend_from_slice(internal);
             }
         }
-    }
-
-    /// A Thorup solver over the layout's internal id space. Callers using
-    /// it directly must translate ids themselves — or use [`LayoutSolver`],
-    /// which does it for them.
-    pub fn solver(&self) -> ThorupSolver<'_> {
-        ThorupSolver::new(&self.graph, &self.ch)
     }
 }
 
@@ -229,11 +213,6 @@ impl<'a> LayoutSolver<'a> {
         }
     }
 
-    /// The layout this solver answers through.
-    pub fn layout(&self) -> &GraphLayout {
-        self.layout
-    }
-
     /// Full SSSP from `source` (an original id), distances in original
     /// vertex order.
     pub fn solve(&self, source: VertexId) -> Vec<Dist> {
@@ -241,24 +220,6 @@ impl<'a> LayoutSolver<'a> {
         let mut out = Vec::with_capacity(internal.len());
         self.layout.scatter_into(&internal, &mut out);
         out
-    }
-
-    /// One SSSP per source, solved simultaneously; rows in input order,
-    /// each in original vertex order.
-    pub fn solve_batch(&self, sources: &[VertexId]) -> Vec<Vec<Dist>> {
-        let internal: Vec<VertexId> = sources
-            .iter()
-            .map(|&s| self.layout.to_internal(s))
-            .collect();
-        self.batch
-            .solve_batch(&internal)
-            .into_iter()
-            .map(|row| {
-                let mut out = Vec::with_capacity(row.len());
-                self.layout.scatter_into(&row, &mut out);
-                out
-            })
-            .collect()
     }
 }
 
@@ -297,18 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn layout_batches_match_and_reuse_pools() {
-        let (g, ch) = fixture(77);
-        let layout = GraphLayout::build(LayoutKind::ChDfs, Arc::clone(&g), ch).unwrap();
-        let solver = LayoutSolver::new(&layout);
-        let sources: Vec<u32> = (0..10).map(|i| i * 13 % g.n() as u32).collect();
-        let want: Vec<Vec<Dist>> = sources.iter().map(|&s| dijkstra(&g, s)).collect();
-        for _ in 0..3 {
-            assert_eq!(solver.solve_batch(&sources), want);
-        }
-    }
-
-    #[test]
     fn natural_layout_shares_inputs() {
         let (g, ch) = fixture(5);
         let layout =
@@ -317,7 +266,6 @@ mod tests {
         assert!(Arc::ptr_eq(layout.hierarchy(), &ch));
         assert!(layout.permutation().is_none());
         assert_eq!(layout.to_internal(42), 42);
-        assert_eq!(layout.to_original(42), 42);
     }
 
     #[test]

@@ -1,16 +1,13 @@
-//! The multi-graph registry: `Arc`-shared arenas and resident-bytes
+//! The multi-graph registry: `Arc`-shared graphs and resident-bytes
 //! accounting.
 //!
 //! The paper amortises one Component Hierarchy over many queries; the
 //! registry amortises many *graphs* over one process. Each registered
-//! graph is canonicalised into a [`CsrArena`] (weight-sorted, `Arc`-shared
-//! arc arrays) so that:
-//!
-//! * the Thorup serving path and every Δ-split view
-//!   ([`GraphRegistry::split`]) reference **one** arc array per graph;
-//! * everything the registry keeps resident (arena plus hierarchy) is
-//!   tallied in a [`MemoryGauge`], which the service's admission check
-//!   reads to shed work under memory pressure.
+//! graph is kept as given, in its own adjacency order, behind one `Arc`
+//! that every shard worker of that graph shares, and everything the
+//! registry keeps resident (graph plus hierarchy) is tallied in a
+//! [`MemoryGauge`], which the service's admission check reads to shed
+//! work under memory pressure.
 //!
 //! Identity is typed: [`GraphId`] routes requests to shards and
 //! [`QueryId`] names an admitted request — no raw `usize` crosses the
@@ -23,8 +20,7 @@
 
 use crate::error::{InputError, ServiceError};
 use mmt_ch::ComponentHierarchy;
-use mmt_graph::types::Weight;
-use mmt_graph::{CsrArena, CsrGraph, SplitView};
+use mmt_graph::CsrGraph;
 use mmt_platform::MemoryGauge;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -70,7 +66,7 @@ impl fmt::Display for QueryId {
 /// on eviction; kept alive by any in-flight graph or hierarchy `Arc`s.
 #[derive(Debug)]
 struct GraphData {
-    arena: Arc<CsrArena>,
+    graph: Arc<CsrGraph>,
     ch: Arc<ComponentHierarchy>,
 }
 
@@ -79,13 +75,13 @@ struct GraphData {
 #[derive(Debug)]
 struct Slot {
     name: String,
-    /// Per-graph resident bytes (arena + hierarchy). Mirrored into the
+    /// Per-graph resident bytes (graph + hierarchy). Mirrored into the
     /// registry-wide gauge.
     resident: Arc<MemoryGauge>,
     data: Mutex<Option<Arc<GraphData>>>,
 }
 
-/// A set of graphs served from shared arenas, with typed ids and
+/// A set of graphs served behind shared `Arc`s, with typed ids and
 /// resident-bytes accounting.
 ///
 /// Register graphs up front, then hand the registry to
@@ -117,9 +113,8 @@ impl GraphRegistry {
         Self::default()
     }
 
-    /// Registers `graph` with its hierarchy under `name`, canonicalising
-    /// the adjacency into a shared [`CsrArena`]. The arena plus hierarchy
-    /// bytes are recorded as resident. Fails with
+    /// Registers a copy of `graph` with its hierarchy under `name`. The
+    /// graph plus hierarchy bytes are recorded as resident. Fails with
     /// [`InputError::GraphMismatch`] when the hierarchy was built for a
     /// different vertex count.
     pub fn register(
@@ -134,16 +129,16 @@ impl GraphRegistry {
                 ch_n: ch.n(),
             });
         }
-        let arena = CsrArena::new(graph);
+        let graph = Arc::new(graph.clone());
         let id = GraphId::from_index(self.slots.len());
-        let base_bytes = arena.arc_bytes() + ch.heap_bytes();
+        let base_bytes = graph.heap_bytes() + ch.heap_bytes();
         let resident = Arc::new(MemoryGauge::new());
         resident.add(base_bytes);
         self.gauge.add(base_bytes);
         self.slots.push(Slot {
             name: name.into(),
             resident,
-            data: Mutex::new(Some(Arc::new(GraphData { arena, ch }))),
+            data: Mutex::new(Some(Arc::new(GraphData { graph, ch }))),
         });
         Ok(id)
     }
@@ -191,15 +186,10 @@ impl GraphRegistry {
             .ok_or(ServiceError::GraphEvicted)
     }
 
-    /// The graph in arena (weight-sorted) order — the adjacency every
-    /// solver and view of this graph shares.
+    /// The graph as registered — the adjacency every solver of this
+    /// graph shares.
     pub fn graph(&self, id: GraphId) -> Result<Arc<CsrGraph>, ServiceError> {
-        Ok(Arc::clone(self.data(id)?.arena.graph()))
-    }
-
-    /// The shared arena itself.
-    pub fn arena(&self, id: GraphId) -> Result<Arc<CsrArena>, ServiceError> {
-        Ok(Arc::clone(&self.data(id)?.arena))
+        Ok(Arc::clone(&self.data(id)?.graph))
     }
 
     /// The graph's Component Hierarchy (natural leaf order).
@@ -207,13 +197,7 @@ impl GraphRegistry {
         Ok(Arc::clone(&self.data(id)?.ch))
     }
 
-    /// A Δ-split offset view over the graph's arena: `O(n)` marginal
-    /// bytes, no arc duplication (see [`CsrArena::split`]).
-    pub fn split(&self, id: GraphId, delta: Weight) -> Result<SplitView, ServiceError> {
-        Ok(self.data(id)?.arena.split(delta))
-    }
-
-    /// Evicts the whole graph: the registry drops its arena and hierarchy
+    /// Evicts the whole graph: the registry drops its graph and hierarchy
     /// and subtracts all of the graph's resident bytes. Returns true when
     /// the graph was resident. The id stays issued (never reused);
     /// subsequent requests for it see [`ServiceError::GraphEvicted`].
@@ -291,25 +275,32 @@ mod tests {
     }
 
     #[test]
+    fn graphs_are_served_as_registered() {
+        let (g, ch) = fixture(3);
+        let mut reg = GraphRegistry::new();
+        let id = reg.register("natural", &g, ch).unwrap();
+        // Field for field, adjacency order included: `CsrGraph` derives
+        // `Eq` over its offsets, targets and weights.
+        assert_eq!(*reg.graph(id).unwrap(), g);
+    }
+
+    #[test]
     fn n_graphs_store_each_arc_array_exactly_once() {
         let (reg, ids) = registry_with(4);
-        // The serving graph + any number of Δ views reference the one
-        // arena allocation per graph.
+        // Every request for a graph shares the registry's one copy.
         for &id in &ids {
-            let arena = reg.arena(id).unwrap();
-            let served = reg.graph(id).unwrap();
-            assert!(Arc::ptr_eq(&served, arena.graph()));
-            for delta in [2u32, 8, 32] {
-                let view = reg.split(id, delta).unwrap();
-                assert!(Arc::ptr_eq(view.arena().graph(), arena.graph()));
-            }
+            assert!(Arc::ptr_eq(
+                &reg.graph(id).unwrap(),
+                &reg.graph(id).unwrap()
+            ));
         }
         // Resident accounting says so too: total resident equals the sum
-        // of per-graph arena + hierarchy bytes — arcs are counted (because
-        // stored) exactly once per graph, with no per-Δ or per-view term.
+        // of per-graph graph + hierarchy bytes, each counted once.
         let expected: usize = ids
             .iter()
-            .map(|&id| reg.arena(id).unwrap().arc_bytes() + reg.hierarchy(id).unwrap().heap_bytes())
+            .map(|&id| {
+                reg.graph(id).unwrap().heap_bytes() + reg.hierarchy(id).unwrap().heap_bytes()
+            })
             .sum();
         assert_eq!(reg.resident_bytes(), expected);
     }

@@ -21,10 +21,9 @@
 //!   target the full-SSSP path *rejects*. Shape errors are values
 //!   ([`InputError::UnexpectedTarget`] / [`InputError::MissingTarget`]),
 //!   never silent reinterpretation.
-//! * **Shared arenas.** All shards serve the graph as registered, off the
-//!   registry's `Arc`-shared [`CsrArena`](mmt_graph::CsrArena)s: N graphs
-//!   store each arc array exactly once, and the registry's resident-bytes
-//!   gauge feeds the optional
+//! * **Shared graphs.** All shards serve the graph as registered, off the
+//!   registry's `Arc`-shared copy: N graphs store each arc array exactly
+//!   once, and the registry's resident-bytes gauge feeds the optional
 //!   [`memory_limit`](QueryServiceBuilder::memory_limit) admission check
 //!   ([`ServiceError::MemoryPressure`]).
 //! * **Lifecycle.** [`QueryService::evict_graph`] closes one shard,
@@ -592,7 +591,7 @@ pub struct GraphMetricsSnapshot {
     pub served: u64,
     /// Queued requests of this graph evicted by the load-shedding policy.
     pub shed: u64,
-    /// Registry bytes currently resident for this graph (arena +
+    /// Registry bytes currently resident for this graph (graph +
     /// hierarchy; zero after eviction).
     pub resident_bytes: u64,
 }

@@ -12,8 +12,7 @@ use mmt_baselines::{
     goldberg_sssp, rho_stepping_presplit, BidiScratch, DeltaConfig, DeltaScratch, StepScratch,
 };
 use mmt_graph::types::{Dist, VertexId};
-use mmt_graph::{CompactSplitCsr, CsrArena, SplitCsr, VertexPermutation};
-use mmt_platform::AtomicMinU32;
+use mmt_graph::{SplitCsr, VertexPermutation};
 use mmt_thorup::{
     BatchSolver, GraphLayout, GraphRegistry, LayoutKind, LayoutSolver, QueryRequest, QueryService,
     ThorupConfig, ThorupSolver,
@@ -292,34 +291,11 @@ impl SsspEngine for ChDfsLayoutThorupEngine {
     }
 }
 
-/// Δ-stepping over the shared-arena offset view: the adjacency lives
-/// once in a weight-sorted [`CsrArena`] and the Δ-split is an `O(n)`
-/// `light_len` table instead of a duplicated light/heavy CSR. Held to the
-/// oracle so the offset-view path proves equivalent to the duplicating
-/// [`SplitCsr`] across the whole corpus.
-pub struct ArenaDeltaEngine;
-
-impl SsspEngine for ArenaDeltaEngine {
-    fn name(&self) -> &'static str {
-        "delta-arena"
-    }
-
-    fn solve(&self, case: &GraphCase, source: VertexId) -> Vec<Dist> {
-        let cfg = DeltaConfig::adaptive(&case.graph);
-        let delta = cfg.delta().min(u32::MAX as u64) as mmt_graph::types::Weight;
-        let arena = Arc::new(CsrArena::new(&case.graph));
-        let split = arena.split(delta);
-        let mut scratch = DeltaScratch::new(&split);
-        delta_stepping_presplit(&split, source, &mut scratch, None);
-        scratch.to_distances()
-    }
-}
-
 /// The full multi-tenant serving path: register the case in a
 /// [`GraphRegistry`], stand up a one-worker [`QueryService`] shard, and
 /// answer through `submit`/`wait`. Every layer the registry redesign
-/// added — arena canonicalisation, typed routing, admission, the worker
-/// loop — sits between the query and the answer, and the answer must
+/// added — registration, typed routing, admission, the worker loop —
+/// sits between the query and the answer, and the answer must
 /// still match Dijkstra bit for bit.
 pub struct RegistryServiceEngine;
 
@@ -412,32 +388,6 @@ impl SsspEngine for CoalescedServiceEngine {
     }
 }
 
-/// Δ-stepping on the `u32` distance cell over a checked-narrowed compact
-/// split. When the graph refuses to narrow (arc count or weight sum too
-/// large) it falls back to the wide cell — the narrowing path must never be
-/// silently lossy, and the differential runner holds the result to the
-/// oracle either way.
-pub struct CompactDeltaEngine;
-
-impl SsspEngine for CompactDeltaEngine {
-    fn name(&self) -> &'static str {
-        "delta-compact"
-    }
-
-    fn solve(&self, case: &GraphCase, source: VertexId) -> Vec<Dist> {
-        let cfg = DeltaConfig::auto(&case.graph);
-        let delta = cfg.delta().min(u32::MAX as u64) as mmt_graph::types::Weight;
-        match CompactSplitCsr::try_new(&case.graph, delta) {
-            Ok(split) => {
-                let mut scratch = StepScratch::<AtomicMinU32>::new(&split);
-                delta_stepping_presplit(&split, source, &mut scratch, None);
-                scratch.to_distances()
-            }
-            Err(_) => delta_stepping(&case.graph, source, cfg),
-        }
-    }
-}
-
 /// ρ-stepping on the contention-free frontier bins: each step extracts
 /// the ~ρ closest frontier vertices and relaxes all of their edges, with
 /// relax-phase pushes going only into thread-local bins. Solves twice on
@@ -461,9 +411,8 @@ impl SsspEngine for RhoSteppingEngine {
     }
 }
 
-/// Δ*-stepping on the same bins, over the shared-arena offset view (so
-/// the corpus also holds the bins kernels' `SplitView` path to the
-/// oracle, mirroring [`ArenaDeltaEngine`]).
+/// Δ*-stepping on the same bins and the same [`SplitCsr`] as
+/// [`RhoSteppingEngine`], solved twice on one scratch.
 pub struct DeltaStarEngine;
 
 impl SsspEngine for DeltaStarEngine {
@@ -474,8 +423,7 @@ impl SsspEngine for DeltaStarEngine {
     fn solve(&self, case: &GraphCase, source: VertexId) -> Vec<Dist> {
         let cfg = DeltaConfig::adaptive(&case.graph);
         let delta = cfg.delta().min(u32::MAX as u64) as mmt_graph::types::Weight;
-        let arena = Arc::new(CsrArena::new(&case.graph));
-        let split = arena.split(delta.max(1));
+        let split = SplitCsr::new(&case.graph, delta.max(1));
         let mut scratch = StepScratch::new(&split);
         delta_star_presplit(&split, source, &mut scratch, None);
         delta_star_presplit(&split, source, &mut scratch, None);
@@ -499,8 +447,6 @@ pub fn all_engines() -> Vec<Box<dyn SsspEngine>> {
         Box::new(P2pDeltaEarlyEngine),
         Box::new(BfsLayoutDeltaEngine),
         Box::new(ChDfsLayoutThorupEngine),
-        Box::new(CompactDeltaEngine),
-        Box::new(ArenaDeltaEngine),
         Box::new(RhoSteppingEngine),
         Box::new(DeltaStarEngine),
         Box::new(RegistryServiceEngine),
@@ -534,28 +480,13 @@ mod tests {
     }
 
     #[test]
-    fn engine_table_has_eighteen_engines_with_unique_names() {
+    fn engine_table_has_sixteen_engines_with_unique_names() {
         let engines = all_engines();
-        assert_eq!(engines.len(), 18, "engine table size");
+        assert_eq!(engines.len(), 16, "engine table size");
         let names: std::collections::BTreeSet<_> = engines.iter().map(|e| e.name()).collect();
         assert_eq!(names.len(), engines.len(), "duplicate engine name");
         assert!(names.contains("p2p-bidi"));
         assert!(names.contains("p2p-delta-early"));
-    }
-
-    #[test]
-    fn compact_engine_falls_back_when_narrowing_refuses() {
-        // A path whose weight sum blows the u32 budget: the compact engine
-        // must refuse to narrow and answer through the wide kernel instead
-        // of saturating — distances here genuinely exceed u32::MAX.
-        let mut el = shapes::path(4, 1);
-        for e in el.edges.iter_mut() {
-            e.w = u32::MAX;
-        }
-        let case = GraphCase::new("wide-path", el);
-        let want = DijkstraOracle.solve(&case, 0);
-        assert!(want[3] > u32::MAX as Dist);
-        assert_eq!(CompactDeltaEngine.solve(&case, 0), want);
     }
 
     #[test]
