@@ -148,8 +148,9 @@ pub fn delta_stepping(g: &CsrGraph, source: VertexId, cfg: DeltaConfig) -> Vec<D
 /// where the output goes without a forced allocation. `counters`, when
 /// given, record `bucket_expansions` = relax phases (light rounds plus
 /// heavy passes), `arcs_scanned` = `relaxations` = arcs walked, `settled`
-/// = distinct vertices extracted, and `improvements` = strict `fetch_min`
-/// wins.
+/// = distinct vertices extracted, `improvements` = strict `fetch_min`
+/// wins, and `parallel_loop_setups` = parallel regions opened: one for a
+/// multi-lane solve, whatever its phase count, and none on one lane.
 pub fn delta_stepping_presplit(
     split: &SplitCsr,
     source: VertexId,

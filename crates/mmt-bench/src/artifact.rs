@@ -56,6 +56,9 @@ pub struct Header {
     /// For artifacts with allocation columns: whether the counting
     /// allocator was built in. `None` omits the key.
     pub alloc_counting: Option<bool>,
+    /// For artifacts with multi-lane rows: the [`capacity_probe`] just
+    /// before and just after the run. `None` omits the keys.
+    pub capacity: Option<(f64, f64)>,
     /// Peak RSS when the header was captured (0 where unavailable).
     pub peak_rss_bytes: u64,
 }
@@ -68,6 +71,7 @@ impl Header {
             threads: rayon::current_num_threads(),
             host_logical_cores: mmt_platform::available_threads(),
             alloc_counting,
+            capacity: None,
             peak_rss_bytes: mmt_platform::mem::peak_rss_bytes().unwrap_or(0),
         }
     }
@@ -91,8 +95,43 @@ impl Header {
         if let Some(counting) = self.alloc_counting {
             out.push_str(&format!("  \"alloc_counting\": {counting},\n"));
         }
+        if let Some((before, after)) = self.capacity {
+            out.push_str(&format!("  \"capacity_before\": {before},\n"));
+            out.push_str(&format!("  \"capacity_after\": {after},\n"));
+        }
         out.push_str(&format!("  \"peak_rss_bytes\": {},\n", self.peak_rss_bytes));
     }
+}
+
+/// The host's capacity for two threads: the 2-thread/1-thread throughput
+/// ratio of a fixed compute loop, each side timed at its best of three.
+/// About 2 when two cores are free and about 1 when the host has dropped
+/// to one, which a 2-lane row cannot tell from a regression without it.
+pub fn capacity_probe() -> f64 {
+    const STEPS: u64 = 20_000_000;
+    fn spin() -> f64 {
+        let start = std::time::Instant::now();
+        let mut x = std::hint::black_box(0x9e37_79b9_7f4a_7c15u64);
+        for i in 0..STEPS {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x = x.wrapping_add(i);
+        }
+        std::hint::black_box(x);
+        start.elapsed().as_secs_f64()
+    }
+    let (mut one, mut two) = (f64::MAX, f64::MAX);
+    for _ in 0..3 {
+        one = one.min(spin());
+        let start = std::time::Instant::now();
+        std::thread::scope(|s| {
+            s.spawn(spin);
+            spin();
+        });
+        two = two.min(start.elapsed().as_secs_f64());
+    }
+    2.0 * one / two
 }
 
 /// Parses `text`, validates it against `schema`, the checked-in JSON

@@ -191,6 +191,9 @@ fn run(family: Family, shape: RunShape, out: &str) -> Result<(), String> {
 }
 
 fn print_hotpath(report: &hotpath::HotpathReport) {
+    if let Some((before, after)) = report.header.capacity {
+        eprintln!("  capacity probe {before:.2} before, {after:.2} after");
+    }
     for w in &report.workloads {
         eprintln!(
             "  {} (n={}, m={}, adaptive delta {} vs default {})",

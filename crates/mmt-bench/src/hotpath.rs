@@ -10,7 +10,7 @@
 //! (`schema/BENCH_hotpath.schema.json`). CI runs the `--smoke` shape of
 //! this on every push, so the artifact format can never silently rot.
 
-use crate::artifact::{comma, per_sec, Header, RunShape};
+use crate::artifact::{capacity_probe, comma, per_sec, Header, RunShape};
 use crate::json::{self, Json};
 use mmt_baselines::{
     adaptive_delta, default_delta, delta_stepping_presplit, DeltaConfig, DeltaScratch,
@@ -43,10 +43,12 @@ pub const SCHEMA_TEXT: &str = include_str!("../schema/BENCH_hotpath.schema.json"
 /// Version 7 dropped the `pin_policy` and `numa_nodes` header keys with
 /// worker pinning. Version 8 retired the registry's `arena_arc_bytes`
 /// and its `splits` table (duplicated vs offset-view arc bytes per Δ
-/// count) with the shared arena. `--check` accepts only this version, so
+/// count) with the shared arena. Version 9 added `capacity_before` and
+/// `capacity_after`, the host's two-thread capacity around the run.
+/// `--check` accepts only this version, so
 /// an artifact recorded by an older format fails it and must be
 /// re-recorded.
-pub const FORMAT_VERSION: u64 = 8;
+pub const FORMAT_VERSION: u64 = 9;
 
 /// The default measurement shape: `MMT_SCALE` (default 12) and every one
 /// of `MMT_RUNS`.
@@ -140,7 +142,7 @@ pub struct RegistrySamples {
 /// The whole artifact.
 #[derive(Debug, Clone)]
 pub struct HotpathReport {
-    /// Run shape and host, with `alloc_counting` set.
+    /// Run shape and host, with `alloc_counting` and `capacity` set.
     pub header: Header,
     /// Per-workload measurements.
     pub workloads: Vec<WorkloadSamples>,
@@ -190,13 +192,16 @@ pub fn hotpath_specs(scale: u32) -> Vec<WorkloadSpec> {
 
 /// Runs the whole measurement grid.
 pub fn run(opts: RunShape) -> HotpathReport {
+    let before = capacity_probe();
     let workloads = hotpath_specs(opts.scale)
         .into_iter()
         .map(|spec| run_workload(spec, opts))
         .collect();
     let registry = run_registry(opts);
+    let mut header = Header::capture(opts, Some(alloc_counting_enabled()));
+    header.capacity = Some((before, capacity_probe()));
     HotpathReport {
-        header: Header::capture(opts, Some(alloc_counting_enabled())),
+        header,
         workloads,
         registry,
     }
@@ -825,5 +830,59 @@ mod tests {
                 }
             });
         }
+    }
+
+    /// A warm multi-lane stepping query allocates only what its one
+    /// region's spawn allocates: the same count on both graphs, for every
+    /// kernel, whatever the query's phase count. Which lane wins a race
+    /// decides which lane's bins an entry lands in, so a lane 0 buffer can
+    /// still grow past its high-water mark now and then; each query's count
+    /// is the least of three runs.
+    #[cfg(feature = "count-alloc")]
+    #[test]
+    fn two_lane_stepping_allocates_one_spawn_per_warm_query() {
+        use mmt_baselines::{
+            default_rho, delta_star_presplit, delta_stepping_st, rho_stepping_presplit, StepScratch,
+        };
+        use mmt_graph::CsrGraph;
+        use std::collections::BTreeSet;
+        let mut counts = BTreeSet::new();
+        for class in [GraphClass::Random, GraphClass::Road] {
+            let spec = WorkloadSpec::new(class, WeightDist::Uniform, 12, 12);
+            let g = CsrGraph::from_edge_list(&spec.generate());
+            let delta = adaptive_delta(&g).clamp(1, u32::MAX as u64) as u32;
+            let split = SplitCsr::new(&g, delta);
+            let sources: Vec<u32> = (0..4).map(|i| (i * g.n() / 4) as u32).collect();
+            let rho = default_rho(g.n());
+            mmt_platform::with_pool(2, || {
+                let mut scratch: Vec<StepScratch> =
+                    (0..4).map(|_| StepScratch::new(&split)).collect();
+                assert!(scratch.iter().all(|s| s.lane_count() == 2));
+                let mut solve = |kernel: usize, i: usize| {
+                    let (s, sc) = (sources[i], &mut scratch[kernel]);
+                    match kernel {
+                        0 => delta_stepping_presplit(&split, s, sc, None),
+                        1 => rho_stepping_presplit(&split, s, rho, sc, None),
+                        2 => delta_star_presplit(&split, s, sc, None),
+                        _ => {
+                            let t = sources[(i + 1) % sources.len()] + 1;
+                            delta_stepping_st(&split, s, t, sc, None, None);
+                        }
+                    }
+                };
+                for kernel in 0..4 {
+                    (0..sources.len()).for_each(|i| solve(kernel, i));
+                    for i in 0..sources.len() {
+                        let least = (0..3)
+                            .map(|_| crate::alloc_count::measure_thread(|| solve(kernel, i)).1)
+                            .min();
+                        counts.insert(least.unwrap());
+                    }
+                }
+            });
+        }
+        assert_eq!(counts.len(), 1, "per-query allocations vary: {counts:?}");
+        let per_query = counts.into_iter().next().unwrap();
+        assert!(per_query <= 8, "{per_query} allocations per warm query");
     }
 }

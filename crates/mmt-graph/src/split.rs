@@ -142,21 +142,6 @@ impl SplitCsr {
     pub fn degree(&self, v: VertexId) -> usize {
         (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
     }
-
-    /// Heap bytes of the split view (it duplicates the adjacency payload,
-    /// which the Table 2-style accounting must see).
-    pub fn heap_bytes(&self) -> usize {
-        self.offsets.capacity() * std::mem::size_of::<u64>()
-            + self.light_end.capacity() * std::mem::size_of::<u64>()
-            + self.targets.capacity() * std::mem::size_of::<VertexId>()
-            + self.weights.capacity() * std::mem::size_of::<Weight>()
-    }
-}
-
-impl mmt_platform::MemFootprint for SplitCsr {
-    fn heap_bytes(&self) -> usize {
-        SplitCsr::heap_bytes(self)
-    }
 }
 
 #[cfg(test)]
@@ -227,13 +212,5 @@ mod tests {
         assert!(s.light(3).0.is_empty());
         assert!(s.heavy(3).0.is_empty());
         assert_eq!(s.heavy(0).0, &[1]);
-    }
-
-    #[test]
-    fn heap_bytes_cover_the_duplicated_payload() {
-        let el = EdgeList::from_triples(100, (0..99u32).map(|i| (i, i + 1, i % 9 + 1)));
-        let g = CsrGraph::from_edge_list(&el);
-        let s = SplitCsr::new(&g, 4);
-        assert!(s.heap_bytes() >= g.heap_bytes());
     }
 }

@@ -9,11 +9,12 @@
 //! then found by a reduce-style vote: each lane reports its smallest
 //! non-empty bin and the minimum wins.
 //!
-//! [`FrontierBins`] is that substrate. The safety story is structural,
-//! not asserted: the **only** insertion API is [`BinLane::push`], and a
-//! worker can only reach a [`BinLane`] as the exclusive `&mut` argument
-//! of its own lane inside [`FrontierBins::scatter`] — a cross-thread or
-//! shared-bucket push is unrepresentable, not merely untested.
+//! [`FrontierBins`] is that substrate. The only insertion API is
+//! [`BinLane::push`], and a worker reaches a [`BinLane`] only through
+//! [`FrontierBins::lane`], which locks it. In a relax phase each lane of a
+//! [`team`](crate::team) locks its own bin lane once, so the locks are
+//! never contended; between phases the team's leader votes and drains
+//! alone.
 //!
 //! Bins are ring-indexed by absolute bucket number: callers guarantee all
 //! live entries sit within `ring_len` buckets of the current minimum.
@@ -24,16 +25,16 @@
 //! generation-stamped membership array (`O(1)` clear per drain, the
 //! scratch discipline of [`GenerationStamps`]).
 
-use crate::mem::MemFootprint;
-use crate::scratch::{scatter_lanes, GenerationStamps};
+use crate::scratch::GenerationStamps;
+use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
+use std::ops::DerefMut;
 
 /// One worker's private set of bucket bins.
 ///
-/// Obtained only as the `&mut` lane argument of
-/// [`FrontierBins::scatter`] (or serially via
-/// [`FrontierBins::seed`]), so pushes are always exclusive to one
-/// worker — the type system is the no-contention proof.
+/// Reached only through [`FrontierBins::lane`], which locks it, or
+/// serially through [`FrontierBins::seed`], so pushes are always exclusive
+/// to one worker.
 #[derive(Debug)]
 pub struct BinLane {
     /// Ring of bins, indexed by `bucket % ring_len`.
@@ -53,8 +54,8 @@ impl BinLane {
     /// Inserts `item` into the bin for absolute bucket `bucket`.
     ///
     /// This is the *only* insertion point of the whole substrate, and it
-    /// requires `&mut self` — two workers can never push into the same
-    /// lane, and nothing outside a lane can be pushed into at all.
+    /// requires `&mut self`: nothing outside a locked lane can be pushed
+    /// into at all.
     #[inline]
     pub fn push(&mut self, bucket: u64, item: u32) {
         let slot = (bucket % self.bins.len() as u64) as usize;
@@ -100,8 +101,12 @@ impl BinLane {
 /// contention story.
 #[derive(Debug)]
 pub struct FrontierBins {
-    lanes: Vec<Mutex<BinLane>>,
-    stamps: GenerationStamps,
+    /// One cache line or more per lane: every push bumps its lane's
+    /// `pending`, so adjacent lanes would share a line and bounce it
+    /// between the workers on every push.
+    lanes: Vec<CachePadded<Mutex<BinLane>>>,
+    /// Merge dedup, touched only by the thread that drains.
+    stamps: Mutex<GenerationStamps>,
     ring: usize,
 }
 
@@ -112,9 +117,9 @@ impl FrontierBins {
         let ring = ring.max(1);
         Self {
             lanes: (0..lanes.max(1))
-                .map(|_| Mutex::new(BinLane::new(ring)))
+                .map(|_| CachePadded::new(Mutex::new(BinLane::new(ring))))
                 .collect(),
-            stamps: GenerationStamps::new(n),
+            stamps: Mutex::new(GenerationStamps::new(n)),
             ring,
         }
     }
@@ -140,12 +145,12 @@ impl FrontierBins {
             lane.get_mut().reset(ring);
         }
         self.ring = ring;
-        self.stamps.reset(n);
+        self.stamps.get_mut().reset(n);
     }
 
     /// Items currently held across every lane (live and stale).
-    pub fn pending(&mut self) -> usize {
-        self.lanes.iter_mut().map(|l| l.get_mut().pending()).sum()
+    pub fn pending(&self) -> usize {
+        self.lanes.iter().map(|l| l.lock().pending()).sum()
     }
 
     /// Serial insertion for query setup (the source vertex). Uses lane 0;
@@ -154,17 +159,11 @@ impl FrontierBins {
         self.lanes[0].get_mut().push(bucket, item);
     }
 
-    /// Runs `f(item, lane)` over `items` in parallel, handing each worker
-    /// exclusive `&mut` access to one [`BinLane`] for its whole
-    /// contiguous chunk — the relax phase writes only thread-local bins.
-    /// Each lane's mutex is taken once per scatter, not once per item.
-    /// With one lane the whole list runs inline on the calling thread.
-    pub fn scatter<I, F>(&self, items: &[I], f: F)
-    where
-        I: Sync,
-        F: Fn(&I, &mut BinLane) + Sync,
-    {
-        scatter_lanes(&self.lanes, items, f);
+    /// Lane `lane`'s bins, locked for the worker that fills them. A relax
+    /// phase takes each lane's lock once, from the one worker that owns
+    /// the lane, so the lock is never contended.
+    pub fn lane(&self, lane: usize) -> impl DerefMut<Target = BinLane> + '_ {
+        self.lanes[lane].lock()
     }
 
     /// The reduce-style next-bucket vote: every lane reports its smallest
@@ -173,10 +172,10 @@ impl FrontierBins {
     ///
     /// Correct only under the cyclic-window invariant: no live entry
     /// below `from`, none at or above `from + ring_len`.
-    pub fn vote(&mut self, from: u64) -> Option<u64> {
+    pub fn vote(&self, from: u64) -> Option<u64> {
         self.lanes
-            .iter_mut()
-            .filter_map(|l| l.get_mut().min_bucket(from))
+            .iter()
+            .filter_map(|l| l.lock().min_bucket(from))
             .min()
     }
 
@@ -187,17 +186,19 @@ impl FrontierBins {
     /// suppressed, while a legitimate re-entry of the vertex in a later
     /// drain passes. Returns the number of raw entries consumed
     /// (duplicates included), so callers can account for merge work.
-    pub fn drain_bucket(&mut self, bucket: u64, out: &mut Vec<u32>) -> usize {
-        self.stamps.advance();
+    pub fn drain_bucket(&self, bucket: u64, out: &mut Vec<u32>) -> usize {
+        let mut stamps = self.stamps.lock();
+        stamps.advance();
         let slot = (bucket % self.ring as u64) as usize;
         let mut raw = 0usize;
-        for lane in &mut self.lanes {
-            let lane = lane.get_mut();
+        for lane in &self.lanes {
+            let mut lane = lane.lock();
+            let lane = &mut *lane;
             let bin = &mut lane.bins[slot];
             raw += bin.len();
             lane.pending -= bin.len();
             for v in bin.drain(..) {
-                if self.stamps.mark(v as usize) {
+                if stamps.mark(v as usize) {
                     out.push(v);
                 }
             }
@@ -211,23 +212,6 @@ impl FrontierBins {
         for lane in &mut self.lanes {
             lane.get_mut().reset(self.ring);
         }
-    }
-}
-
-impl MemFootprint for FrontierBins {
-    fn heap_bytes(&self) -> usize {
-        self.stamps.heap_bytes()
-            + self
-                .lanes
-                .iter()
-                .map(|l| {
-                    l.lock()
-                        .bins
-                        .iter()
-                        .map(|b| b.capacity() * std::mem::size_of::<u32>())
-                        .sum::<usize>()
-                })
-                .sum::<usize>()
     }
 }
 
@@ -251,9 +235,21 @@ mod tests {
 
     #[test]
     fn scatter_pushes_stay_lane_local_and_merge_back() {
-        let mut bins = FrontierBins::new(4, 16, 256);
+        let bins = FrontierBins::new(4, 16, 256);
         let items: Vec<u32> = (0..200).collect();
-        bins.scatter(&items, |&v, lane| lane.push((v % 10) as u64, v));
+        // One worker per lane, each pushing its own chunk concurrently.
+        std::thread::scope(|s| {
+            for (i, chunk) in items.chunks(50).enumerate() {
+                let bins = &bins;
+                s.spawn(move || {
+                    let mut lane = bins.lane(i);
+                    for &v in chunk {
+                        lane.push((v % 10) as u64, v);
+                    }
+                    assert_eq!(lane.pending(), 50);
+                });
+            }
+        });
         assert_eq!(bins.pending(), 200);
         let mut seen = Vec::new();
         for b in 0..10u64 {
@@ -267,11 +263,11 @@ mod tests {
 
     #[test]
     fn vote_is_the_global_minimum_across_lanes() {
-        let mut bins = FrontierBins::new(3, 8, 64);
+        let bins = FrontierBins::new(3, 8, 64);
         let items = [(0usize, 9u64, 1u32), (1, 5, 2), (2, 7, 3)];
-        // Route each item to a specific lane by scattering one chunk per
-        // lane (3 items, 3 lanes → chunk size 1).
-        bins.scatter(&items, |&(_, b, v), lane| lane.push(b, v));
+        for (lane, b, v) in items {
+            bins.lane(lane).push(b, v);
+        }
         assert_eq!(bins.vote(4), Some(5));
         let mut out = Vec::new();
         bins.drain_bucket(5, &mut out);
@@ -333,13 +329,5 @@ mod tests {
         bins.clear();
         assert_eq!(bins.pending(), 0);
         assert_eq!(bins.vote(0), None);
-    }
-
-    #[test]
-    fn heap_bytes_grow_with_use() {
-        let mut bins = FrontierBins::new(2, 4, 64);
-        let cold = bins.heap_bytes();
-        bins.seed(0, 1);
-        assert!(bins.heap_bytes() >= cold);
     }
 }

@@ -15,6 +15,8 @@
 //! * [`bins`] — contention-free per-thread bucket bins (thread-local
 //!   growable bins, reduce-style next-bucket vote, generation-stamped
 //!   merge dedup) backing the Δ-, Δ*- and ρ-stepping loop;
+//! * [`team`] — one parallel region per solve: `lanes − 1` threads spawned
+//!   once, barrier-separated phases posted by the calling thread;
 //! * [`counters`] — cache-padded event counters used for instrumentation
 //!   (relaxation counts, loop-setup counts for the toVisit study);
 //! * [`cancel`] — cooperative cancellation tokens (deadlines, dropped
@@ -52,6 +54,7 @@ pub mod pool;
 pub mod queue;
 pub mod scratch;
 pub mod table;
+pub mod team;
 pub mod timing;
 
 pub use atomic::{AtomicBitSet, AtomicMinU64};

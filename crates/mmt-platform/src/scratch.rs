@@ -9,8 +9,7 @@
 //!
 //! * [`ShardBuffers`] — per-worker append-only lane buffers. A parallel
 //!   phase scatters into lane-local vectors (one uncontended lock per lane
-//!   per phase) through the same lane scatter as
-//!   [`FrontierBins`](crate::bins::FrontierBins).
+//!   per phase).
 //! * [`BufferPool`] — a recycling pool of plain `Vec<T>` scratch vectors
 //!   (toVisit lists, per-query distance copies). `acquire` reuses a warm
 //!   buffer when one is idle; the `created` counter makes "zero steady-state
@@ -19,12 +18,14 @@
 //!   generation clears every slot at once. The frontier bins dedup each
 //!   bucket drain with it instead of a sort+dedup or a `bool` array clear.
 //!
-//! The vendored rayon shim spawns scoped threads per parallel call — there
-//! is no persistent worker pool, so `thread_local!` storage would never be
-//! reused. Lane-indexed shared buffers sidestep that: lanes live in the
-//! solver's scratch state and contiguous chunks of the work list map onto
-//! them deterministically. A one-lane scratch never enters the shim: its
-//! scatters run inline on the calling thread.
+//! [`ShardBuffers::scatter`] goes through the vendored rayon shim, which
+//! spawns scoped threads per parallel call: there is no persistent worker
+//! pool, so `thread_local!` storage would never be reused. Lane-indexed
+//! shared buffers sidestep that: lanes live in the caller's scratch state
+//! and contiguous chunks of the work list map onto them deterministically.
+//! A one-lane buffer never enters the shim. The stepping kernels do not
+//! scatter at all: they run every phase of a solve in one
+//! [`team`](crate::team) region, whose lanes fill the frontier bins.
 
 use parking_lot::Mutex;
 use rayon::prelude::*;
@@ -58,40 +59,29 @@ impl<T: Send> ShardBuffers<T> {
         self.lanes.len()
     }
 
-    /// Runs `f(item, lane)` over `items` in parallel, handing each worker
-    /// exclusive access to one lane buffer for its whole contiguous chunk.
-    /// Each lane's mutex is taken once per scatter, not once per item.
-    /// With one lane the whole list runs inline on the calling thread.
+    /// Runs `f(item, lane)` over `items` in parallel, one contiguous chunk
+    /// per lane and worker, so each lane's mutex is taken once and
+    /// uncontended. With one lane the whole list runs inline on the
+    /// calling thread: no work list, no parallel dispatch, no budget read.
     pub fn scatter<I, F>(&self, items: &[I], f: F)
     where
         I: Sync,
         F: Fn(&I, &mut Vec<T>) + Sync,
     {
-        scatter_lanes(&self.lanes, items, f);
-    }
-}
-
-/// Runs `f(item, lane)` over `items`, one contiguous chunk per lane and
-/// worker, so each lane's mutex is taken once and uncontended. One lane
-/// runs inline: no work list, no parallel dispatch, no budget read.
-pub(crate) fn scatter_lanes<L: Send, I: Sync>(
-    lanes: &[Mutex<L>],
-    items: &[I],
-    f: impl Fn(&I, &mut L) + Sync,
-) {
-    let run = |lane: &Mutex<L>, part: &[I]| {
-        let mut lane = lane.lock();
-        for item in part {
-            f(item, &mut lane);
+        let run = |lane: &Mutex<Vec<T>>, part: &[I]| {
+            let mut lane = lane.lock();
+            for item in part {
+                f(item, &mut lane);
+            }
+        };
+        if let [lane] = &self.lanes[..] {
+            return run(lane, items);
         }
-    };
-    if let [lane] = lanes {
-        return run(lane, items);
+        let chunk = items.len().div_ceil(self.lanes.len()).max(1);
+        let work: Vec<(usize, &[I])> = items.chunks(chunk).enumerate().collect();
+        work.par_iter()
+            .for_each(|&(lane, part)| run(&self.lanes[lane], part));
     }
-    let chunk = items.len().div_ceil(lanes.len()).max(1);
-    let work: Vec<(usize, &[I])> = items.chunks(chunk).enumerate().collect();
-    work.par_iter()
-        .for_each(|&(lane, part)| run(&lanes[lane], part));
 }
 
 impl<T: Copy + Send> MemFootprint for ShardBuffers<T> {
@@ -223,12 +213,6 @@ impl GenerationStamps {
     #[inline]
     pub fn is_marked(&self, i: usize) -> bool {
         self.stamps[i] == self.gen
-    }
-}
-
-impl MemFootprint for GenerationStamps {
-    fn heap_bytes(&self) -> usize {
-        self.stamps.capacity() * std::mem::size_of::<u64>()
     }
 }
 

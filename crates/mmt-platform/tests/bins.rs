@@ -9,6 +9,17 @@ use mmt_platform::FrontierBins;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Pushes `items` as a relax phase does: one contiguous chunk per lane.
+fn push_by_lane(bins: &FrontierBins, items: &[(u64, u32)]) {
+    let lanes = bins.lane_count();
+    for lane in 0..lanes {
+        let mut bin = bins.lane(lane);
+        for &(b, v) in &items[items.len() * lane / lanes..items.len() * (lane + 1) / lanes] {
+            bin.push(b, v);
+        }
+    }
+}
+
 /// Arbitrary (lanes, ring, pushes) with every pushed bucket inside the
 /// cyclic window `[0, ring)` — the invariant the kernels maintain.
 fn scenario() -> impl Strategy<Value = (usize, usize, Vec<(u64, u32)>)> {
@@ -32,8 +43,8 @@ proptest! {
     fn merge_preserves_the_multiset_of_pending_relaxations(
         (lanes, ring, pushes) in scenario()
     ) {
-        let mut bins = FrontierBins::new(lanes, ring, 64);
-        bins.scatter(&pushes, |&(b, v), lane| lane.push(b, v));
+        let bins = FrontierBins::new(lanes, ring, 64);
+        push_by_lane(&bins, &pushes);
         prop_assert_eq!(bins.pending(), pushes.len());
 
         let mut model: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
@@ -62,8 +73,8 @@ proptest! {
     fn vote_returns_the_global_min_nonempty_bucket(
         (lanes, ring, pushes) in scenario()
     ) {
-        let mut bins = FrontierBins::new(lanes, ring, 64);
-        bins.scatter(&pushes, |&(b, v), lane| lane.push(b, v));
+        let bins = FrontierBins::new(lanes, ring, 64);
+        push_by_lane(&bins, &pushes);
         let mut model: BTreeMap<u64, usize> = BTreeMap::new();
         for &(b, _) in &pushes {
             *model.entry(b).or_default() += 1;
@@ -90,12 +101,12 @@ proptest! {
             proptest::collection::vec(0u32..32, 1..40), 1..8)
     ) {
         let ring = 4usize;
-        let mut bins = FrontierBins::new(3, ring, 32);
+        let bins = FrontierBins::new(3, ring, 32);
         for (r, vertices) in rounds.iter().enumerate() {
             let bucket = r as u64;
             let items: Vec<(u64, u32)> =
                 vertices.iter().map(|&v| (bucket, v)).collect();
-            bins.scatter(&items, |&(b, v), lane| lane.push(b, v));
+            push_by_lane(&bins, &items);
             let mut out = Vec::new();
             bins.drain_bucket(bucket, &mut out);
             let got: BTreeSet<u32> = out.iter().copied().collect();
@@ -114,10 +125,10 @@ proptest! {
     fn drained_sets_are_lane_count_invariant(
         (_, ring, pushes) in scenario(), lanes in 2usize..6
     ) {
-        let mut one = FrontierBins::new(1, ring, 64);
-        let mut many = FrontierBins::new(lanes, ring, 64);
-        one.scatter(&pushes, |&(b, v), lane| lane.push(b, v));
-        many.scatter(&pushes, |&(b, v), lane| lane.push(b, v));
+        let one = FrontierBins::new(1, ring, 64);
+        let many = FrontierBins::new(lanes, ring, 64);
+        push_by_lane(&one, &pushes);
+        push_by_lane(&many, &pushes);
         for b in 0..ring as u64 {
             let (mut a, mut c) = (Vec::new(), Vec::new());
             let raw_a = one.drain_bucket(b, &mut a);

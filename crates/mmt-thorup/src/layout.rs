@@ -89,7 +89,6 @@ impl LayoutKind {
 /// structures it wraps.
 #[derive(Debug, Clone)]
 pub struct GraphLayout {
-    kind: LayoutKind,
     graph: Arc<CsrGraph>,
     ch: Arc<ComponentHierarchy>,
     /// `None` for the natural layout: internal and original ids coincide.
@@ -116,7 +115,6 @@ impl GraphLayout {
         }
         match kind.permutation(&graph, &ch) {
             None => Ok(Self {
-                kind,
                 graph,
                 ch,
                 perm: None,
@@ -125,18 +123,12 @@ impl GraphLayout {
                 let pg = Arc::new(graph.permuted(&perm));
                 let pch = Arc::new(ch.permute_leaves(&perm));
                 Ok(Self {
-                    kind,
                     graph: pg,
                     ch: pch,
                     perm: Some(Arc::new(perm)),
                 })
             }
         }
-    }
-
-    /// The ordering this layout uses.
-    pub fn kind(&self) -> LayoutKind {
-        self.kind
     }
 
     /// The graph in layout order.
@@ -147,11 +139,6 @@ impl GraphLayout {
     /// The hierarchy with leaves in layout order.
     pub fn hierarchy(&self) -> &Arc<ComponentHierarchy> {
         &self.ch
-    }
-
-    /// The permutation, or `None` for the natural layout.
-    pub fn permutation(&self) -> Option<&Arc<VertexPermutation>> {
-        self.perm.as_ref()
     }
 
     /// Maps an original vertex id into the layout's internal id space.
@@ -264,7 +251,6 @@ mod tests {
             GraphLayout::build(LayoutKind::Natural, Arc::clone(&g), Arc::clone(&ch)).unwrap();
         assert!(Arc::ptr_eq(layout.graph(), &g));
         assert!(Arc::ptr_eq(layout.hierarchy(), &ch));
-        assert!(layout.permutation().is_none());
         assert_eq!(layout.to_internal(42), 42);
     }
 
