@@ -794,7 +794,9 @@ mod tests {
         use mmt_graph::CsrGraph;
         for class in [GraphClass::Random, GraphClass::Road] {
             let spec = WorkloadSpec::new(class, WeightDist::Uniform, 12, 12);
-            let g = CsrGraph::from_edge_list(&spec.generate());
+            let el = spec.generate();
+            let g = CsrGraph::from_edge_list(&el);
+            let ch = mmt_ch::build_parallel(&el);
             let delta = adaptive_delta(&g).clamp(1, u32::MAX as u64) as u32;
             let split = SplitCsr::new(&g, delta);
             let sources: Vec<u32> = (0..4).map(|i| (i * g.n() / 4) as u32).collect();
@@ -804,20 +806,25 @@ mod tests {
                 let mut steps = StepScratch::new(&split);
                 let mut star = StepScratch::new(&split);
                 let mut early = DeltaScratch::new(&split);
+                let thorup = mmt_thorup::ThorupInstance::new(&ch);
                 let mut solve = |kernel: usize| {
                     for (i, &s) in sources.iter().enumerate() {
                         match kernel {
                             0 => delta_stepping_presplit(&split, s, &mut delta, None),
                             1 => rho_stepping_presplit(&split, s, rho, &mut steps, None),
                             2 => delta_star_presplit(&split, s, &mut star, None),
-                            _ => {
+                            3 => {
                                 let t = sources[(i + 1) % sources.len()] + 1;
                                 delta_stepping_st(&split, s, t, &mut early, None, None);
+                            }
+                            _ => {
+                                thorup.reset(&ch);
+                                ThorupSolver::new(&g, &ch).solve_into(&thorup, s);
                             }
                         }
                     }
                 };
-                let kernels = ["delta", "rho", "delta-star", "delta-early"];
+                let kernels = ["delta", "rho", "delta-star", "delta-early", "thorup"];
                 for (kernel, name) in kernels.into_iter().enumerate() {
                     solve(kernel);
                     let ((), allocs) = crate::alloc_count::measure_thread(|| solve(kernel));
@@ -832,15 +839,16 @@ mod tests {
         }
     }
 
-    /// A warm multi-lane stepping query allocates only what its one
-    /// region's spawn allocates: the same count on both graphs, for every
-    /// kernel, whatever the query's phase count. Which lane wins a race
-    /// decides which lane's bins an entry lands in, so a lane 0 buffer can
+    /// A warm multi-lane query, stepping or default-configuration Thorup,
+    /// allocates only what its one region's spawn allocates: the same count
+    /// on both graphs, for every kernel, whatever the query's phase count.
+    /// Which lane wins a race decides which lane's bins an entry lands in
+    /// (and which lane visits a Thorup subtree), so a lane 0 buffer can
     /// still grow past its high-water mark now and then; each query's count
     /// is the least of three runs.
     #[cfg(feature = "count-alloc")]
     #[test]
-    fn two_lane_stepping_allocates_one_spawn_per_warm_query() {
+    fn two_lane_stepping_and_thorup_allocate_one_spawn_per_warm_query() {
         use mmt_baselines::{
             default_rho, delta_star_presplit, delta_stepping_st, rho_stepping_presplit, StepScratch,
         };
@@ -849,7 +857,9 @@ mod tests {
         let mut counts = BTreeSet::new();
         for class in [GraphClass::Random, GraphClass::Road] {
             let spec = WorkloadSpec::new(class, WeightDist::Uniform, 12, 12);
-            let g = CsrGraph::from_edge_list(&spec.generate());
+            let el = spec.generate();
+            let g = CsrGraph::from_edge_list(&el);
+            let ch = mmt_ch::build_parallel(&el);
             let delta = adaptive_delta(&g).clamp(1, u32::MAX as u64) as u32;
             let split = SplitCsr::new(&g, delta);
             let sources: Vec<u32> = (0..4).map(|i| (i * g.n() / 4) as u32).collect();
@@ -858,19 +868,24 @@ mod tests {
                 let mut scratch: Vec<StepScratch> =
                     (0..4).map(|_| StepScratch::new(&split)).collect();
                 assert!(scratch.iter().all(|s| s.lane_count() == 2));
+                let thorup = mmt_thorup::ThorupInstance::new(&ch);
                 let mut solve = |kernel: usize, i: usize| {
-                    let (s, sc) = (sources[i], &mut scratch[kernel]);
+                    let s = sources[i];
                     match kernel {
-                        0 => delta_stepping_presplit(&split, s, sc, None),
-                        1 => rho_stepping_presplit(&split, s, rho, sc, None),
-                        2 => delta_star_presplit(&split, s, sc, None),
-                        _ => {
+                        0 => delta_stepping_presplit(&split, s, &mut scratch[0], None),
+                        1 => rho_stepping_presplit(&split, s, rho, &mut scratch[1], None),
+                        2 => delta_star_presplit(&split, s, &mut scratch[2], None),
+                        3 => {
                             let t = sources[(i + 1) % sources.len()] + 1;
-                            delta_stepping_st(&split, s, t, sc, None, None);
+                            delta_stepping_st(&split, s, t, &mut scratch[3], None, None);
+                        }
+                        _ => {
+                            thorup.reset(&ch);
+                            ThorupSolver::new(&g, &ch).solve_into(&thorup, s);
                         }
                     }
                 };
-                for kernel in 0..4 {
+                for kernel in 0..5 {
                     (0..sources.len()).for_each(|i| solve(kernel, i));
                     for i in 0..sources.len() {
                         let least = (0..3)
@@ -879,6 +894,9 @@ mod tests {
                         counts.insert(least.unwrap());
                     }
                 }
+                let regions = thorup.region_stats().regions;
+                // One warm-up and three measured solves per source.
+                assert_eq!(regions, 4 * sources.len() as u64, "one region per solve");
             });
         }
         assert_eq!(counts.len(), 1, "per-query allocations vary: {counts:?}");

@@ -119,6 +119,22 @@ impl EventCounters {
         self.arcs_scanned.reset();
     }
 
+    /// Adds every counter of `other` into this set and zeroes `other`. A
+    /// worker that counts into its own set and is absorbed once at the end
+    /// never shares a counter's cache line with another worker.
+    pub fn absorb(&self, other: &EventCounters) {
+        let c = other.snapshot();
+        other.reset();
+        self.relaxations.add(c.relaxations);
+        self.improvements.add(c.improvements);
+        self.settled.add(c.settled);
+        self.parallel_loop_setups.add(c.parallel_loop_setups);
+        self.serial_loops.add(c.serial_loops);
+        self.mind_propagation_hops.add(c.mind_propagation_hops);
+        self.bucket_expansions.add(c.bucket_expansions);
+        self.arcs_scanned.add(c.arcs_scanned);
+    }
+
     /// Captures every counter as plain values (relaxed loads).
     pub fn snapshot(&self) -> CountersSnapshot {
         CountersSnapshot {
@@ -197,6 +213,40 @@ mod tests {
         assert_eq!(snap.settled, 0);
         ev.reset();
         assert_eq!(ev.snapshot(), CountersSnapshot::default());
+    }
+
+    #[test]
+    fn absorb_adds_every_counter_and_zeroes_the_source() {
+        let (total, lane) = (EventCounters::new(), EventCounters::new());
+        total.settled.add(2);
+        for (i, c) in [
+            &lane.relaxations,
+            &lane.improvements,
+            &lane.settled,
+            &lane.parallel_loop_setups,
+            &lane.serial_loops,
+            &lane.mind_propagation_hops,
+            &lane.bucket_expansions,
+            &lane.arcs_scanned,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            c.add(i as u64 + 1);
+        }
+        total.absorb(&lane);
+        let want = CountersSnapshot {
+            relaxations: 1,
+            improvements: 2,
+            settled: 5,
+            parallel_loop_setups: 4,
+            serial_loops: 5,
+            mind_propagation_hops: 6,
+            bucket_expansions: 7,
+            arcs_scanned: 8,
+        };
+        assert_eq!(total.snapshot(), want);
+        assert_eq!(lane.snapshot(), CountersSnapshot::default());
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use counters::{Counter, CountersSnapshot, EventCounters};
 pub use fault::{FaultEffect, FaultKind, FaultPlan, FaultSite, InjectedPanic, SeededFaults};
 pub use histogram::{AtomicLog2Histogram, Log2Histogram, QuantileSummary};
 pub use mem::{MemFootprint, MemoryGauge};
-pub use pool::{available_threads, with_pool};
+pub use pool::{available_threads, thread_budget, with_pool};
 pub use queue::{CoalescePop, PushRejected, ShedQueue};
 pub use scratch::{BufferPool, GenerationStamps, ShardBuffers};
 pub use table::Table;

@@ -15,6 +15,13 @@ pub fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// The thread budget installed on the calling thread: the width of the
+/// innermost [`with_pool`], or the hardware's thread count outside any
+/// pool. A kernel sizes its parallel region by it.
+pub fn thread_budget() -> usize {
+    rayon::current_num_threads()
+}
+
 /// Runs `f` inside a dedicated pool of `threads` workers (clamped to at
 /// least 1) and returns its result. All rayon parallel iterators inside `f`
 /// execute on that pool.

@@ -11,7 +11,7 @@
 //!   phase scatters into lane-local vectors (one uncontended lock per lane
 //!   per phase).
 //! * [`BufferPool`] — a recycling pool of plain `Vec<T>` scratch vectors
-//!   (toVisit lists, per-query distance copies). `acquire` reuses a warm
+//!   (per-query distance copies). `acquire` reuses a warm
 //!   buffer when one is idle; the `created` counter makes "zero steady-state
 //!   allocations" testable.
 //! * [`GenerationStamps`] — an `O(1)`-clear membership array: advancing the

@@ -11,10 +11,10 @@
 //! is the shape of GARDENIA's OpenMP Δ-stepping: one `omp parallel`
 //! region, barrier-separated phases, thread-local bins.
 //!
-//! The barrier spins for a short, fixed bound and then parks on a
-//! [`Condvar`]. The bound stays short because a spinning lane can take the
-//! only core from the lane that holds the work when the host has fewer
-//! cores than lanes.
+//! The barrier spins for a few microseconds, then yields its core for a
+//! short, fixed number of polls, and then parks on a [`Condvar`]. It yields
+//! rather than spins because a spinning lane can take the only core from
+//! the lane that holds the work when the host has fewer cores than lanes.
 //!
 //! A panic on any lane breaks the barrier, so the other lanes return
 //! instead of waiting for it; [`run`] then joins every lane and resumes the
@@ -27,12 +27,18 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, PoisonError};
 
-/// `spin_loop` hints a lane spends at the barrier before it parks: about
-/// 40 µs at 20 ns a hint on a 2-vCPU Xeon KVM guest. That covers most of
-/// the leader's serial work between two relax phases on the paper's
-/// inputs; at 10,000 hints a lane parked less often but the solves ran no
-/// faster.
-const SPIN: u32 = 2_000;
+/// `spin_loop` hints a lane spends at the barrier before it starts to
+/// yield: about 2.5 µs at 20 ns a hint on a 2-vCPU Xeon KVM guest, enough
+/// for a lane on another core to arrive.
+const SPIN: u32 = 128;
+
+/// `yield_now` polls a lane makes after spinning, before it parks. On two
+/// free cores a yield returns at once, in about 0.4 µs on the same guest,
+/// so the spin and the polls wait about 30 µs: most of the leader's serial
+/// work between two phases. On one core each yield hands the core to the
+/// lane that holds the work, where a spin would keep it: an empty phase
+/// costs about 10 µs there, against about 100 µs under a 40 µs spin.
+const YIELDS: u32 = 64;
 
 /// The lanes of one parallel region, as the leader sees them. See the
 /// module docs.
@@ -191,11 +197,15 @@ impl Barrier {
                 None
             }
         };
-        for _ in 0..SPIN {
+        for poll in 0..SPIN + YIELDS {
             if let Some(crossed) = done() {
                 return crossed;
             }
-            std::hint::spin_loop();
+            if poll < SPIN {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
         }
         // Only counter updates happen under this lock, so a poisoned guard
         // still holds a valid count.

@@ -17,11 +17,16 @@
 //! parallel. A solve that visits them in turn is its instance's only
 //! writer and updates the same cells with plain loads and stores (see
 //! [`crate::solver`]).
+//!
+//! Next to the cells, an instance keeps what a solve's lanes reuse from
+//! query to query: each lane's scan buffers and counters, and the member
+//! list that lane 0 posts to a visit phase.
 
+use crossbeam::utils::CachePadded;
 use mmt_ch::ComponentHierarchy;
 use mmt_graph::types::{Dist, VertexId, INF};
-use mmt_platform::scratch::BufferPool;
-use mmt_platform::{AtomicBitSet, AtomicMinU64};
+use mmt_platform::{AtomicBitSet, AtomicMinU64, EventCounters};
+use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Mutable state of one SSSP query over a shared Component Hierarchy.
@@ -32,10 +37,83 @@ pub struct ThorupInstance {
     pub(crate) settled: AtomicBitSet,
     /// Cooperative cancellation flag for targeted (s–t) queries.
     pub(crate) stop: AtomicBool,
-    /// Recycled `toVisit` scan buffers: each visit frame borrows one for
-    /// all of its phases, so steady-state scans allocate nothing. Survives
-    /// [`reset`](Self::reset) — warm buffers are the point.
-    pub(crate) scan_pool: BufferPool<u32>,
+    /// The lanes' scratch. A solve holds this lock from start to end.
+    /// Survives [`reset`](Self::reset): warm buffers are the point.
+    pub(crate) lanes: Mutex<Lanes>,
+}
+
+/// What a solve's lanes keep between queries.
+#[derive(Debug, Default)]
+pub(crate) struct Lanes {
+    /// One slot per lane that has run a solve into this instance. A lane
+    /// locks its own slot, so no two lanes share a pool.
+    pub(crate) slots: Vec<CachePadded<Mutex<LaneScratch>>>,
+    /// The members lane 0 posts to a visit phase. Written only between
+    /// phases.
+    pub(crate) posted: RwLock<Vec<u32>>,
+    /// What this instance's multi-lane solves did.
+    pub(crate) stats: RegionStats,
+}
+
+/// What the parallel regions of multi-lane solves into one instance did,
+/// summed over those solves (see [`ThorupInstance::region_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RegionStats {
+    /// Regions opened: one per multi-lane solve, none for a one-lane
+    /// solve.
+    pub regions: u64,
+    /// Visit phases posted: buckets whose small members every lane
+    /// claimed.
+    pub visit_phases: u64,
+    /// Scan phases posted: parallel-tier gathers cut into several shares.
+    pub scan_phases: u64,
+}
+
+impl Lanes {
+    /// Grows to at least `lanes` slots.
+    pub(crate) fn grow(&mut self, lanes: usize) {
+        if self.slots.len() < lanes {
+            self.slots.resize_with(lanes, Default::default);
+        }
+    }
+}
+
+/// One lane's scratch: its recycled scan buffers, its share of the last
+/// scan phase and its own event counters.
+#[derive(Debug, Default)]
+pub(crate) struct LaneScratch {
+    pub(crate) buffers: ScanBuffers,
+    /// Members of this lane's share of a scan phase.
+    pub(crate) share: Vec<u32>,
+    /// Minimum child `mind` over that share.
+    pub(crate) share_min: Dist,
+    /// What this lane counted in the visit phases of an instrumented
+    /// solve. Lane 0 folds it into the solve's counters when the region
+    /// closes, so no two lanes bump one counter's cache line.
+    pub(crate) counters: EventCounters,
+}
+
+/// Recycled `toVisit` scan buffers, one per live visit frame.
+#[derive(Debug, Default)]
+pub(crate) struct ScanBuffers {
+    idle: Vec<Vec<u32>>,
+    created: usize,
+}
+
+impl ScanBuffers {
+    /// An empty scan buffer, warm when one is idle.
+    pub(crate) fn acquire(&mut self) -> Vec<u32> {
+        self.idle.pop().unwrap_or_else(|| {
+            self.created += 1;
+            Vec::new()
+        })
+    }
+
+    /// Takes `buf` back, keeping its capacity.
+    pub(crate) fn release(&mut self, mut buf: Vec<u32>) {
+        buf.clear();
+        self.idle.push(buf);
+    }
 }
 
 impl ThorupInstance {
@@ -48,7 +126,7 @@ impl ThorupInstance {
                 .collect(),
             settled: AtomicBitSet::new(ch.n()),
             stop: AtomicBool::new(false),
-            scan_pool: BufferPool::new(),
+            lanes: Mutex::default(),
         }
     }
 
@@ -90,10 +168,18 @@ impl ThorupInstance {
         out.extend(self.dist.iter().map(|d| d.load()));
     }
 
-    /// Number of `toVisit` scan buffers this instance has ever allocated.
-    /// Flat across a window of queries ⇒ the scans ran allocation-free.
+    /// Number of `toVisit` scan buffers this instance has ever allocated,
+    /// over all lanes. Flat across a window of queries ⇒ the scans ran
+    /// allocation-free.
     pub fn scan_buffers_created(&self) -> usize {
-        self.scan_pool.created()
+        let lanes = self.lanes.lock();
+        lanes.slots.iter().map(|s| s.lock().buffers.created).sum()
+    }
+
+    /// What the parallel regions of multi-lane solves into this instance
+    /// did, summed over those solves. Survives [`reset`](Self::reset).
+    pub fn region_stats(&self) -> RegionStats {
+        self.lanes.lock().stats
     }
 
     /// True if `v` has been settled (`d(v) = δ(v)` finalised).

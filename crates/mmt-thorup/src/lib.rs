@@ -52,7 +52,7 @@ pub mod trace;
 
 pub use batch::{BatchSolver, DistancePool, PooledDistances};
 pub use error::{InputError, ServiceError};
-pub use instance::ThorupInstance;
+pub use instance::{RegionStats, ThorupInstance};
 pub use layout::{GraphLayout, LayoutKind, LayoutSolver};
 pub use many_to_many::HubDistances;
 pub use pool::InstancePool;

@@ -24,29 +24,46 @@
 //!   the parent's current bucket, or when it reaches `INF` (every vertex
 //!   below is settled or unreachable).
 //!
+//! A default-configuration solve under a thread budget above one runs in
+//! one parallel region ([`mmt_platform::team`]), which spawns `lanes − 1`
+//! threads once, however many phases the solve posts. Lane 0 drives the
+//! recursion. When a bucket holds at least `PHASE_FLOOR` small members
+//! (subtrees of at most `LEAF_CUT` leaves), lane 0 posts them as one
+//! *visit phase*: every lane claims `CLAIM` members at a time through one
+//! atomic cursor and visits its claims on its own, with atomic writes.
+//! Lane 0 then visits the large members itself, so that their buckets can
+//! post phases in turn. A parallel-tier gather that lane 0 runs becomes a
+//! *scan phase* ([`crate::tovisit`]); gathers inside a visit phase run
+//! inline on their lane. Each lane draws scan buffers from its own pool on
+//! the instance, and an instrumented solve's lanes count into their own
+//! counters, which lane 0 folds into the caller's when the region closes.
+//!
 //! The atomics are only needed while sibling visits run concurrently. A
-//! solve configured with [`ThorupConfig::serial_visits`] visits a bucket's
-//! children in turn and is then the only writer of its instance, so it
-//! makes the same three updates with a plain load, compare and store (the
-//! one-lane path every service worker runs). Both paths take identical
-//! decisions, so their work counters agree exactly.
+//! solve configured with [`ThorupConfig::serial_visits`] runs on one lane,
+//! visiting a bucket's children in turn, and is then the only writer of
+//! its instance, so it makes the same three updates with a plain load,
+//! compare and store (the one-lane path every service worker runs). Under
+//! a one-thread budget a default-configuration solve runs on one lane too,
+//! with atomic writes. On one lane both writers take identical decisions,
+//! so their work counters agree exactly.
 
 use crate::error::InputError;
-use crate::instance::ThorupInstance;
-use crate::tovisit::{scan_children_into, ToVisitStrategy};
+use crate::instance::{LaneScratch, RegionStats, ScanBuffers, ThorupInstance};
+use crate::tovisit::{merge, Cut, Scan, ToVisitStrategy};
+use crossbeam::utils::CachePadded;
 use mmt_ch::ComponentHierarchy;
 use mmt_graph::types::{Dist, VertexId, INF};
 use mmt_graph::CsrGraph;
 use mmt_platform::atomic::saturating_shr;
-use mmt_platform::{AtomicBitSet, AtomicMinU64, CancelToken, EventCounters};
-use rayon::prelude::*;
-use std::sync::atomic::Ordering;
+use mmt_platform::team::{self, Team};
+use mmt_platform::{thread_budget, AtomicBitSet, AtomicMinU64, CancelToken, EventCounters};
+use parking_lot::{Mutex, RwLock};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How a solve writes its instance: the three updates whose atomicity only
 /// matters when sibling visits run concurrently.
 trait Writer {
-    /// Whether a bucket's child visits may run concurrently.
-    const CONCURRENT: bool;
     /// Lowers `cell` to `value`; `true` iff this strictly lowered it.
     fn lower(cell: &AtomicMinU64, value: Dist) -> bool;
     /// Sets bit `v`; `true` iff it was clear.
@@ -61,8 +78,6 @@ trait Writer {
 struct Shared;
 
 impl Writer for Shared {
-    const CONCURRENT: bool = true;
-
     #[inline]
     fn lower(cell: &AtomicMinU64, value: Dist) -> bool {
         cell.fetch_min(value)
@@ -86,8 +101,6 @@ impl Writer for Shared {
 struct Sole;
 
 impl Writer for Sole {
-    const CONCURRENT: bool = false;
-
     #[inline]
     fn lower(cell: &AtomicMinU64, value: Dist) -> bool {
         let lowered = value < cell.load();
@@ -172,14 +185,18 @@ pub struct ThorupConfig {
     strategy: ToVisitStrategy,
     /// Run child visits within a bucket sequentially even when the gather
     /// found several (batches and service workers dedicate the pool to
-    /// cross-query parallelism this way). Such a solve is its instance's
-    /// only writer and skips the atomic read-modify-writes.
+    /// cross-query parallelism this way). Such a solve runs on one lane
+    /// whatever the thread budget: it opens no parallel region, its
+    /// parallel-tier gathers run inline, and it is its instance's only
+    /// writer, so it skips the atomic read-modify-writes. Without it, a
+    /// solve under a budget above one runs in one parallel region (see the
+    /// [module docs](self)).
     serial_visits: bool,
 }
 
 impl ThorupConfig {
     /// The default configuration (selective-default gathers, parallel
-    /// child visits).
+    /// child visits in one region per solve).
     pub fn new() -> Self {
         Self::default()
     }
@@ -407,75 +424,142 @@ impl<'a> ThorupSolver<'a> {
     ) {
         assert!((source as usize) < self.graph.n(), "source out of range");
         debug_assert_eq!(inst.mind.len(), self.ch.num_nodes());
-        if self.config.serial_visits() {
-            self.run_as::<Sole>(inst, source, target, cancel);
+        let walk = Walk {
+            solver: *self,
+            inst,
+            target,
+            cancel,
+        };
+        // The solve holds its instance's lane scratch from start to end.
+        let mut held = inst.lanes.lock();
+        let lanes = if self.config.serial_visits() {
+            1
         } else {
-            self.run_as::<Shared>(inst, source, target, cancel);
+            thread_budget()
+        };
+        held.grow(lanes);
+        if lanes == 1 {
+            let buffers = &mut held.slots[0].get_mut().buffers;
+            if self.config.serial_visits() {
+                walk.solve(&mut Inline::<Sole>::new(buffers), source);
+            } else {
+                walk.solve(&mut Inline::<Shared>::new(buffers), source);
+            }
+            return;
+        }
+        let region = Region {
+            walk,
+            lanes: &held.slots[..lanes],
+            posted: &held.posted,
+            cursor: AtomicUsize::new(0),
+        };
+        let stats = team::run(
+            lanes,
+            |team| {
+                let mut leader = Leader {
+                    team,
+                    region: &region,
+                    stats: RegionStats {
+                        regions: 1,
+                        ..RegionStats::default()
+                    },
+                };
+                walk.solve(&mut leader, source);
+                leader.stats
+            },
+            |lane, job| region.work(lane, job),
+        );
+        if let Some(ev) = self.counters {
+            for lane in &mut held.slots[1..lanes] {
+                ev.absorb(&lane.get_mut().counters);
+            }
+        }
+        let sum = &mut held.stats;
+        sum.regions += stats.regions;
+        sum.visit_phases += stats.visit_phases;
+        sum.scan_phases += stats.scan_phases;
+    }
+}
+
+/// A visit phase is posted only for a bucket with at least this many small
+/// members; lane 0 visits a smaller set itself.
+const PHASE_FLOOR: usize = 32;
+
+/// A member whose subtree holds at most this many leaves is small, and a
+/// visit phase shares it out whole. A larger member lane 0 visits itself,
+/// after the phase, so that its own buckets can post phases: on the
+/// paper's random graphs one child of the root holds 98% of the vertices,
+/// and the lane that claimed it would run nearly the whole solve alone.
+const LEAF_CUT: u32 = 512;
+
+/// Members a lane claims at a time from a visit phase's list.
+const CLAIM: usize = 8;
+
+/// One solve's inputs, as every lane sees them.
+#[derive(Clone, Copy)]
+struct Walk<'a> {
+    solver: ThorupSolver<'a>,
+    inst: &'a ThorupInstance,
+    target: Option<VertexId>,
+    cancel: Option<&'a CancelToken>,
+}
+
+impl<'a> Walk<'a> {
+    /// This walk with its events counted into `counters`, if it counts
+    /// events at all.
+    fn counting_into<'b>(self, counters: &'b EventCounters) -> Walk<'b>
+    where
+        'a: 'b,
+    {
+        Walk {
+            solver: ThorupSolver {
+                counters: self.solver.counters.map(|_| counters),
+                ..self.solver
+            },
+            ..self
         }
     }
 
-    fn run_as<W: Writer>(
-        &self,
-        inst: &ThorupInstance,
-        source: VertexId,
-        target: Option<VertexId>,
-        cancel: Option<&CancelToken>,
-    ) {
-        W::lower(&inst.dist[source as usize], 0);
-        self.propagate_mind::<W>(inst, self.ch.leaf_of_vertex(source), 0);
-        // The root is visited under a sentinel parent: shift 64 saturates
-        // every finite mind into "bucket 0", so the root only returns when
-        // its subtree is exhausted (all settled or remainder unreachable).
-        self.visit::<W>(inst, self.ch.root(), 64, 0, target, cancel);
+    /// Labels `source` with zero, pushes that up the hierarchy and visits
+    /// the root in `frame`. The root is visited under a sentinel parent:
+    /// shift 64 saturates every finite mind into "bucket 0", so the root
+    /// only returns when its subtree is exhausted (all settled or the
+    /// remainder unreachable).
+    fn solve<F: Frame>(&self, frame: &mut F, source: VertexId) {
+        let ch = self.solver.ch;
+        F::W::lower(&self.inst.dist[source as usize], 0);
+        self.propagate_mind::<F::W>(ch.leaf_of_vertex(source), 0);
+        self.visit(frame, ch.root(), 64, 0);
     }
 
     /// Recursive component visit. Invariant on entry: the parent observed
-    /// `mind(node) >> parent_alpha == bucket` (or the sentinel for the
-    /// root). Returns when the component is done or its `mind` leaves that
+    /// `mind(node) >> parent_alpha == bucket` (or the root's sentinel).
+    /// Returns when the component is done or its `mind` leaves that
     /// bucket.
-    fn visit<W: Writer>(
-        &self,
-        inst: &ThorupInstance,
-        node: u32,
-        parent_alpha: u8,
-        bucket: u64,
-        target: Option<VertexId>,
-        cancel: Option<&CancelToken>,
-    ) {
-        if self.ch.is_leaf(node) {
-            self.settle_leaf::<W>(inst, node, target);
+    fn visit<F: Frame>(&self, frame: &mut F, node: u32, parent_alpha: u8, bucket: u64) {
+        if self.solver.ch.is_leaf(node) {
+            self.settle_leaf::<F::W>(node);
             return;
         }
-        // One pooled scan buffer serves every phase of this visit frame,
-        // then goes back for sibling/descendant frames and later queries.
-        let mut tovisit = inst.scan_pool.acquire();
-        self.visit_phases::<W>(
-            inst,
-            node,
-            parent_alpha,
-            bucket,
-            target,
-            cancel,
-            &mut tovisit,
-        );
-        inst.scan_pool.release(tovisit);
+        // One scan buffer serves every phase of this visit frame, then
+        // goes back for sibling/descendant frames and later queries.
+        let mut tovisit = frame.acquire();
+        self.visit_phases(frame, node, parent_alpha, bucket, &mut tovisit);
+        frame.release(tovisit);
     }
 
     /// The phase loop of [`visit`](Self::visit), with the scan buffer
     /// lifted out so re-expansions reuse it instead of reallocating.
-    #[allow(clippy::too_many_arguments)]
-    fn visit_phases<W: Writer>(
+    fn visit_phases<F: Frame>(
         &self,
-        inst: &ThorupInstance,
+        frame: &mut F,
         node: u32,
         parent_alpha: u8,
         bucket: u64,
-        target: Option<VertexId>,
-        cancel: Option<&CancelToken>,
         tovisit: &mut Vec<u32>,
     ) {
-        let alpha = self.ch.alpha(node);
-        let children = self.ch.children(node);
+        let (ch, inst) = (self.solver.ch, self.inst);
+        let alpha = ch.alpha(node);
         loop {
             // The stop flag is raised by a settled target or an observed
             // cancellation; either way every visit unwinds from here.
@@ -486,7 +570,7 @@ impl<'a> ThorupSolver<'a> {
             // cancellation points: coarse enough to stay off the hot
             // relaxation path, frequent enough to stop a big solve in a
             // handful of expansions.
-            if let Some(token) = cancel {
+            if let Some(token) = self.cancel {
                 if token.is_cancelled() {
                     inst.stop.store(true, Ordering::Release);
                     return;
@@ -502,75 +586,66 @@ impl<'a> ThorupSolver<'a> {
                 // parent re-buckets us by the current mind).
                 return;
             }
-            if let Some(ev) = self.counters {
+            if let Some(ev) = self.solver.counters {
                 ev.bucket_expansions.bump();
             }
             let own_bucket = saturating_shr(m0, alpha as u32);
-            let min_mind = scan_children_into(
-                self.config.strategy(),
-                children,
-                &inst.mind,
+            let scan = Scan {
+                children: ch.children(node),
+                mind: &inst.mind,
                 alpha,
-                own_bucket,
-                self.counters,
-                tovisit,
-            );
+                bucket: own_bucket,
+            };
+            let min_mind = frame.gather(self, scan, node, tovisit);
             if min_mind != m0 {
                 // Children moved under us (concurrent relaxations, or our
                 // previous expansions emptied the bucket): publish the
                 // fresh minimum and re-evaluate.
-                W::refresh(&inst.mind[node as usize], m0, min_mind);
+                F::W::refresh(&inst.mind[node as usize], m0, min_mind);
                 continue;
             }
             debug_assert!(
                 !tovisit.is_empty(),
                 "a child holding the minimum must be in its own bucket"
             );
-            if W::CONCURRENT && tovisit.len() > 1 {
-                // Thorup's arbitrary-order guarantee: the whole bucket is
-                // expanded concurrently.
-                tovisit
-                    .par_iter()
-                    .for_each(|&c| self.visit::<W>(inst, c, alpha, own_bucket, target, cancel));
-            } else {
-                for &c in tovisit.iter() {
-                    self.visit::<W>(inst, c, alpha, own_bucket, target, cancel);
-                }
-            }
+            // Thorup's arbitrary-order guarantee: the members of the
+            // bucket may be visited in any order, or concurrently.
+            frame.expand(self, tovisit, alpha, own_bucket);
         }
     }
 
     /// Settles the vertex of `leaf` and relaxes its edges. Idempotent: a
     /// stale `mind` may route a second visit here, which only re-clears it.
-    fn settle_leaf<W: Writer>(&self, inst: &ThorupInstance, leaf: u32, target: Option<VertexId>) {
-        let v = self.ch.vertex_of_leaf(leaf);
+    fn settle_leaf<W: Writer>(&self, leaf: u32) {
+        let (s, inst) = (&self.solver, self.inst);
+        let v = s.ch.vertex_of_leaf(leaf);
         // Clear before relaxing so parents stop re-bucketing this leaf.
         inst.mind[leaf as usize].store(INF);
         if !W::settle(&inst.settled, v as usize) {
             return;
         }
-        if target == Some(v) {
+        if self.target == Some(v) {
             inst.stop.store(true, Ordering::Release);
         }
-        if let Some(ev) = self.counters {
+        if let Some(ev) = s.counters {
             ev.settled.bump();
         }
         // Thorup's lemma guarantees d(v) = δ(v) here.
         let d = inst.dist[v as usize].load();
         debug_assert_ne!(d, INF, "settling an unreached vertex");
         // Relax v's edges.
-        let (targets, weights) = self.graph.neighbors(v);
-        if let Some(ev) = self.counters {
+        let (targets, weights) = s.graph.neighbors(v);
+        if let Some(ev) = s.counters {
             ev.arcs_scanned.add(targets.len() as u64);
             ev.relaxations.add(targets.len() as u64);
         }
         for (&u, &w) in targets.iter().zip(weights) {
             let nd = d + w as Dist;
             if W::lower(&inst.dist[u as usize], nd) && !inst.settled.get(u as usize) {
-                if let Some(ev) = self.counters {
+                if let Some(ev) = s.counters {
                     ev.improvements.bump();
                 }
-                self.propagate_mind::<W>(inst, self.ch.leaf_of_vertex(u), nd);
+                self.propagate_mind::<W>(s.ch.leaf_of_vertex(u), nd);
             }
         }
     }
@@ -578,20 +653,237 @@ impl<'a> ThorupSolver<'a> {
     /// Pushes a lowered distance up the hierarchy: lower each ancestor,
     /// stopping at the first that already knows something at least as
     /// small. This early stop is the paper's contention argument.
-    fn propagate_mind<W: Writer>(&self, inst: &ThorupInstance, leaf: u32, value: Dist) {
+    fn propagate_mind<W: Writer>(&self, leaf: u32, value: Dist) {
+        let s = &self.solver;
         let mut x = leaf;
         loop {
-            if !W::lower(&inst.mind[x as usize], value) {
+            if !W::lower(&self.inst.mind[x as usize], value) {
                 break;
             }
-            if let Some(ev) = self.counters {
+            if let Some(ev) = s.counters {
                 ev.mind_propagation_hops.bump();
             }
-            let p = self.ch.parent(x);
+            let p = s.ch.parent(x);
             if p == x {
                 break;
             }
             x = p;
+        }
+    }
+
+    /// Whether a visit phase shares `node` out whole.
+    fn is_small(&self, node: u32) -> bool {
+        self.solver.ch.leaves_below(node) <= LEAF_CUT
+    }
+}
+
+/// Where a visit frame runs: how it takes a scan buffer, gathers a bucket
+/// and visits the bucket's members.
+trait Frame {
+    /// How the frame writes the instance.
+    type W: Writer;
+
+    /// A scan buffer for a new frame.
+    fn acquire(&mut self) -> Vec<u32>;
+
+    /// Takes back a frame's scan buffer.
+    fn release(&mut self, buf: Vec<u32>);
+
+    /// Gathers `node`'s children in the bucket `scan` names into `out`;
+    /// returns the minimum child `mind`.
+    fn gather(&mut self, walk: &Walk<'_>, scan: Scan<'_>, node: u32, out: &mut Vec<u32>) -> Dist;
+
+    /// Visits the gathered `members`, each in `bucket` under `alpha`.
+    fn expand(&mut self, walk: &Walk<'_>, members: &mut Vec<u32>, alpha: u8, bucket: u64);
+}
+
+/// One lane walking a subtree alone: each scan runs inline and each member
+/// is visited in turn, with the lane's own scan buffers. One-lane solves
+/// and the claims of a visit phase run this way.
+struct Inline<'l, W> {
+    buffers: &'l mut ScanBuffers,
+    writer: PhantomData<W>,
+}
+
+impl<'l, W> Inline<'l, W> {
+    fn new(buffers: &'l mut ScanBuffers) -> Self {
+        Self {
+            buffers,
+            writer: PhantomData,
+        }
+    }
+}
+
+impl<W: Writer> Frame for Inline<'_, W> {
+    type W = W;
+
+    fn acquire(&mut self) -> Vec<u32> {
+        self.buffers.acquire()
+    }
+
+    fn release(&mut self, buf: Vec<u32>) {
+        self.buffers.release(buf);
+    }
+
+    fn gather(&mut self, walk: &Walk<'_>, scan: Scan<'_>, _: u32, out: &mut Vec<u32>) -> Dist {
+        scan.inline(walk.solver.config.strategy(), walk.solver.counters, out)
+    }
+
+    fn expand(&mut self, walk: &Walk<'_>, members: &mut Vec<u32>, alpha: u8, bucket: u64) {
+        for &c in members.iter() {
+            walk.visit(self, c, alpha, bucket);
+        }
+    }
+}
+
+/// A phase lane 0 posts to the region.
+#[derive(Clone, Copy)]
+enum Job {
+    /// Visit the posted members, each in `bucket` under `alpha`; lanes
+    /// claim them [`CLAIM`] at a time.
+    Visit { alpha: u8, bucket: u64 },
+    /// Scan `node`'s children in `bucket` under `alpha`: lane `p` scans
+    /// share `p` of `cut`.
+    Scan {
+        node: u32,
+        alpha: u8,
+        bucket: u64,
+        cut: Cut,
+    },
+}
+
+/// What every lane of a multi-lane solve shares.
+struct Region<'a> {
+    walk: Walk<'a>,
+    /// One scratch slot per lane.
+    lanes: &'a [CachePadded<Mutex<LaneScratch>>],
+    /// A visit phase's members.
+    posted: &'a RwLock<Vec<u32>>,
+    /// The next unclaimed index into `posted`.
+    cursor: AtomicUsize,
+}
+
+impl Region<'_> {
+    /// Runs `job` as lane `lane`.
+    fn work(&self, lane: usize, job: Job) {
+        let mut scratch = self.lanes[lane].lock();
+        let LaneScratch {
+            buffers,
+            share,
+            share_min,
+            counters,
+        } = &mut *scratch;
+        match job {
+            Job::Visit { alpha, bucket } => {
+                // Lane 0 alone writes the solve's counters; the other
+                // lanes count into their own.
+                let walk = match lane {
+                    0 => self.walk,
+                    _ => self.walk.counting_into(counters),
+                };
+                let members = self.posted.read();
+                let mut frame = Inline::<Shared>::new(buffers);
+                loop {
+                    let at = self.cursor.fetch_add(CLAIM, Ordering::Relaxed);
+                    if at >= members.len() || walk.inst.stop.load(Ordering::Acquire) {
+                        return;
+                    }
+                    for &c in &members[at..(at + CLAIM).min(members.len())] {
+                        walk.visit(&mut frame, c, alpha, bucket);
+                    }
+                }
+            }
+            Job::Scan {
+                node,
+                alpha,
+                bucket,
+                cut,
+            } if lane < cut.parts => {
+                let scan = Scan {
+                    children: self.walk.solver.ch.children(node),
+                    mind: &self.walk.inst.mind,
+                    alpha,
+                    bucket,
+                };
+                share.clear();
+                *share_min = scan.share(cut, lane, share);
+            }
+            Job::Scan { .. } => {}
+        }
+    }
+}
+
+/// Lane 0 of a multi-lane solve: it walks the hierarchy's large
+/// components and posts every phase. A parallel-tier gather becomes a
+/// scan phase; a bucket with enough small members becomes a visit phase,
+/// after which lane 0 visits the large members itself.
+struct Leader<'r, 'a> {
+    team: &'r Team<'r, Job>,
+    region: &'r Region<'a>,
+    /// This solve's region and the phases it posted so far.
+    stats: RegionStats,
+}
+
+impl Leader<'_, '_> {
+    fn post(&mut self, job: Job) {
+        match job {
+            Job::Visit { .. } => self.stats.visit_phases += 1,
+            Job::Scan { .. } => self.stats.scan_phases += 1,
+        }
+        self.team.phase(job);
+    }
+}
+
+impl Frame for Leader<'_, '_> {
+    type W = Shared;
+
+    fn acquire(&mut self) -> Vec<u32> {
+        self.region.lanes[0].lock().buffers.acquire()
+    }
+
+    fn release(&mut self, buf: Vec<u32>) {
+        self.region.lanes[0].lock().buffers.release(buf);
+    }
+
+    fn gather(&mut self, walk: &Walk<'_>, scan: Scan<'_>, node: u32, out: &mut Vec<u32>) -> Dist {
+        let s = &walk.solver;
+        let lanes = self.region.lanes.len();
+        scan.gather(s.config.strategy(), lanes, s.counters, out, |cut, out| {
+            self.post(Job::Scan {
+                node,
+                alpha: scan.alpha,
+                bucket: scan.bucket,
+                cut,
+            });
+            let mut min_mind = INF;
+            for lane in &self.region.lanes[..cut.parts] {
+                let lane = lane.lock();
+                min_mind = merge(out, min_mind, &lane.share, lane.share_min);
+            }
+            min_mind
+        })
+    }
+
+    fn expand(&mut self, walk: &Walk<'_>, members: &mut Vec<u32>, alpha: u8, bucket: u64) {
+        let small = members.iter().filter(|&&c| walk.is_small(c)).count();
+        if small >= PHASE_FLOOR {
+            {
+                let mut posted = self.region.posted.write();
+                posted.clear();
+                posted.extend(members.iter().filter(|&&c| walk.is_small(c)));
+            }
+            // The barrier that opens the phase publishes the reset.
+            self.region.cursor.store(0, Ordering::Relaxed);
+            self.post(Job::Visit { alpha, bucket });
+            members.retain(|&c| !walk.is_small(c));
+        }
+        for &c in members.iter() {
+            if walk.is_small(c) {
+                let buffers = &mut self.region.lanes[0].lock().buffers;
+                walk.visit(&mut Inline::<Shared>::new(buffers), c, alpha, bucket);
+            } else {
+                walk.visit(self, c, alpha, bucket);
+            }
         }
     }
 }

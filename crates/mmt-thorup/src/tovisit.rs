@@ -11,16 +11,27 @@
 //! worth ~2× end to end ("Thorup B" vs the naive always-parallel
 //! "Thorup A").
 //!
-//! On commodity hardware the analogous costs are rayon's fork/join setup
-//! vs a plain iterator, and the analogue of the MTA's "single processor"
-//! middle tier is parallelism capped at two tasks. The scan is fused: one
-//! pass yields both the bucket's members and the minimum child `mind`
-//! (the solver needs both every iteration).
+//! On commodity hardware the analogue of setting up a parallel loop is a
+//! *scan phase* of the solve's parallel region (see [`crate::solver`]):
+//! lane 0 posts it, every lane crosses the region's barrier twice, and
+//! between the crossings each lane scans its share of the child list. The
+//! analogue of the MTA's "single processor" middle tier is a scan cut into
+//! at most two shares. The scan is fused: one pass yields both the
+//! bucket's members and the minimum child `mind` (the solver needs both
+//! every iteration).
+//!
+//! A parallel-tier scan cuts the list into chunks: two on the capped tier,
+//! four per lane of at least 64 children each on the full tier. Each share
+//! folds its run of chunks into one member list, and lane 0 folds the
+//! shares in lane order; every fold step keeps the longer list first. A
+//! scan cut into one share, as on one lane or inside a visit phase, runs
+//! the whole fold inline. The member order is thus a function of the list
+//! and the lane count alone, which keeps one-lane solves exactly
+//! reproducible.
 
 use mmt_graph::types::{Dist, INF};
 use mmt_platform::atomic::saturating_shr;
 use mmt_platform::{AtomicMinU64, EventCounters};
-use rayon::prelude::*;
 
 /// How the per-node child scan is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,8 +46,8 @@ pub enum ToVisitStrategy {
         /// At or above this many children, use capped (two-task)
         /// parallelism — the "single processor" tier.
         single_par_threshold: usize,
-        /// At or above this many children, use the full rayon pool — the
-        /// "all processors" tier.
+        /// At or above this many children, use every lane — the "all
+        /// processors" tier.
         multi_par_threshold: usize,
     },
 }
@@ -44,11 +55,32 @@ pub enum ToVisitStrategy {
 impl ToVisitStrategy {
     /// The thresholds we determined experimentally (the
     /// `a4_tovisit_thresholds` sweep; see `reproduce table6`): serial below
-    /// 256 children, capped parallelism to 16k, full pool beyond.
+    /// 256 children, capped parallelism to 16k, every lane beyond.
     pub fn selective_default() -> Self {
         ToVisitStrategy::Selective {
             single_par_threshold: 256,
             multi_par_threshold: 16_384,
+        }
+    }
+
+    /// How a scan of `len` children runs: `None` for a serial loop, or the
+    /// most shares a parallel loop may cut it into.
+    fn max_shares(self, len: usize) -> Option<usize> {
+        match self {
+            ToVisitStrategy::Serial => None,
+            ToVisitStrategy::AlwaysParallel => Some(usize::MAX),
+            ToVisitStrategy::Selective {
+                single_par_threshold,
+                multi_par_threshold,
+            } => {
+                if len >= multi_par_threshold {
+                    Some(usize::MAX)
+                } else if len >= single_par_threshold {
+                    Some(2)
+                } else {
+                    None
+                }
+            }
         }
     }
 }
@@ -97,12 +129,11 @@ pub fn scan_children(
 
 /// As [`scan_children`], but fills the caller's `out` buffer (cleared
 /// first) instead of allocating one, returning the minimum child `mind`.
+/// Runs on the calling thread, as one lane.
 ///
 /// One buffer serves every phase of a visit loop — and, pooled on the
-/// instance, every visit of every query — so the steady-state serial scan
-/// performs no allocation at all. Parallel-tier scans still build per-chunk
-/// intermediates (fork/join needs owned results to reduce); those only run
-/// on child lists big enough to amortise them.
+/// instance, every visit of every query — so a steady-state scan, serial
+/// or parallel tier, performs no allocation at all.
 pub fn scan_children_into(
     strategy: ToVisitStrategy,
     children: &[u32],
@@ -112,103 +143,151 @@ pub fn scan_children_into(
     counters: Option<&EventCounters>,
     out: &mut Vec<u32>,
 ) -> Dist {
-    out.clear();
-    let inspect = |&c: &u32| -> (Dist, Option<u32>) {
-        let m = mind[c as usize].load();
-        let member = m != INF && saturating_shr(m, alpha as u32) == bucket;
-        (m, member.then_some(c))
+    let scan = Scan {
+        children,
+        mind,
+        alpha,
+        bucket,
     };
-    // Resolve the selective strategy to a concrete tier for this list.
-    let max_tasks = match strategy {
-        ToVisitStrategy::Serial => None,
-        ToVisitStrategy::AlwaysParallel => Some(usize::MAX),
-        ToVisitStrategy::Selective {
-            single_par_threshold,
-            multi_par_threshold,
-        } => {
-            if children.len() >= multi_par_threshold {
-                Some(usize::MAX)
-            } else if children.len() >= single_par_threshold {
-                Some(2)
-            } else {
-                None
-            }
-        }
-    };
-    match max_tasks {
-        None => {
+    scan.inline(strategy, counters, out)
+}
+
+/// One child scan's inputs.
+#[derive(Clone, Copy)]
+pub(crate) struct Scan<'a> {
+    pub(crate) children: &'a [u32],
+    pub(crate) mind: &'a [AtomicMinU64],
+    pub(crate) alpha: u8,
+    pub(crate) bucket: u64,
+}
+
+impl Scan<'_> {
+    /// The gather on one lane: see [`scan_children_into`].
+    pub(crate) fn inline(
+        self,
+        strategy: ToVisitStrategy,
+        counters: Option<&EventCounters>,
+        out: &mut Vec<u32>,
+    ) -> Dist {
+        self.gather(strategy, 1, counters, out, |_, _| {
+            unreachable!("a one-lane scan is one share")
+        })
+    }
+
+    /// The gather as lane 0 of a `lanes`-lane solve runs it, into `out`
+    /// (cleared first): a serial loop, or a parallel-tier loop cut for
+    /// `lanes` lanes. A cut into one share runs inline; one into more runs
+    /// through `shares`, which scans share `p` of the cut on lane `p` and
+    /// merges the shares into `out` (see [`merge`]), returning their
+    /// minimum. The strategy alone decides which counter the gather
+    /// bumps.
+    pub(crate) fn gather(
+        self,
+        strategy: ToVisitStrategy,
+        lanes: usize,
+        counters: Option<&EventCounters>,
+        out: &mut Vec<u32>,
+        shares: impl FnOnce(Cut, &mut Vec<u32>) -> Dist,
+    ) -> Dist {
+        out.clear();
+        let Some(max_shares) = strategy.max_shares(self.children.len()) else {
             if let Some(ev) = counters {
                 ev.serial_loops.bump();
             }
-            let mut min_mind = INF;
-            for c in children {
-                let (m, member) = inspect(c);
-                min_mind = min_mind.min(m);
-                if let Some(c) = member {
-                    out.push(c);
-                }
-            }
-            min_mind
+            return self.chunk(self.children, out);
+        };
+        if let Some(ev) = counters {
+            ev.parallel_loop_setups.bump();
         }
-        Some(max_tasks) => {
-            if let Some(ev) = counters {
-                ev.parallel_loop_setups.bump();
+        let cut = Cut::new(self.children.len(), max_shares, lanes);
+        if cut.parts > 1 {
+            shares(cut, out)
+        } else {
+            self.share(cut, 0, out)
+        }
+    }
+
+    /// Appends the members among `chunk` to `out`; returns their minimum
+    /// `mind`.
+    fn chunk(self, chunk: &[u32], out: &mut Vec<u32>) -> Dist {
+        let mut min_mind = INF;
+        for &c in chunk {
+            let m = self.mind[c as usize].load();
+            min_mind = min_mind.min(m);
+            if m != INF && saturating_shr(m, self.alpha as u32) == self.bucket {
+                out.push(c);
             }
-            let mut r = scan_parallel(children, inspect, max_tasks);
-            if out.capacity() == 0 {
-                // Cold buffer: keep the scan's own vector, it is warm.
-                *out = r.tovisit;
-            } else {
-                out.append(&mut r.tovisit);
-            }
-            r.min_mind
+        }
+        min_mind
+    }
+
+    /// Folds share `part` of `cut` into `out`, chunk by chunk; returns its
+    /// minimum `mind` as the fold reports it (see [`fold`]).
+    pub(crate) fn share(self, cut: Cut, part: usize, out: &mut Vec<u32>) -> Dist {
+        let len = self.children.len();
+        let chunks = len.div_ceil(cut.chunk);
+        let (lo, hi) = (chunks * part / cut.parts, chunks * (part + 1) / cut.parts);
+        let mut min_mind = INF;
+        for c in lo..hi {
+            let held = out.len();
+            let chunk = &self.children[c * cut.chunk..((c + 1) * cut.chunk).min(len)];
+            let chunk_min = self.chunk(chunk, out);
+            min_mind = fold(out, held, min_mind, chunk_min);
+        }
+        min_mind
+    }
+}
+
+/// How a parallel-tier scan is cut: chunks of `chunk` children, folded
+/// into `parts` shares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Cut {
+    chunk: usize,
+    /// Shares: lane `p < parts` scans share `p`.
+    pub(crate) parts: usize,
+}
+
+impl Cut {
+    /// The cut of `len` children into at most `max_shares` shares on
+    /// `lanes` lanes.
+    fn new(len: usize, max_shares: usize, lanes: usize) -> Self {
+        // The full tier cuts four chunks per lane, of at least 64
+        // children; the capped tier (the MTA's single processor) cuts at
+        // most two chunks whatever the lane count.
+        let chunk = if max_shares == usize::MAX {
+            (len / (lanes * 4).max(1)).max(64)
+        } else {
+            len.div_ceil(max_shares).max(1)
+        };
+        Cut {
+            chunk,
+            parts: lanes.min(len.div_ceil(chunk)).max(1),
         }
     }
 }
 
-fn scan_serial(children: &[u32], inspect: impl Fn(&u32) -> (Dist, Option<u32>)) -> ScanResult {
-    let mut min_mind = INF;
-    let mut tovisit = Vec::new();
-    for c in children {
-        let (m, member) = inspect(c);
-        min_mind = min_mind.min(m);
-        if let Some(c) = member {
-            tovisit.push(c);
-        }
-    }
-    ScanResult { min_mind, tovisit }
+/// Appends a share's members, whose minimum is `share_min`, to the `out`
+/// members gathered so far, whose minimum is `min_mind`, as lane 0 folds
+/// the shares of a scan phase; returns the folded minimum.
+pub(crate) fn merge(out: &mut Vec<u32>, min_mind: Dist, share: &[u32], share_min: Dist) -> Dist {
+    let held = out.len();
+    out.extend_from_slice(share);
+    fold(out, held, min_mind, share_min)
 }
 
-fn scan_parallel(
-    children: &[u32],
-    inspect: impl Fn(&u32) -> (Dist, Option<u32>) + Sync + Send,
-    max_tasks: usize,
-) -> ScanResult {
-    // `max_tasks == 2` emulates the MTA's single-processor tier: the scan
-    // splits into at most two chunks regardless of pool width.
-    let chunk = if max_tasks == usize::MAX {
-        (children.len() / (rayon::current_num_threads() * 4).max(1)).max(64)
+/// One fold step over `out = held ++ appended`: the longer list goes
+/// first. When the appended list is the longer one, the step reports that
+/// list's own minimum, not the minimum of both. That list holds at least
+/// one member, so the reported minimum stays inside the scanned bucket,
+/// but it can exceed the true one and cost the visit one more expansion.
+/// One-lane work counters pin this behaviour.
+fn fold(out: &mut [u32], held: usize, held_min: Dist, appended_min: Dist) -> Dist {
+    if held < out.len() - held {
+        out.rotate_left(held);
+        appended_min
     } else {
-        children.len().div_ceil(max_tasks).max(1)
-    };
-    children
-        .par_chunks(chunk)
-        .map(|chunk| scan_serial(chunk, &inspect))
-        .reduce(
-            || ScanResult {
-                min_mind: INF,
-                tovisit: Vec::new(),
-            },
-            |mut a, mut b| {
-                a.min_mind = a.min_mind.min(b.min_mind);
-                // Keep deterministic-ish ordering cheap: append.
-                if a.tovisit.len() < b.tovisit.len() {
-                    std::mem::swap(&mut a, &mut b);
-                }
-                a.tovisit.append(&mut b.tovisit);
-                a
-            },
-        )
+        held_min.min(appended_min)
+    }
 }
 
 #[cfg(test)]
@@ -377,5 +456,67 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, want);
         assert_eq!(r.min_mind, 0);
+    }
+
+    /// A fork/join reduce over `parts` contiguous runs of `chunk`-sized
+    /// chunks, whose step sets the minimum of both lists and then puts the
+    /// longer list first, minimum and all: the reference the shares and
+    /// their merge must reproduce, member order and reported minimum alike.
+    fn reduced(scan: Scan<'_>, chunk: usize, parts: usize) -> (Dist, Vec<u32>) {
+        let step = |mut a: (Dist, Vec<u32>), mut b: (Dist, Vec<u32>)| {
+            a.0 = a.0.min(b.0);
+            if a.1.len() < b.1.len() {
+                std::mem::swap(&mut a, &mut b);
+            }
+            a.1.append(&mut b.1);
+            a
+        };
+        let chunks: Vec<(Dist, Vec<u32>)> = scan
+            .children
+            .chunks(chunk)
+            .map(|c| {
+                let mut members = Vec::new();
+                (scan.chunk(c, &mut members), members)
+            })
+            .collect();
+        let n = chunks.len();
+        (0..parts)
+            .map(|p| {
+                chunks[n * p / parts..n * (p + 1) / parts]
+                    .iter()
+                    .cloned()
+                    .fold((INF, Vec::new()), step)
+            })
+            .fold((INF, Vec::new()), step)
+    }
+
+    #[test]
+    fn shares_merged_in_lane_order_reproduce_the_reduce() {
+        let vals: Vec<u64> = (0..3_000u64).map(|i| (i * 7_919) % 1_031).collect();
+        let mind = minds(&vals);
+        for len in [1usize, 63, 64, 65, 300, 1_000, 3_000] {
+            let children: Vec<u32> = (0..len as u32).rev().collect();
+            for (bucket, alpha) in [(3u64, 6u8), (0, 4), (15, 6)] {
+                let scan = Scan {
+                    children: &children,
+                    mind: &mind,
+                    alpha,
+                    bucket,
+                };
+                for max_shares in [2, usize::MAX] {
+                    for lanes in 1..=4 {
+                        let cut = Cut::new(len, max_shares, lanes);
+                        let (mut out, mut min_mind) = (Vec::new(), INF);
+                        for part in 0..cut.parts {
+                            let mut share = Vec::new();
+                            let share_min = scan.share(cut, part, &mut share);
+                            min_mind = merge(&mut out, min_mind, &share, share_min);
+                        }
+                        let at = format!("len {len} bucket {bucket} {max_shares} {lanes} lanes");
+                        assert_eq!((min_mind, out), reduced(scan, cut.chunk, cut.parts), "{at}");
+                    }
+                }
+            }
+        }
     }
 }

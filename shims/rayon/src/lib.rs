@@ -545,46 +545,15 @@ impl<'a, T: Sync> ParallelIterator for ParSlice<'a, T> {
     }
 }
 
-/// Parallel iterator over fixed-size chunks of a slice.
-pub struct ParChunks<'a, T> {
-    slice: &'a [T],
-    size: usize,
-}
-
-impl<'a, T: Sync> ParallelIterator for ParChunks<'a, T> {
-    type Item = &'a [T];
-
-    fn est_len(&self) -> usize {
-        self.slice.len().div_ceil(self.size)
-    }
-
-    fn feed(&self, part: usize, parts: usize, sink: &mut dyn FnMut(&'a [T])) {
-        let chunks = self.est_len();
-        let (lo, hi) = part_bounds(chunks, part, parts);
-        for c in lo..hi {
-            let start = c * self.size;
-            let end = ((c + 1) * self.size).min(self.slice.len());
-            sink(&self.slice[start..end]);
-        }
-    }
-}
-
 /// Extension methods putting slices into the parallel world.
 pub trait ParallelSlice<T: Sync> {
     /// Parallel borrowing iterator.
     fn par_iter(&self) -> ParSlice<'_, T>;
-    /// Parallel iterator over `size`-element chunks.
-    fn par_chunks(&self, size: usize) -> ParChunks<'_, T>;
 }
 
 impl<T: Sync> ParallelSlice<T> for [T] {
     fn par_iter(&self) -> ParSlice<'_, T> {
         ParSlice { slice: self }
-    }
-
-    fn par_chunks(&self, size: usize) -> ParChunks<'_, T> {
-        assert!(size > 0, "chunk size must be positive");
-        ParChunks { slice: self, size }
     }
 }
 
@@ -731,16 +700,6 @@ mod tests {
         let v = [1u32, 2, 3];
         let out: Vec<u32> = v.par_iter().flat_map_iter(|&x| 0..x).collect();
         assert_eq!(out, vec![0, 0, 1, 0, 1, 2]);
-    }
-
-    #[test]
-    fn par_chunks_and_reduce() {
-        let v: Vec<u64> = (0..103).collect();
-        let total = v
-            .par_chunks(10)
-            .map(|c| c.iter().sum::<u64>())
-            .reduce(|| 0, |a, b| a + b);
-        assert_eq!(total, 102 * 103 / 2);
     }
 
     #[test]
