@@ -13,16 +13,24 @@
 //! are spawned once and meet at a barrier, and contention-free frontier
 //! bins ([`FrontierBins`]), where each lane owns a full ring of bucket bins
 //! and pushes improved vertices only into its own bins, keyed by
-//! `dist / Δ`. Lane 0 runs the whole loop: it votes the next bucket (the
-//! minimum over per-lane minima), drains it from every lane with
-//! generation-stamped dedup, applies the extraction filter, keeps the
-//! counters, polls the cancel token and takes the s–t early exit. Each
-//! relax phase it posts as a (list, arc class) pair, and every lane
-//! relaxes its contiguous chunk of the list into its own bins, between two
-//! barrier crossings; a list too short to pay for the crossings it relaxes
-//! alone. A [`StepPolicy`] chooses only the ring length and what one step
-//! extracts and relaxes. With one lane, in a one-lane scratch or a
-//! one-thread pool, the region spawns nothing and every phase runs inline.
+//! `dist / Δ`. Lane 0 drives the loop: it votes the next bucket (the
+//! minimum over per-lane minima), keeps the counters, polls the cancel
+//! token and takes the s–t early exit. Every lane works in the two kinds
+//! of phase it posts:
+//! - an *extract phase*: each lane drains its own bin of the bucket and
+//!   filters it into its own frontier and settled lists. A vertex is
+//!   claimed by the one lane whose `fetch_min` lowers its `relaxed_at`
+//!   cell, so each copy of a vertex held in several bins is extracted
+//!   once;
+//! - a *relax phase*: each lane relaxes an equal, contiguous share of the
+//!   lanes' lists, concatenated in lane order, into its own bins.
+//!
+//! A bucket holding fewer than [`INLINE_BELOW`] entries, or a list that
+//! short, is drained or relaxed by lane 0 alone, in lane order, with no
+//! barrier crossing. A [`StepPolicy`] chooses only the ring length and
+//! what one step extracts and relaxes. With one lane, in a one-lane
+//! scratch or a one-thread pool, the region spawns nothing and every phase
+//! runs inline.
 //!
 //! Buckets live in a cyclic window of `C/Δ + 2` bins: a relaxation out of
 //! bucket `b` lands in `[b, b + C/Δ + 1]`, so live entries never alias
@@ -41,44 +49,44 @@ use mmt_graph::types::{Dist, VertexId, Weight, INF};
 use mmt_graph::SplitCsr;
 use mmt_platform::bins::{BinLane, FrontierBins};
 use mmt_platform::team::{self, Team};
-use mmt_platform::{AtomicMinU64, CancelToken, EventCounters};
+use mmt_platform::{thread_budget, AtomicMinU64, CancelToken, EventCounters};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Reusable per-query state for every stepping function: the tentative
-/// distances, the `relaxed_at` re-relax guard, the per-lane frontier
-/// bins, and the extraction buffers. Everything retains capacity across
+/// distances, the `relaxed_at` claim cells, the per-lane frontier bins,
+/// and the per-lane extraction lists. Everything retains capacity across
 /// queries; after the first (warm-up) query a solve allocates nothing
 /// beyond its region's spawn. A service can run Δ-, Δ*- and ρ-queries off
 /// one warm scratch.
 #[derive(Debug)]
 pub struct StepScratch {
     dist: Vec<AtomicMinU64>,
-    /// Distance at which each vertex was last relaxed this query (`INF` =
-    /// never): a vertex re-relaxes only after a strict improvement.
-    relaxed_at: Vec<Dist>,
+    /// Distance at which each vertex was last extracted this query (`INF`
+    /// = never): a vertex is extracted again only after a strict
+    /// improvement, by the lane whose `fetch_min` lowers the cell.
+    relaxed_at: Vec<AtomicMinU64>,
     bins: FrontierBins,
-    /// The vertices one step relaxes.
-    frontier: List,
-    /// One bucket's deduplicated drain, before the extraction filter.
-    staging: Vec<VertexId>,
-    /// The vertices first extracted in this step (Δ's heavy pass).
-    settled: List,
+    /// One pair of extraction lists per bin lane.
+    lists: Vec<LaneLists>,
+    /// Extract phases the last query posted: buckets whose entries every
+    /// lane drained at once. A one-lane query posts none.
+    extract_phases: u64,
 }
 
 impl StepScratch {
     /// Scratch sized for `split`. Lane count follows the *installed*
-    /// thread budget (`rayon::current_num_threads()`), so a scratch built
-    /// inside [`mmt_platform::with_pool`] gets one lane per pool worker,
-    /// and a one-lane scratch never forks.
+    /// thread budget ([`thread_budget`]), so a scratch built inside
+    /// [`mmt_platform::with_pool`] gets one lane per pool worker, and a
+    /// one-lane scratch never forks.
     pub fn new(split: &SplitCsr) -> Self {
         let n = split.n();
+        let lanes = thread_budget().max(1);
         Self {
             dist: (0..n).map(|_| AtomicMinU64::new(INF)).collect(),
-            relaxed_at: vec![INF; n],
-            bins: FrontierBins::new(rayon::current_num_threads(), window(split) as usize, n),
-            frontier: List::default(),
-            staging: Vec::new(),
-            settled: List::default(),
+            relaxed_at: (0..n).map(|_| AtomicMinU64::new(INF)).collect(),
+            bins: FrontierBins::new(lanes, window(split) as usize),
+            lists: (0..lanes).map(|_| LaneLists::default()).collect(),
+            extract_phases: 0,
         }
     }
 
@@ -92,13 +100,13 @@ impl StepScratch {
     fn reset(&mut self, n: usize, ring: usize) {
         if self.dist.len() != n {
             self.dist.resize_with(n, || AtomicMinU64::new(INF));
-            self.relaxed_at.resize(n, INF);
+            self.relaxed_at.resize_with(n, || AtomicMinU64::new(INF));
         }
-        for d in &self.dist {
-            d.store(INF);
+        for cell in self.dist.iter().chain(&self.relaxed_at) {
+            cell.store(INF);
         }
-        self.relaxed_at.fill(INF);
-        self.bins.reset(ring, n);
+        self.bins.reset(ring);
+        self.extract_phases = 0;
     }
 
     /// The distance to `v` computed by the last query (`INF` = unreached).
@@ -120,19 +128,41 @@ impl StepScratch {
     }
 }
 
-/// A vertex list that lane 0 writes between relax phases and every lane
-/// reads during one. Every write is a push or a clear and each step
-/// clears the list first, so a lock poisoned by a panicked query still
-/// guards a valid list and is recovered.
+/// One lane's extraction lists. A lane writes its own in an extract
+/// phase, lane 0 writes or clears any of them between phases, and every
+/// lane reads all of them in a relax phase. Every write is a push or a
+/// clear and each step clears the lists first, so a lock poisoned by a
+/// panicked query still guards valid lists and is recovered. Padded to
+/// 128 bytes so that two lanes filling their own lists never write one
+/// cache line (or an adjacent-line prefetch pair).
 #[derive(Debug, Default)]
-struct List(RwLock<Vec<VertexId>>);
+#[repr(align(128))]
+struct LaneLists(RwLock<Lists>);
 
-impl List {
-    fn read(&self) -> RwLockReadGuard<'_, Vec<VertexId>> {
+#[derive(Debug, Default)]
+struct Lists {
+    /// The vertices this lane extracted in this round.
+    frontier: Vec<VertexId>,
+    /// The vertices this lane first extracted in this step (Δ's heavy
+    /// pass).
+    settled: Vec<VertexId>,
+}
+
+impl Lists {
+    fn get(&self, list: Which) -> &[VertexId] {
+        match list {
+            Which::Frontier => &self.frontier,
+            Which::Settled => &self.settled,
+        }
+    }
+}
+
+impl LaneLists {
+    fn read(&self) -> RwLockReadGuard<'_, Lists> {
         self.0.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn write(&self) -> RwLockWriteGuard<'_, Vec<VertexId>> {
+    fn write(&self) -> RwLockWriteGuard<'_, Lists> {
         self.0.write().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -164,7 +194,7 @@ pub(crate) enum Arcs {
 }
 
 /// How one step extracts and relaxes. The loop hands the policy the lowest
-/// non-empty bucket `first`, with the frontier and the settled list empty.
+/// non-empty bucket `first`, with every frontier and settled list empty.
 pub(crate) trait StepPolicy {
     /// Bins per lane, given the window of `C/Δ + 2` buckets one bucket's
     /// pushes can reach.
@@ -177,38 +207,104 @@ pub(crate) trait StepPolicy {
     fn step(&self, st: &mut Step<'_>, first: u64) -> bool;
 }
 
-/// Relax phases over fewer vertices than this run on lane 0 alone, with
-/// no barrier crossing. Two crossings cost a few microseconds even with
-/// every lane spinning, more when a lane has parked, and shorter lists
-/// hold less work than that. On the paper's Rand-UWD-2^17 input more than
-/// half of the phases fall below it, taking under 5% of the time spent in
-/// relax phases.
+/// Buckets holding fewer entries than this, and relax phases over fewer
+/// vertices, run on lane 0 alone, with no barrier crossing. Two crossings
+/// cost a few microseconds even with every lane spinning, more when a
+/// lane has parked, and shorter lists hold less work than that. On the
+/// paper's Rand-UWD-2^17 input at 2 lanes, 68–74% of a solve's drains and
+/// 37–69% of its relax phases fall below it, taking under 10% of the
+/// drain time and under 5% of the relax time.
 const INLINE_BELOW: usize = 256;
 
-/// Which of the step's lists a relax phase walks.
+/// Which of each lane's lists a relax phase walks.
 #[derive(Clone, Copy)]
 enum Which {
     Frontier,
     Settled,
 }
 
-/// One relax phase as lane 0 posts it to the region.
+/// One phase as lane 0 posts it to the region.
 #[derive(Clone, Copy)]
-struct Phase {
-    list: Which,
-    arcs: Arcs,
+enum Phase {
+    /// Every lane drains its own bin of this bucket into its own lists.
+    Extract(u64),
+    /// Every lane relaxes these arcs out of its share of the lanes' lists.
+    Relax(Which, Arcs),
 }
 
-/// What a relax phase reads: the split, the distances and the counters.
+/// What every lane of a solve shares: the split, the distances and claim
+/// cells, the bins, the region's lists and the counters.
 #[derive(Clone, Copy)]
-struct Relaxer<'a> {
+struct Kernel<'a> {
     split: &'a SplitCsr,
     width: u64,
     dist: &'a [AtomicMinU64],
+    relaxed_at: &'a [AtomicMinU64],
+    bins: &'a FrontierBins,
+    /// One pair per lane of the region.
+    lists: &'a [LaneLists],
     counters: Option<&'a EventCounters>,
 }
 
-impl<'a> Relaxer<'a> {
+impl<'a> Kernel<'a> {
+    /// Runs `phase` as lane `lane` of the region.
+    fn work(self, lane: usize, phase: Phase) {
+        match phase {
+            Phase::Extract(bucket) => self.drain(lane, bucket, &mut self.lists[lane].write()),
+            Phase::Relax(list, arcs) => self.relax_share(lane, list, arcs),
+        }
+    }
+
+    /// Drains `bucket` out of bin lane `from` into `into`: each vertex
+    /// whose distance still lies in `bucket` and improved since its last
+    /// extraction joins the frontier, and a first extraction also joins
+    /// the settled list. The `relaxed_at` claim, a `fetch_min` that only
+    /// one racing lane wins, admits one copy of a vertex per label,
+    /// whichever lane's bin holds it.
+    fn drain(self, from: usize, bucket: u64, into: &mut Lists) {
+        for v in self.bins.lane(from).drain(bucket) {
+            let d = self.dist[v as usize].load();
+            if d / self.width != bucket {
+                continue;
+            }
+            if let Some(last) = self.relaxed_at[v as usize].lower(d) {
+                if last == INF {
+                    into.settled.push(v);
+                }
+                into.frontier.push(v);
+            }
+        }
+    }
+
+    /// Vertices in `list` across the region's lanes.
+    fn len(self, list: Which) -> usize {
+        self.lists.iter().map(|l| l.read().get(list).len()).sum()
+    }
+
+    /// Relaxes `arcs` out of lane `lane`'s share of `list`: the lanes'
+    /// lists concatenated in lane order and cut into equal, contiguous
+    /// shares, one per lane.
+    fn relax_share(self, lane: usize, list: Which, arcs: Arcs) {
+        let lanes = self.lists.len();
+        let total = self.len(list);
+        let (lo, hi) = (total * lane / lanes, total * (lane + 1) / lanes);
+        let mut bin = self.bins.lane(lane);
+        let mut start = 0;
+        for lists in self.lists {
+            if start >= hi {
+                break;
+            }
+            let lists = lists.read();
+            let items = lists.get(list);
+            let end = start + items.len();
+            if lo < end {
+                let part = &items[lo.max(start) - start..hi.min(end) - start];
+                self.relax(&mut bin, part, arcs);
+            }
+            start = end;
+        }
+    }
+
     /// Relaxes `arcs` out of every vertex in `list` into `lane`.
     fn relax(self, lane: &mut BinLane, list: &[VertexId], arcs: Arcs) {
         let split = self.split;
@@ -229,7 +325,7 @@ impl<'a> Relaxer<'a> {
         list: &[VertexId],
         slices: impl Fn(VertexId) -> [(&'a [VertexId], &'a [Weight]); K],
     ) {
-        let Relaxer { width, dist, .. } = self;
+        let Kernel { width, dist, .. } = self;
         for &u in list {
             let du = dist[u as usize].load();
             for &(ts, ws) in &slices(u) {
@@ -238,29 +334,28 @@ impl<'a> Relaxer<'a> {
         }
     }
 
-    /// Arcs of class `arcs` out of the vertices in `list`.
-    fn arcs_out(self, list: &[VertexId], arcs: Arcs) -> u64 {
+    /// Arcs of class `arcs` out of the vertices in every lane's `list`.
+    fn arcs_out(self, list: Which, arcs: Arcs) -> u64 {
         let split = self.split;
-        let walked = |v| match arcs {
-            Arcs::Light => split.light(v).0.len(),
-            Arcs::Heavy => split.heavy(v).0.len(),
-            Arcs::All => split.degree(v),
+        let walked = |&v: &VertexId| match arcs {
+            Arcs::Light => split.light(v).0.len() as u64,
+            Arcs::Heavy => split.heavy(v).0.len() as u64,
+            Arcs::All => split.degree(v) as u64,
         };
-        list.iter().map(|&v| walked(v) as u64).sum()
+        self.lists
+            .iter()
+            .map(|l| l.read().get(list).iter().map(walked).sum::<u64>())
+            .sum()
     }
 }
 
 /// A policy's handle on the running query. It lives on lane 0.
 pub(crate) struct Step<'a> {
-    g: Relaxer<'a>,
+    k: Kernel<'a>,
     window: u64,
-    relaxed_at: &'a mut [Dist],
-    bins: &'a FrontierBins,
-    frontier: &'a List,
-    staging: &'a mut Vec<VertexId>,
-    settled: &'a List,
     cancel: Option<&'a CancelToken>,
     team: &'a Team<'a, Phase>,
+    extract_phases: u64,
 }
 
 impl Step<'_> {
@@ -269,40 +364,56 @@ impl Step<'_> {
         self.window
     }
 
-    /// Vertices extracted so far in this step.
+    /// Vertices extracted so far in this step, on every lane.
     pub(crate) fn frontier_len(&self) -> usize {
-        self.frontier.read().len()
+        self.k.len(Which::Frontier)
     }
 
     /// The lowest non-empty bucket at or above `from`.
     pub(crate) fn vote(&mut self, from: u64) -> Option<u64> {
-        self.bins.vote(from)
+        self.k.bins.vote(from)
     }
 
     fn cancelled(&self) -> bool {
         self.cancel.is_some_and(|c| c.is_cancelled())
     }
 
-    /// Drains `bucket` from every lane and appends to the frontier each
-    /// vertex whose distance still lies in `bucket` and improved since its
-    /// last relaxation; first extractions also join the settled list.
-    /// Returns the raw entries drained (0 = the bucket was empty).
-    pub(crate) fn extract(&mut self, bucket: u64) -> usize {
-        self.staging.clear();
-        let raw = self.bins.drain_bucket(bucket, self.staging);
-        let (mut frontier, mut settled) = (self.frontier.write(), self.settled.write());
-        for &v in self.staging.iter() {
-            let vi = v as usize;
-            let d = self.g.dist[vi].load();
-            if d / self.g.width == bucket && d < self.relaxed_at[vi] {
-                if self.relaxed_at[vi] == INF {
-                    settled.push(v);
-                }
-                self.relaxed_at[vi] = d;
-                frontier.push(v);
+    /// Empties `list` on every lane.
+    fn clear(&self, list: Which) {
+        for lists in self.k.lists {
+            let mut lists = lists.write();
+            match list {
+                Which::Frontier => lists.frontier.clear(),
+                Which::Settled => lists.settled.clear(),
             }
         }
+    }
+
+    /// Drains `bucket` from every lane's bins, appending to the lanes'
+    /// frontiers each vertex whose distance still lies in `bucket` and
+    /// improved since its last extraction; first extractions also join the
+    /// settled lists. A bucket of at least [`INLINE_BELOW`] entries is an
+    /// extract phase; a smaller one lane 0 drains alone, in lane order,
+    /// into its own lists. Returns the raw entries drained (0 = the bucket
+    /// was empty).
+    pub(crate) fn extract(&mut self, bucket: u64) -> usize {
+        let k = self.k;
+        let raw = k.bins.held(bucket);
+        if self.inline(raw) {
+            let mut lists = k.lists[0].write();
+            for from in 0..k.lists.len() {
+                k.drain(from, bucket, &mut lists);
+            }
+        } else {
+            self.extract_phases += 1;
+            self.team.phase(Phase::Extract(bucket));
+        }
         raw
+    }
+
+    /// Whether a phase over `items` entries runs on lane 0 alone.
+    fn inline(&self, items: usize) -> bool {
+        items < INLINE_BELOW || self.k.lists.len() == 1
     }
 
     /// Drains `bucket` to a fixpoint: extract, relax `arcs` of what was
@@ -314,7 +425,7 @@ impl Step<'_> {
             if self.cancelled() {
                 return false;
             }
-            self.frontier.write().clear();
+            self.clear(Which::Frontier);
             if self.extract(bucket) == 0 {
                 return true;
             }
@@ -332,31 +443,31 @@ impl Step<'_> {
         self.relax(Which::Settled, arcs);
     }
 
-    /// One relax phase over `list`: on every lane of the region, or on
-    /// lane 0 alone when the list is too short to pay for the barrier.
+    /// One relax phase over every lane's `list`: on every lane of the
+    /// region, or on lane 0 alone, in lane order, when the lists are too
+    /// short to pay for the barrier.
     fn relax(&mut self, list: Which, arcs: Arcs) {
-        let (g, bins) = (self.g, self.bins);
-        let items = match list {
-            Which::Frontier => self.frontier.read(),
-            Which::Settled => self.settled.read(),
-        };
-        if items.is_empty() {
+        let k = self.k;
+        let total = k.len(list);
+        if total == 0 {
             return;
         }
-        let counted = g
+        let counted = k
             .counters
-            .map(|ev| (ev, g.arcs_out(&items, arcs), bins.pending()));
-        if items.len() < INLINE_BELOW {
-            g.relax(&mut bins.lane(0), &items, arcs);
+            .map(|ev| (ev, k.arcs_out(list, arcs), k.bins.pending()));
+        if self.inline(total) {
+            let mut bin = k.bins.lane(0);
+            for lists in k.lists {
+                k.relax(&mut bin, lists.read().get(list), arcs);
+            }
         } else {
-            drop(items);
-            self.team.phase(Phase { list, arcs });
+            self.team.phase(Phase::Relax(list, arcs));
         }
         if let Some((ev, walked, pending)) = counted {
             ev.bucket_expansions.bump();
             ev.arcs_scanned.add(walked);
             ev.relaxations.add(walked);
-            ev.improvements.add((self.bins.pending() - pending) as u64);
+            ev.improvements.add((k.bins.pending() - pending) as u64);
         }
     }
 
@@ -365,22 +476,22 @@ impl Step<'_> {
     /// first.
     fn solve<P: StepPolicy>(&mut self, policy: &P, query: &StepQuery<'_>) -> bool {
         let mut floor = 0u64;
-        while let Some(first) = self.bins.vote(floor) {
+        while let Some(first) = self.k.bins.vote(floor) {
             // Early exit: nothing is queued below `first`, so every vertex
             // whose label lies below it is settled and the label is final.
             if let Some(t) = query.target {
-                let dt = self.g.dist[t as usize].load();
-                if dt != INF && dt / self.g.width < first {
+                let dt = self.k.dist[t as usize].load();
+                if dt != INF && dt / self.k.width < first {
                     break;
                 }
             }
-            self.frontier.write().clear();
-            self.settled.write().clear();
+            self.clear(Which::Frontier);
+            self.clear(Which::Settled);
             if self.cancelled() || !policy.step(self, first) {
                 return false;
             }
             if let Some(ev) = query.counters {
-                ev.settled.add(self.settled.read().len() as u64);
+                ev.settled.add(self.k.len(Which::Settled) as u64);
             }
             floor = first;
         }
@@ -408,53 +519,44 @@ pub(crate) fn step<P: StepPolicy>(
     scratch.reset(n, policy.ring_len(window) as usize);
     let lanes = match scratch.lane_count() {
         1 => 1,
-        lanes => lanes.min(rayon::current_num_threads()),
+        lanes => lanes.min(thread_budget()),
     };
     let StepScratch {
         dist,
         relaxed_at,
         bins,
-        frontier,
-        staging,
-        settled,
+        lists,
+        extract_phases,
     } = scratch;
     dist[query.source as usize].store(0);
     bins.seed(0, query.source);
-    let g = Relaxer {
+    let k = Kernel {
         split,
         width: split.delta().max(1) as u64,
         dist,
+        relaxed_at,
+        bins,
+        lists: &lists[..lanes],
         counters: query.counters,
     };
-    let (shared, frontier, settled) = (&*bins, &*frontier, &*settled);
-    let done = team::run(
+    let (done, phases) = team::run(
         lanes,
         |team| {
             if let Some(ev) = query.counters.filter(|_| lanes > 1) {
                 ev.parallel_loop_setups.bump();
             }
-            Step {
-                g,
+            let mut st = Step {
+                k,
                 window,
-                relaxed_at,
-                bins: shared,
-                frontier,
-                staging,
-                settled,
                 cancel: query.cancel,
                 team,
-            }
-            .solve(policy, query)
-        },
-        |lane, phase: Phase| {
-            let list = match phase.list {
-                Which::Frontier => frontier.read(),
-                Which::Settled => settled.read(),
+                extract_phases: 0,
             };
-            let part = &list[list.len() * lane / lanes..list.len() * (lane + 1) / lanes];
-            g.relax(&mut shared.lane(lane), part, phase.arcs);
+            (st.solve(policy, query), st.extract_phases)
         },
+        |lane, phase| k.work(lane, phase),
     );
+    *extract_phases = phases;
     if !done {
         bins.clear();
     }
@@ -464,12 +566,30 @@ pub(crate) fn step<P: StepPolicy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{delta_star_presplit, delta_stepping_presplit, dijkstra};
+    use crate::{
+        default_rho, delta_star_presplit, delta_stepping_presplit, delta_stepping_st, dijkstra,
+        rho_stepping_presplit,
+    };
     use mmt_graph::gen::{GraphClass, WeightDist, WorkloadSpec};
     use mmt_graph::CsrGraph;
     use mmt_platform::with_pool;
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// Runs `f` on its own thread and fails the test if it has not
+    /// returned within a minute: a lost wake-up in a phase shows as a
+    /// failure, not as a hung test binary.
+    fn within_a_minute(f: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            f();
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("a multi-lane solve hung or panicked");
+    }
 
     fn graph() -> (CsrGraph, SplitCsr) {
         let mut spec = WorkloadSpec::new(GraphClass::Random, WeightDist::Uniform, 10, 10);
@@ -570,6 +690,126 @@ mod tests {
             assert_eq!(payload.downcast_ref::<&str>(), Some(&"policy panic"));
             delta_star_presplit(&split, 5, &mut scratch, None);
             assert_eq!(scratch.to_distances(), dijkstra(&g, 5));
+        });
+    }
+
+    /// A step that puts a copy of each of the vertices `1..=copies`, at
+    /// label `first × Δ`, into every lane's bin of bucket `first`, extracts
+    /// the bucket once, records every lane's lists and stops the query.
+    struct Twins {
+        copies: u32,
+        seen: RefCell<(Vec<VertexId>, Vec<VertexId>)>,
+    }
+
+    impl StepPolicy for Twins {
+        fn step(&self, st: &mut Step<'_>, first: u64) -> bool {
+            let k = st.k;
+            for v in 1..=self.copies {
+                k.dist[v as usize].fetch_min(first * k.width);
+                for lane in 0..k.lists.len() {
+                    k.bins.lane(lane).push(first, v);
+                }
+            }
+            st.extract(first);
+            let mut seen = self.seen.borrow_mut();
+            for lists in k.lists {
+                let lists = lists.read();
+                seen.0.extend_from_slice(&lists.frontier);
+                seen.1.extend_from_slice(&lists.settled);
+            }
+            false
+        }
+    }
+
+    #[test]
+    fn a_vertex_held_in_several_lanes_bins_is_extracted_once() {
+        let (_, split) = graph();
+        within_a_minute(move || {
+            for lanes in [2usize, 4] {
+                // 3 copies stay under `INLINE_BELOW` (lane 0 drains every
+                // lane); 300 make an extract phase (each lane drains its own).
+                for (copies, phases) in [(3u32, 0u64), (300, 1)] {
+                    let (mut frontier, mut settled) = with_pool(lanes, || {
+                        let policy = Twins {
+                            copies,
+                            seen: RefCell::default(),
+                        };
+                        let mut scratch = StepScratch::new(&split);
+                        assert!(!step(&policy, &split, &mut scratch, &StepQuery::default()));
+                        let at = format!("{lanes} lanes, {copies} copies");
+                        assert_eq!(scratch.extract_phases, phases, "{at}");
+                        policy.seen.into_inner()
+                    });
+                    frontier.sort_unstable();
+                    settled.sort_unstable();
+                    // The source, 0, and each copied vertex, once.
+                    let want: Vec<VertexId> = (0..=copies).collect();
+                    assert_eq!(frontier, want, "{lanes} lanes, {copies} copies");
+                    assert_eq!(settled, want, "{lanes} lanes, {copies} copies");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn multi_lane_solves_match_dijkstra_and_settle_each_vertex_once() {
+        within_a_minute(|| {
+            for class in [GraphClass::Random, GraphClass::Road] {
+                let g = CsrGraph::from_edge_list(
+                    &WorkloadSpec::new(class, WeightDist::Uniform, 12, 12).generate(),
+                );
+                let split = SplitCsr::new(&g, crate::adaptive_delta(&g) as u32);
+                let rho = default_rho(g.n());
+                let n = g.n() as VertexId;
+                for lanes in [2usize, 4] {
+                    with_pool(lanes, || {
+                        let mut scratch = StepScratch::new(&split);
+                        assert_eq!(scratch.lane_count(), lanes);
+                        for s in [0, n / 3, 2 * n / 3] {
+                            let want = dijkstra(&g, s);
+                            let reachable = want.iter().filter(|&&d| d != INF).count() as u64;
+                            let at = format!("{class:?}, {lanes} lanes, source {s}");
+                            // Rand-UWD-2^12 at 2 lanes holds buckets of at
+                            // least `INLINE_BELOW` entries: each solve must
+                            // take the extract phase, not only the inline path.
+                            let phased = class == GraphClass::Random && lanes == 2;
+                            for kernel in ["delta", "rho", "delta-star"] {
+                                let ev = EventCounters::new();
+                                match kernel {
+                                    "delta" => {
+                                        delta_stepping_presplit(&split, s, &mut scratch, Some(&ev))
+                                    }
+                                    "rho" => rho_stepping_presplit(
+                                        &split,
+                                        s,
+                                        rho,
+                                        &mut scratch,
+                                        Some(&ev),
+                                    ),
+                                    _ => delta_star_presplit(&split, s, &mut scratch, Some(&ev)),
+                                }
+                                assert_eq!(scratch.to_distances(), want, "{kernel}, {at}");
+                                assert_eq!(ev.settled.get(), reachable, "{kernel}, {at}");
+                                assert!(
+                                    !phased || scratch.extract_phases > 0,
+                                    "{kernel}, {at}: no extract phase"
+                                );
+                            }
+                            // Δ-early to the farthest vertex and to a middle one.
+                            let far = (0..n).filter(|&v| want[v as usize] != INF);
+                            let far = far.max_by_key(|&v| want[v as usize]).unwrap();
+                            for t in [far, (s + n / 2) % n] {
+                                let got = delta_stepping_st(&split, s, t, &mut scratch, None, None);
+                                assert_eq!(got, Some(want[t as usize]), "delta-early to {t}, {at}");
+                                assert!(
+                                    !phased || scratch.extract_phases > 0,
+                                    "delta-early to {t}, {at}: no extract phase"
+                                );
+                            }
+                        }
+                    });
+                }
+            }
         });
     }
 }

@@ -73,6 +73,15 @@ impl AtomicMinU64 {
     /// don't serialise on cache-line ownership.
     #[inline]
     pub fn fetch_min(&self, value: u64) -> bool {
+        self.lower(value).is_some()
+    }
+
+    /// [`fetch_min`](Self::fetch_min) that also reports what it lowered:
+    /// `Some(previous)` if this call strictly lowered the stored value,
+    /// `None` otherwise. Of several threads lowering a cell to one value,
+    /// exactly one sees `Some`; the stepping loop claims a vertex with it.
+    #[inline]
+    pub fn lower(&self, value: u64) -> Option<u64> {
         // `AtomicU64::fetch_min` exists, but we need to know whether *we*
         // lowered it, so run the CAS loop explicitly.
         //
@@ -80,7 +89,7 @@ impl AtomicMinU64 {
         // costs exclusive ownership. Skip the RMW when we cannot win.
         let mut current = self.cell.load(Ordering::Relaxed);
         if current <= value {
-            return false;
+            return None;
         }
         loop {
             match self.cell.compare_exchange_weak(
@@ -89,10 +98,10 @@ impl AtomicMinU64 {
                 Ordering::AcqRel,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => return true,
+                Ok(previous) => return Some(previous),
                 Err(observed) => {
                     if observed <= value {
-                        return false;
+                        return None;
                     }
                     current = observed;
                 }
@@ -257,8 +266,8 @@ mod tests {
     fn fetch_min_equal_value_is_not_a_lowering() {
         // The fast path must treat `current == value` as "no win": callers
         // use the return to decide whether to re-enqueue a vertex, and an
-        // equal-distance relaxation must not requeue (that is exactly the
-        // duplicate-work bug the generation stamps guard against).
+        // equal-distance relaxation must not requeue (nor may a second copy
+        // of a vertex be extracted twice at one label).
         let a = AtomicMinU64::new(42);
         assert!(!a.fetch_min(42));
         assert!(!a.fetch_min(43));
@@ -312,6 +321,29 @@ mod tests {
             });
             assert_eq!(wins.load(Ordering::Relaxed), 1, "one strict lowering");
             assert_eq!(a.load(), 3);
+        }
+    }
+
+    #[test]
+    fn lower_reports_the_value_it_replaced_to_exactly_one_racer() {
+        let a = AtomicMinU64::new(u64::MAX);
+        assert_eq!(a.lower(9), Some(u64::MAX));
+        assert_eq!(a.lower(9), None, "an equal value lowers nothing");
+        assert_eq!(a.lower(4), Some(9));
+        use std::sync::Mutex;
+        for _ in 0..200 {
+            let a = AtomicMinU64::new(u64::MAX);
+            let seen = Mutex::new(Vec::new());
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    s.spawn(|| {
+                        if let Some(previous) = a.lower(3) {
+                            seen.lock().unwrap().push(previous);
+                        }
+                    });
+                }
+            });
+            assert_eq!(seen.into_inner().unwrap(), vec![u64::MAX]);
         }
     }
 

@@ -11,21 +11,19 @@
 //!
 //! [`FrontierBins`] is that substrate. The only insertion API is
 //! [`BinLane::push`], and a worker reaches a [`BinLane`] only through
-//! [`FrontierBins::lane`], which locks it. In a relax phase each lane of a
-//! [`team`](crate::team) locks its own bin lane once, so the locks are
-//! never contended; between phases the team's leader votes and drains
-//! alone.
+//! [`FrontierBins::lane`], which locks it. In each phase of a
+//! [`team`](crate::team) every lane locks its own bin lane once, to fill
+//! it (a relax phase) or to empty one bucket of it ([`BinLane::drain`], an
+//! extract phase), so the locks are never contended; between phases the
+//! team's leader votes and counts alone.
 //!
 //! Bins are ring-indexed by absolute bucket number: callers guarantee all
 //! live entries sit within `ring_len` buckets of the current minimum.
-//! Entries are never *removed* when a vertex migrates to a lower bucket;
-//! stale copies are skipped at process time by the kernel's distance
-//! check. [`FrontierBins::drain_bucket`] merges one bucket from every
-//! lane into a caller buffer, deduplicating vertices with a
-//! generation-stamped membership array (`O(1)` clear per drain, the
-//! scratch discipline of [`GenerationStamps`]).
+//! Entries are never *removed* when a vertex migrates to a lower bucket,
+//! and a vertex improved twice in one bucket is held twice: a drain yields
+//! every raw entry, and the kernel's extraction filter skips stale and
+//! repeated copies.
 
-use crate::scratch::GenerationStamps;
 use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 use std::ops::DerefMut;
@@ -51,6 +49,10 @@ impl BinLane {
         }
     }
 
+    fn slot(&self, bucket: u64) -> usize {
+        (bucket % self.bins.len() as u64) as usize
+    }
+
     /// Inserts `item` into the bin for absolute bucket `bucket`.
     ///
     /// This is the *only* insertion point of the whole substrate, and it
@@ -58,7 +60,7 @@ impl BinLane {
     /// into at all.
     #[inline]
     pub fn push(&mut self, bucket: u64, item: u32) {
-        let slot = (bucket % self.bins.len() as u64) as usize;
+        let slot = self.slot(bucket);
         self.bins[slot].push(item);
         self.pending += 1;
     }
@@ -67,6 +69,22 @@ impl BinLane {
     #[inline]
     pub fn pending(&self) -> usize {
         self.pending
+    }
+
+    /// Entries held in the bin of absolute bucket `bucket`, stale and
+    /// repeated ones included.
+    #[inline]
+    pub fn held(&self, bucket: u64) -> usize {
+        self.bins[self.slot(bucket)].len()
+    }
+
+    /// Empties the bin of absolute bucket `bucket`, yielding every entry
+    /// in push order, stale and repeated ones included. The bin keeps its
+    /// capacity.
+    pub fn drain(&mut self, bucket: u64) -> std::vec::Drain<'_, u32> {
+        let slot = self.slot(bucket);
+        self.pending -= self.bins[slot].len();
+        self.bins[slot].drain(..)
     }
 
     /// This lane's vote: the smallest absolute bucket in
@@ -96,30 +114,26 @@ impl BinLane {
     }
 }
 
-/// Per-thread growable bucket bins with a reduce-style next-bucket vote
-/// and generation-stamped merge dedup. See the module docs for the
-/// contention story.
+/// Per-thread growable bucket bins with a reduce-style next-bucket vote.
+/// See the module docs for the contention story.
 #[derive(Debug)]
 pub struct FrontierBins {
     /// One cache line or more per lane: every push bumps its lane's
     /// `pending`, so adjacent lanes would share a line and bounce it
     /// between the workers on every push.
     lanes: Vec<CachePadded<Mutex<BinLane>>>,
-    /// Merge dedup, touched only by the thread that drains.
-    stamps: Mutex<GenerationStamps>,
     ring: usize,
 }
 
 impl FrontierBins {
-    /// Creates `lanes` lanes of `ring` bins each, with a dedup stamp
-    /// array of `n` slots. At least one lane and one bin always exist.
-    pub fn new(lanes: usize, ring: usize, n: usize) -> Self {
+    /// Creates `lanes` lanes of `ring` bins each. At least one lane and
+    /// one bin always exist.
+    pub fn new(lanes: usize, ring: usize) -> Self {
         let ring = ring.max(1);
         Self {
             lanes: (0..lanes.max(1))
                 .map(|_| CachePadded::new(Mutex::new(BinLane::new(ring))))
                 .collect(),
-            stamps: Mutex::new(GenerationStamps::new(n)),
             ring,
         }
     }
@@ -136,16 +150,14 @@ impl FrontierBins {
         self.ring
     }
 
-    /// Re-dimensions for a new query: `ring` bins per lane (cleared),
-    /// stamp array grown to `n` slots and logically cleared. Lane count
-    /// is fixed at construction. Capacity is retained throughout.
-    pub fn reset(&mut self, ring: usize, n: usize) {
+    /// Re-dimensions for a new query: `ring` bins per lane, all cleared.
+    /// Lane count is fixed at construction. Capacity is retained.
+    pub fn reset(&mut self, ring: usize) {
         let ring = ring.max(1);
         for lane in &mut self.lanes {
             lane.get_mut().reset(ring);
         }
         self.ring = ring;
-        self.stamps.get_mut().reset(n);
     }
 
     /// Items currently held across every lane (live and stale).
@@ -159,9 +171,9 @@ impl FrontierBins {
         self.lanes[0].get_mut().push(bucket, item);
     }
 
-    /// Lane `lane`'s bins, locked for the worker that fills them. A relax
-    /// phase takes each lane's lock once, from the one worker that owns
-    /// the lane, so the lock is never contended.
+    /// Lane `lane`'s bins, locked for the worker that fills or drains
+    /// them. A phase takes each lane's lock once, from the one worker that
+    /// owns the lane, so the lock is never contended.
     pub fn lane(&self, lane: usize) -> impl DerefMut<Target = BinLane> + '_ {
         self.lanes[lane].lock()
     }
@@ -179,31 +191,11 @@ impl FrontierBins {
             .min()
     }
 
-    /// Merges bucket `bucket` out of every lane, appending each distinct
-    /// vertex to `out` once. Dedup is per call: the stamp generation
-    /// advances on entry, so duplicates *within* this drain (the same
-    /// vertex improved by several lanes, or several times by one) are
-    /// suppressed, while a legitimate re-entry of the vertex in a later
-    /// drain passes. Returns the number of raw entries consumed
-    /// (duplicates included), so callers can account for merge work.
-    pub fn drain_bucket(&self, bucket: u64, out: &mut Vec<u32>) -> usize {
-        let mut stamps = self.stamps.lock();
-        stamps.advance();
-        let slot = (bucket % self.ring as u64) as usize;
-        let mut raw = 0usize;
-        for lane in &self.lanes {
-            let mut lane = lane.lock();
-            let lane = &mut *lane;
-            let bin = &mut lane.bins[slot];
-            raw += bin.len();
-            lane.pending -= bin.len();
-            for v in bin.drain(..) {
-                if stamps.mark(v as usize) {
-                    out.push(v);
-                }
-            }
-        }
-        raw
+    /// Entries held for absolute bucket `bucket` across every lane (see
+    /// [`BinLane::held`]): what draining the bucket from every lane would
+    /// yield.
+    pub fn held(&self, bucket: u64) -> usize {
+        self.lanes.iter().map(|l| l.lock().held(bucket)).sum()
     }
 
     /// Drops every held entry (used when a query is cancelled mid-flight
@@ -219,23 +211,30 @@ impl FrontierBins {
 mod tests {
     use super::*;
 
+    /// Drains `bucket` from every lane, in lane order.
+    fn drain_all(bins: &FrontierBins, bucket: u64) -> Vec<u32> {
+        (0..bins.lane_count())
+            .flat_map(|l| bins.lane(l).drain(bucket).collect::<Vec<_>>())
+            .collect()
+    }
+
     #[test]
     fn seed_vote_drain_round_trip() {
-        let mut bins = FrontierBins::new(4, 8, 16);
+        let mut bins = FrontierBins::new(4, 8);
         assert_eq!(bins.vote(0), None);
         bins.seed(3, 7);
         assert_eq!(bins.pending(), 1);
         assert_eq!(bins.vote(0), Some(3));
-        let mut out = Vec::new();
-        assert_eq!(bins.drain_bucket(3, &mut out), 1);
-        assert_eq!(out, vec![7]);
+        assert_eq!(bins.held(3), 1);
+        assert_eq!(bins.lane(0).drain(3).collect::<Vec<_>>(), vec![7]);
         assert_eq!(bins.pending(), 0);
+        assert_eq!(bins.held(3), 0);
         assert_eq!(bins.vote(3), None);
     }
 
     #[test]
     fn scatter_pushes_stay_lane_local_and_merge_back() {
-        let bins = FrontierBins::new(4, 16, 256);
+        let bins = FrontierBins::new(4, 16);
         let items: Vec<u32> = (0..200).collect();
         // One worker per lane, each pushing its own chunk concurrently.
         std::thread::scope(|s| {
@@ -251,79 +250,83 @@ mod tests {
             }
         });
         assert_eq!(bins.pending(), 200);
-        let mut seen = Vec::new();
-        for b in 0..10u64 {
-            let before = seen.len();
-            bins.drain_bucket(b, &mut seen);
-            assert_eq!(seen.len() - before, 20, "bucket {b}");
+        // Each lane drains only what it pushed.
+        for (i, chunk) in items.chunks(50).enumerate() {
+            let mut lane = bins.lane(i);
+            for b in 0..10u64 {
+                let want: Vec<u32> = chunk
+                    .iter()
+                    .copied()
+                    .filter(|v| v % 10 == b as u32)
+                    .collect();
+                assert_eq!(
+                    lane.drain(b).collect::<Vec<_>>(),
+                    want,
+                    "lane {i} bucket {b}"
+                );
+            }
+            assert_eq!(lane.pending(), 0);
         }
-        seen.sort_unstable();
-        assert_eq!(seen, items);
+        assert_eq!(bins.pending(), 0);
     }
 
     #[test]
     fn vote_is_the_global_minimum_across_lanes() {
-        let bins = FrontierBins::new(3, 8, 64);
+        let bins = FrontierBins::new(3, 8);
         let items = [(0usize, 9u64, 1u32), (1, 5, 2), (2, 7, 3)];
         for (lane, b, v) in items {
             bins.lane(lane).push(b, v);
         }
         assert_eq!(bins.vote(4), Some(5));
-        let mut out = Vec::new();
-        bins.drain_bucket(5, &mut out);
-        assert_eq!(out, vec![2]);
+        assert_eq!(drain_all(&bins, 5), vec![2]);
         assert_eq!(bins.vote(5), Some(7));
     }
 
     #[test]
-    fn drain_dedups_within_a_call_but_not_across_calls() {
-        let mut bins = FrontierBins::new(2, 4, 8);
-        bins.seed(1, 6);
-        bins.seed(1, 6);
-        bins.seed(1, 5);
-        let mut out = Vec::new();
-        assert_eq!(bins.drain_bucket(1, &mut out), 3, "raw count keeps dups");
-        out.sort_unstable();
-        assert_eq!(out, vec![5, 6], "merged frontier does not");
-        // The same vertex re-enters in a later generation.
-        bins.seed(2, 6);
-        out.clear();
-        bins.drain_bucket(2, &mut out);
-        assert_eq!(out, vec![6]);
+    fn a_lane_drain_yields_every_raw_entry_repeats_included() {
+        let bins = FrontierBins::new(2, 4);
+        for (lane, v) in [(0, 6), (0, 6), (0, 5), (1, 6)] {
+            bins.lane(lane).push(1, v);
+        }
+        assert_eq!(bins.held(1), 4, "the count keeps repeats");
+        assert_eq!(
+            drain_all(&bins, 1),
+            vec![6, 6, 5, 6],
+            "and so does the drain"
+        );
+        assert_eq!(bins.held(1), 0);
+        // The same vertex re-enters a later bucket.
+        bins.lane(1).push(2, 6);
+        assert_eq!(drain_all(&bins, 2), vec![6]);
     }
 
     #[test]
     fn ring_wraps_cleanly_under_the_window_invariant() {
-        let mut bins = FrontierBins::new(2, 4, 8);
+        let mut bins = FrontierBins::new(2, 4);
         bins.seed(6, 1); // slot 2
         bins.seed(9, 2); // slot 1 (wrapped)
         assert_eq!(bins.vote(6), Some(6));
-        let mut out = Vec::new();
-        bins.drain_bucket(6, &mut out);
-        assert_eq!(out, vec![1]);
+        assert_eq!(bins.held(6), 1, "bucket 9's slot is not bucket 6's");
+        assert_eq!(drain_all(&bins, 6), vec![1]);
         assert_eq!(bins.vote(7), Some(9));
-        out.clear();
-        bins.drain_bucket(9, &mut out);
-        assert_eq!(out, vec![2]);
+        assert_eq!(drain_all(&bins, 9), vec![2]);
     }
 
     #[test]
     fn reset_clears_and_redimensions() {
-        let mut bins = FrontierBins::new(2, 4, 4);
+        let mut bins = FrontierBins::new(2, 4);
         bins.seed(0, 1);
-        bins.reset(8, 16);
+        bins.reset(8);
         assert_eq!(bins.ring_len(), 8);
         assert_eq!(bins.pending(), 0);
         assert_eq!(bins.vote(0), None);
         bins.seed(7, 15);
-        let mut out = Vec::new();
-        bins.drain_bucket(7, &mut out);
-        assert_eq!(out, vec![15]);
+        assert_eq!(drain_all(&bins, 7), vec![15]);
     }
 
     #[test]
     fn clear_drops_pending_entries() {
-        let mut bins = FrontierBins::new(2, 4, 8);
+        let mut bins = FrontierBins::new(2, 4);
         bins.seed(1, 3);
         bins.seed(2, 4);
         bins.clear();

@@ -13,8 +13,8 @@
 //!   `mind` arrays is the workhorse of every parallel algorithm here) and an
 //!   atomic bitset for settled-vertex tracking;
 //! * [`bins`] — contention-free per-thread bucket bins (thread-local
-//!   growable bins, reduce-style next-bucket vote, generation-stamped
-//!   merge dedup) backing the Δ-, Δ*- and ρ-stepping loop;
+//!   growable bins, reduce-style next-bucket vote, per-lane bucket drain)
+//!   backing the Δ-, Δ*- and ρ-stepping loop;
 //! * [`team`] — one parallel region per solve: `lanes − 1` threads spawned
 //!   once, barrier-separated phases posted by the calling thread;
 //! * [`counters`] — cache-padded event counters used for instrumentation
@@ -27,9 +27,9 @@
 //! * [`mem`] — byte-accounting helpers used to reproduce the "memory per
 //!   instance" column of the paper's Table 2, plus peak-RSS readout for the
 //!   hot-path benchmark;
-//! * [`scratch`] — reusable scratch memory (per-worker lane buffers,
-//!   recycled vector pools, generation-stamped membership arrays) that keeps
-//!   the SSSP inner loops allocation-free after warm-up;
+//! * [`scratch`] — reusable scratch memory (per-worker lane buffers and
+//!   recycled vector pools) that keeps the SSSP inner loops allocation-free
+//!   after warm-up;
 //! * [`fault`] — seeded, deterministic fault injection (worker panics,
 //!   stalls, allocation pressure) used by the chaos suite to prove the
 //!   serving layer degrades gracefully;
@@ -66,6 +66,6 @@ pub use histogram::{AtomicLog2Histogram, Log2Histogram, QuantileSummary};
 pub use mem::{MemFootprint, MemoryGauge};
 pub use pool::{available_threads, thread_budget, with_pool};
 pub use queue::{CoalescePop, PushRejected, ShedQueue};
-pub use scratch::{BufferPool, GenerationStamps, ShardBuffers};
+pub use scratch::{BufferPool, ShardBuffers};
 pub use table::Table;
 pub use timing::{RunStats, Stopwatch};

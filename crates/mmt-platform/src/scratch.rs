@@ -4,7 +4,7 @@
 //! phase; on commodity hardware the dominant *avoidable* cost of a naive
 //! translation is the per-phase `Vec` churn around those touches —
 //! `collect()`ing relaxation requests, reallocating bucket vectors, and
-//! sort+dedup passes over them. This module centralises the three reusable
+//! sort+dedup passes over them. This module centralises the two reusable
 //! structures that remove that churn:
 //!
 //! * [`ShardBuffers`] — per-worker append-only lane buffers. A parallel
@@ -14,9 +14,6 @@
 //!   (per-query distance copies). `acquire` reuses a warm
 //!   buffer when one is idle; the `created` counter makes "zero steady-state
 //!   allocations" testable.
-//! * [`GenerationStamps`] — an `O(1)`-clear membership array: advancing the
-//!   generation clears every slot at once. The frontier bins dedup each
-//!   bucket drain with it instead of a sort+dedup or a `bool` array clear.
 //!
 //! [`ShardBuffers::scatter`] goes through the vendored rayon shim, which
 //! spawns scoped threads per parallel call: there is no persistent worker
@@ -25,7 +22,8 @@
 //! and contiguous chunks of the work list map onto them deterministically.
 //! A one-lane buffer never enters the shim. The stepping kernels do not
 //! scatter at all: they run every phase of a solve in one
-//! [`team`](crate::team) region, whose lanes fill the frontier bins.
+//! [`team`](crate::team) region, whose lanes fill and drain the frontier
+//! bins.
 
 use parking_lot::Mutex;
 use rayon::prelude::*;
@@ -142,80 +140,6 @@ impl<T: Send> BufferPool<T> {
     }
 }
 
-/// Generation-stamped membership array with `O(1)` clear.
-///
-/// Each slot remembers the last generation it was stamped with; membership
-/// in the current generation is `stamp == gen`. Advancing the generation
-/// invalidates every slot at once — no per-round `fill(false)` pass. The
-/// frontier bins advance it once per bucket drain.
-///
-/// Generation `0` is reserved as "never stamped"; [`advance`](Self::advance)
-/// therefore starts handing out `1`.
-#[derive(Debug, Clone)]
-pub struct GenerationStamps {
-    stamps: Vec<u64>,
-    gen: u64,
-}
-
-impl GenerationStamps {
-    /// Creates `len` slots, none stamped, current generation `1`.
-    pub fn new(len: usize) -> Self {
-        Self {
-            stamps: vec![0; len],
-            gen: 1,
-        }
-    }
-
-    /// Number of slots.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.stamps.len()
-    }
-
-    /// True when the array has zero slots.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.stamps.is_empty()
-    }
-
-    /// The current generation.
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.gen
-    }
-
-    /// Moves to a fresh generation, logically clearing every slot.
-    #[inline]
-    pub fn advance(&mut self) {
-        self.gen += 1;
-    }
-
-    /// Grows to `len` slots (new slots unstamped) and clears all slots.
-    /// Capacity is retained when shrinking or re-running at the same size.
-    pub fn reset(&mut self, len: usize) {
-        if len > self.stamps.len() {
-            self.stamps.resize(len, 0);
-        }
-        self.advance();
-    }
-
-    /// Stamps slot `i` with the current generation. Returns `true` if the
-    /// slot was not already stamped this generation — i.e. the caller is
-    /// the first to mark it since the last [`advance`](Self::advance).
-    #[inline]
-    pub fn mark(&mut self, i: usize) -> bool {
-        let fresh = self.stamps[i] != self.gen;
-        self.stamps[i] = self.gen;
-        fresh
-    }
-
-    /// True when slot `i` is stamped with the current generation.
-    #[inline]
-    pub fn is_marked(&self, i: usize) -> bool {
-        self.stamps[i] == self.gen
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,32 +245,5 @@ mod tests {
         assert_eq!(handed.load(Ordering::Relaxed), 200);
         // Far fewer creations than acquisitions.
         assert!(pool.created() <= 4);
-    }
-
-    #[test]
-    fn generation_stamps_mark_and_advance() {
-        let mut g = GenerationStamps::new(8);
-        assert!(!g.is_marked(3));
-        assert!(g.mark(3));
-        assert!(!g.mark(3), "second mark in same generation");
-        assert!(g.is_marked(3));
-        g.advance();
-        assert!(!g.is_marked(3), "advance clears in O(1)");
-        assert!(g.mark(3));
-    }
-
-    #[test]
-    fn generation_stamps_reset_grows_and_clears() {
-        let mut g = GenerationStamps::new(2);
-        g.mark(0);
-        g.reset(5);
-        assert_eq!(g.len(), 5);
-        assert!(!g.is_marked(0));
-        assert!(!g.is_marked(4));
-        g.mark(4);
-        assert!(g.is_marked(4));
-        // Shrinking request keeps the larger backing store.
-        g.reset(1);
-        assert_eq!(g.len(), 5);
     }
 }

@@ -1,13 +1,12 @@
-//! Property tests for the contention-free frontier bins: the merge phase
-//! preserves the multiset of pending relaxations, the vote is the global
-//! minimum non-empty bucket, and generation-stamped dedup suppresses
-//! duplicates within a drain without leaking suppression across
-//! generations — for arbitrary lane counts, ring lengths and push
-//! sequences.
+//! Property tests for the contention-free frontier bins: per-lane drains
+//! give back the multiset of pending relaxations, bucket by bucket and
+//! duplicates included, the vote is the global minimum non-empty bucket,
+//! and the drained sets do not depend on the lane count — for arbitrary
+//! lane counts, ring lengths and push sequences.
 
 use mmt_platform::FrontierBins;
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Pushes `items` as a relax phase does: one contiguous chunk per lane.
 fn push_by_lane(bins: &FrontierBins, items: &[(u64, u32)]) {
@@ -18,6 +17,14 @@ fn push_by_lane(bins: &FrontierBins, items: &[(u64, u32)]) {
             bin.push(b, v);
         }
     }
+}
+
+/// Drains `bucket` as an extract phase does, each lane its own bin, and
+/// returns the entries in lane order.
+fn drain_by_lane(bins: &FrontierBins, bucket: u64) -> Vec<u32> {
+    (0..bins.lane_count())
+        .flat_map(|lane| bins.lane(lane).drain(bucket).collect::<Vec<_>>())
+        .collect()
 }
 
 /// Arbitrary (lanes, ring, pushes) with every pushed bucket inside the
@@ -36,14 +43,14 @@ fn scenario() -> impl Strategy<Value = (usize, usize, Vec<(u64, u32)>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Every pushed relaxation comes back out exactly once as a raw merge
-    /// entry, in the bucket it was pushed to, regardless of which lane it
-    /// landed in — and the merged frontier is its per-bucket dedup.
+    /// Every pushed relaxation comes back out exactly once, in the bucket
+    /// it was pushed to, regardless of which lane it landed in, and
+    /// `held` counts each bucket's entries before the drain.
     #[test]
     fn merge_preserves_the_multiset_of_pending_relaxations(
         (lanes, ring, pushes) in scenario()
     ) {
-        let bins = FrontierBins::new(lanes, ring, 64);
+        let bins = FrontierBins::new(lanes, ring);
         push_by_lane(&bins, &pushes);
         prop_assert_eq!(bins.pending(), pushes.len());
 
@@ -51,19 +58,18 @@ proptest! {
         for &(b, v) in &pushes {
             model.entry(b).or_default().push(v);
         }
-        let mut raw_total = 0usize;
+        let mut drained = 0usize;
         for b in 0..ring as u64 {
-            let mut out = Vec::new();
-            let raw = bins.drain_bucket(b, &mut out);
-            raw_total += raw;
-            let want = model.remove(&b).unwrap_or_default();
-            prop_assert_eq!(raw, want.len(), "raw merge count, bucket {}", b);
-            let got: BTreeSet<u32> = out.iter().copied().collect();
-            prop_assert_eq!(got.len(), out.len(), "duplicate in merged frontier");
-            let want_set: BTreeSet<u32> = want.into_iter().collect();
-            prop_assert_eq!(got, want_set, "merged set, bucket {}", b);
+            let mut want = model.remove(&b).unwrap_or_default();
+            prop_assert_eq!(bins.held(b), want.len(), "held, bucket {}", b);
+            let mut got = drain_by_lane(&bins, b);
+            drained += got.len();
+            got.sort_unstable();
+            want.sort_unstable();
+            prop_assert_eq!(got, want, "drained multiset, bucket {}", b);
+            prop_assert_eq!(bins.held(b), 0);
         }
-        prop_assert_eq!(raw_total, pushes.len());
+        prop_assert_eq!(drained, pushes.len());
         prop_assert_eq!(bins.pending(), 0);
     }
 
@@ -73,7 +79,7 @@ proptest! {
     fn vote_returns_the_global_min_nonempty_bucket(
         (lanes, ring, pushes) in scenario()
     ) {
-        let bins = FrontierBins::new(lanes, ring, 64);
+        let bins = FrontierBins::new(lanes, ring);
         push_by_lane(&bins, &pushes);
         let mut model: BTreeMap<u64, usize> = BTreeMap::new();
         for &(b, _) in &pushes {
@@ -84,59 +90,25 @@ proptest! {
             let want = model.keys().next().copied();
             prop_assert_eq!(bins.vote(from), want);
             let Some(b) = want else { break };
-            let mut out = Vec::new();
-            let raw = bins.drain_bucket(b, &mut out);
-            prop_assert_eq!(raw, model.remove(&b).unwrap());
+            prop_assert_eq!(drain_by_lane(&bins, b).len(), model.remove(&b).unwrap());
             from = b;
         }
     }
 
-    /// Generation discipline: within one drain a vertex merges at most
-    /// once (no duplicate settle per generation), and a vertex drained in
-    /// an earlier generation is *not* suppressed when it legitimately
-    /// re-enters a later one.
-    #[test]
-    fn dedup_is_per_generation_and_does_not_leak_across(
-        rounds in proptest::collection::vec(
-            proptest::collection::vec(0u32..32, 1..40), 1..8)
-    ) {
-        let ring = 4usize;
-        let bins = FrontierBins::new(3, ring, 32);
-        for (r, vertices) in rounds.iter().enumerate() {
-            let bucket = r as u64;
-            let items: Vec<(u64, u32)> =
-                vertices.iter().map(|&v| (bucket, v)).collect();
-            push_by_lane(&bins, &items);
-            let mut out = Vec::new();
-            bins.drain_bucket(bucket, &mut out);
-            let got: BTreeSet<u32> = out.iter().copied().collect();
-            prop_assert_eq!(got.len(), out.len(), "duplicate settle in round {}", r);
-            let want: BTreeSet<u32> = vertices.iter().copied().collect();
-            // Every distinct vertex pushed this round merges — including
-            // any that already merged in a previous generation.
-            prop_assert_eq!(got, want, "round {}", r);
-        }
-    }
-
-    /// The merged frontier per bucket is independent of the lane count
-    /// (the parallel layout is invisible to the serial merge) — the bins
-    /// analogue of the kernels' cross-thread determinism.
+    /// What the lanes drain per bucket, taken in lane order, is the push
+    /// order whatever the lane count (the parallel layout is invisible to
+    /// the lanes' concatenated lists) — the bins analogue of the kernels'
+    /// cross-thread determinism.
     #[test]
     fn drained_sets_are_lane_count_invariant(
         (_, ring, pushes) in scenario(), lanes in 2usize..6
     ) {
-        let one = FrontierBins::new(1, ring, 64);
-        let many = FrontierBins::new(lanes, ring, 64);
+        let one = FrontierBins::new(1, ring);
+        let many = FrontierBins::new(lanes, ring);
         push_by_lane(&one, &pushes);
         push_by_lane(&many, &pushes);
         for b in 0..ring as u64 {
-            let (mut a, mut c) = (Vec::new(), Vec::new());
-            let raw_a = one.drain_bucket(b, &mut a);
-            let raw_c = many.drain_bucket(b, &mut c);
-            prop_assert_eq!(raw_a, raw_c, "raw count, bucket {}", b);
-            a.sort_unstable();
-            c.sort_unstable();
-            prop_assert_eq!(a, c, "merged set, bucket {}", b);
+            prop_assert_eq!(drain_by_lane(&one, b), drain_by_lane(&many, b), "bucket {}", b);
         }
     }
 }

@@ -221,8 +221,8 @@ impl Scan<'_> {
         min_mind
     }
 
-    /// Folds share `part` of `cut` into `out`, chunk by chunk; returns its
-    /// minimum `mind` as the fold reports it (see [`fold`]).
+    /// Folds share `part` of `cut` into `out`, chunk by chunk (see
+    /// [`fold`]); returns its minimum `mind`.
     pub(crate) fn share(self, cut: Cut, part: usize, out: &mut Vec<u32>) -> Dist {
         let len = self.children.len();
         let chunks = len.div_ceil(cut.chunk);
@@ -276,18 +276,13 @@ pub(crate) fn merge(out: &mut Vec<u32>, min_mind: Dist, share: &[u32], share_min
 }
 
 /// One fold step over `out = held ++ appended`: the longer list goes
-/// first. When the appended list is the longer one, the step reports that
-/// list's own minimum, not the minimum of both. That list holds at least
-/// one member, so the reported minimum stays inside the scanned bucket,
-/// but it can exceed the true one and cost the visit one more expansion.
-/// One-lane work counters pin this behaviour.
+/// first (one-lane work counters pin the visit order this gives), and the
+/// step reports the minimum of both lists.
 fn fold(out: &mut [u32], held: usize, held_min: Dist, appended_min: Dist) -> Dist {
     if held < out.len() - held {
         out.rotate_left(held);
-        appended_min
-    } else {
-        held_min.min(appended_min)
     }
+    held_min.min(appended_min)
 }
 
 #[cfg(test)]
@@ -459,17 +454,17 @@ mod tests {
     }
 
     /// A fork/join reduce over `parts` contiguous runs of `chunk`-sized
-    /// chunks, whose step sets the minimum of both lists and then puts the
-    /// longer list first, minimum and all: the reference the shares and
-    /// their merge must reproduce, member order and reported minimum alike.
+    /// chunks, whose step puts the longer list first and keeps the minimum
+    /// of both: the reference the shares and their merge must reproduce,
+    /// member order and reported minimum alike.
     fn reduced(scan: Scan<'_>, chunk: usize, parts: usize) -> (Dist, Vec<u32>) {
         let step = |mut a: (Dist, Vec<u32>), mut b: (Dist, Vec<u32>)| {
-            a.0 = a.0.min(b.0);
+            let min = a.0.min(b.0);
             if a.1.len() < b.1.len() {
                 std::mem::swap(&mut a, &mut b);
             }
             a.1.append(&mut b.1);
-            a
+            (min, a.1)
         };
         let chunks: Vec<(Dist, Vec<u32>)> = scan
             .children

@@ -81,7 +81,10 @@ fn measure(g: &CsrGraph, ch: &mmt_ch::ComponentHierarchy, config: ThorupConfig) 
 
 /// Recorded on the solver before serial solves stopped using atomic
 /// read-modify-writes: per family, the serial configuration's rows, then
-/// the default configuration's (each in [`measure`] order).
+/// the default configuration's (each in [`measure`] order). One value was
+/// re-pinned since: the default configuration's Rand-UWD solve from 1023
+/// takes 1,584 bucket expansions, not 1,585, now that a parallel-tier
+/// gather reports the true minimum `mind`.
 const PINNED: [(&str, [[Work; 5]; 2]); 3] = [
     (
         "Rand-UWD-2^10-2^10",
@@ -96,7 +99,7 @@ const PINNED: [(&str, [[Work; 5]; 2]); 3] = [
             [
                 [1024, 8192, 1853, 1586, 2463, 3954040867299627605],
                 [1024, 8192, 1823, 1590, 2408, 9377059015119648985],
-                [1024, 8192, 1834, 1585, 2475, 2702079422561470167],
+                [1024, 8192, 1834, 1584, 2475, 2702079422561470167],
                 [6, 56, 51, 18, 108, 4374017120308957499],
                 [604, 5037, 1666, 924, 2284, 16034544701668297376],
             ],

@@ -98,7 +98,7 @@ impl SsspEngine for DeltaSteppingEngine {
 }
 
 /// The allocation-free Δ-stepping hot path: light/heavy pre-split CSR,
-/// reusable scratch, generation-stamped duplicate suppression, adaptive Δ.
+/// reusable scratch, once-per-label extraction claims, adaptive Δ.
 pub struct PresplitDeltaEngine;
 
 impl SsspEngine for PresplitDeltaEngine {
@@ -112,7 +112,7 @@ impl SsspEngine for PresplitDeltaEngine {
         let split = SplitCsr::new(&case.graph, delta);
         let mut scratch = DeltaScratch::new(&split);
         // Two queries over one scratch: the second is the reported answer,
-        // so reuse bugs (stale stamps, unreset distances) surface as
+        // so reuse bugs (stale claim cells, unreset distances) surface as
         // divergences rather than hiding behind fresh state.
         delta_stepping_presplit(&split, source, &mut scratch, None);
         delta_stepping_presplit(&split, source, &mut scratch, None);
