@@ -10,6 +10,7 @@
 //! printed next to ours where the source text preserves them.
 
 use mmt_baselines::{delta_stepping, goldberg_sssp, DeltaConfig};
+use mmt_bench::artifact::capacity_probe;
 use mmt_bench::{paper_families, runs_from_env, scale_from_env, RunRecord, Workload};
 use mmt_ch::{build_parallel, build_serial, ChMode, ChStats};
 use mmt_graph::gen::{GraphClass, WeightDist, WorkloadSpec};
@@ -37,7 +38,7 @@ fn main() {
         match section {
             "table1" => table1(scale, runs),
             "table2" => table2(scale),
-            "table3" => table3(scale, threads),
+            "table3" => table3(scale, runs, threads),
             "table4" => table4(scale, runs, threads),
             "table5" => table5(scale, runs, threads, &mut record),
             "table6" => table6(scale, runs, threads, &mut record),
@@ -145,27 +146,65 @@ fn table2(scale: u32) {
 }
 
 /// Table 3: parallel CH construction time and speedup (1 thread -> max).
-fn table3(scale: u32, threads: usize) {
+/// Each cell is the median of `runs` builds, taken alternately at 1 thread
+/// and at `threads`, with its interquartile range; the speedup holds only
+/// where the gap between the medians exceeds both IQRs. The capacity probe
+/// before and after says whether the host had its cores.
+fn table3(scale: u32, runs: usize, threads: usize) {
     let mut t = Table::new(
-        format!("Table 3 — CH construction on {threads} thread(s)"),
-        &["Family", "CH", "speedup vs p=1", "paper CH (40 proc)"],
+        format!("Table 3 — CH construction on {threads} thread(s), median [IQR] of {runs}"),
+        &[
+            "Family",
+            "CH p=1",
+            &format!("CH p={threads}"),
+            "speedup vs p=1",
+            "verdict",
+            "paper CH (40 proc)",
+        ],
     );
+    let before = capacity_probe();
     for fam in paper_families(scale) {
         let w = Workload::generate(fam.spec);
-        let t1 = with_pool(1, || {
-            RunStats::time_once(|| std::hint::black_box(build_parallel(&w.edges))).1
-        });
-        let tp = with_pool(threads, || {
-            RunStats::time_once(|| std::hint::black_box(build_parallel(&w.edges))).1
-        });
+        let (mut one, mut many) = (Vec::new(), Vec::new());
+        for _ in 0..runs.max(1) {
+            for (p, samples) in [(1, &mut one), (threads, &mut many)] {
+                let (_, s) = with_pool(p, || {
+                    RunStats::time_once(|| std::hint::black_box(build_parallel(&w.edges)))
+                });
+                samples.push(s);
+            }
+        }
+        let (q1, m1, q3) = RunStats::from_samples(one).quartiles();
+        let (p1, mp, p3) = RunStats::from_samples(many).quartiles();
+        let cell = |q1: f64, m: f64, q3: f64| {
+            format!(
+                "{} [{}–{}]",
+                fmt_seconds(m),
+                fmt_seconds(q1),
+                fmt_seconds(q3)
+            )
+        };
+        let verdict = if (m1 - mp).abs() <= (q3 - q1).max(p3 - p1) {
+            "within noise"
+        } else if mp < m1 {
+            "faster"
+        } else {
+            "slower"
+        };
         t.row(&[
             fam.spec.name(),
-            fmt_seconds(tp),
-            format!("{:.2}x", t1 / tp),
+            cell(q1, m1, q3),
+            cell(p1, mp, p3),
+            format!("{:.2}x", m1 / mp),
+            verdict.into(),
             fmt_seconds(fam.paper_ch),
         ]);
     }
     println!("{t}");
+    println!(
+        "capacity probe (2-thread/1-thread): {before:.2} before, {:.2} after\n",
+        capacity_probe()
+    );
 }
 
 /// Table 4: Thorup's algorithm on the full pool, with speedup vs 1 thread.

@@ -29,7 +29,7 @@ pub fn build_serial(el: &EdgeList, mode: ChMode) -> ComponentHierarchy {
     if n == 0 {
         // An empty graph still needs a root node for a well-formed tree.
         let mut asm = ChAssembler::new(1);
-        asm.add_node(0, vec![0]);
+        asm.add_node(0, [0]);
         return asm.finish();
     }
     let max_phase = el.edges.iter().map(|e| phase_of(e.w)).max().unwrap_or(0);
@@ -106,7 +106,7 @@ pub fn build_serial(el: &EdgeList, mode: ChMode) -> ComponentHierarchy {
                     continue;
                 }
                 let child = node_of[r as usize];
-                let id = asm.add_node(alpha, vec![child]);
+                let id = asm.add_node(alpha, [child]);
                 node_of[r as usize] = id;
             }
         }

@@ -36,24 +36,48 @@ pub struct ComponentHierarchy {
     root: u32,
 }
 
-/// Mutable accumulator used by the builders in this crate.
+/// Mutable accumulator used by the builders in this crate. It writes the
+/// frozen layout as it goes: each node's children are appended to one
+/// children array when the node is added, and its leaf count is summed
+/// from theirs, so freezing only trims the arrays to their length.
 #[derive(Debug, Default)]
 pub struct ChAssembler {
+    n: usize,
     parent: Vec<u32>,
     alpha: Vec<u8>,
-    children: Vec<Vec<u32>>,
-    n: usize,
+    children_offsets: Vec<u32>,
+    children: Vec<u32>,
+    leaf_count: Vec<u32>,
+    /// Leaves under the children added to the open node so far.
+    open_leaves: u32,
+    /// Nodes without a parent.
+    orphans: usize,
 }
 
 impl ChAssembler {
     /// Starts a hierarchy over `n` graph vertices: nodes `0..n` are leaves.
+    /// Room is reserved for the `2n − 1` nodes a collapsed hierarchy can
+    /// reach; a faithful one grows past it.
     pub fn new(n: usize) -> Self {
         assert!(n <= u32::MAX as usize / 2, "node ids are u32");
+        let room = 2 * n;
+        let mut parent = Vec::with_capacity(room);
+        parent.extend(0..n as u32);
+        let mut alpha = Vec::with_capacity(room);
+        alpha.resize(n, 0);
+        let mut children_offsets = Vec::with_capacity(room + 1);
+        children_offsets.resize(n + 1, 0);
+        let mut leaf_count = Vec::with_capacity(room);
+        leaf_count.resize(n, 1);
         Self {
-            parent: (0..n as u32).collect(),
-            alpha: vec![0; n],
-            children: vec![Vec::new(); n],
             n,
+            parent,
+            alpha,
+            children_offsets,
+            children: Vec::with_capacity(room),
+            leaf_count,
+            open_leaves: 0,
+            orphans: n,
         }
     }
 
@@ -67,72 +91,71 @@ impl ChAssembler {
         self.parent.len()
     }
 
-    /// Adds an internal node with the given bucket shift (`alpha = level-1`
-    /// for a node formed at phase `level`) over `children`, which must be
-    /// existing parentless nodes. Returns the new node id.
-    pub fn add_node(&mut self, alpha: u8, children: Vec<u32>) -> u32 {
-        debug_assert!(!children.is_empty());
+    /// Makes `child`, an existing parentless node, a child of the node the
+    /// next [`Self::close_node`] adds.
+    #[inline]
+    pub(crate) fn add_child(&mut self, child: u32) {
         let id = self.parent.len() as u32;
-        for &c in &children {
-            debug_assert_eq!(self.parent[c as usize], c, "child {c} already has a parent");
-            self.parent[c as usize] = id;
-        }
+        let slot = &mut self.parent[child as usize];
+        debug_assert_eq!(*slot, child, "child {child} already has a parent");
+        *slot = id;
+        self.children.push(child);
+        self.open_leaves += self.leaf_count[child as usize];
+        self.orphans -= 1;
+    }
+
+    /// Adds an internal node with the given bucket shift (`alpha = level-1`
+    /// for a node formed at phase `level`) over the children added since
+    /// the last node. Returns the new node id.
+    pub(crate) fn close_node(&mut self, alpha: u8) -> u32 {
+        let id = self.parent.len() as u32;
+        debug_assert!(
+            self.children.len() > *self.children_offsets.last().unwrap() as usize,
+            "an internal node needs children"
+        );
         self.parent.push(id);
         self.alpha.push(alpha);
-        self.children.push(children);
+        self.children_offsets.push(self.children.len() as u32);
+        self.leaf_count.push(std::mem::take(&mut self.open_leaves));
+        self.orphans += 1;
         id
     }
 
-    /// Nodes that currently have no parent (component representatives).
-    pub fn orphans(&self) -> Vec<u32> {
-        (0..self.parent.len() as u32)
-            .filter(|&v| self.parent[v as usize] == v)
-            .collect()
+    /// Adds an internal node with the given bucket shift over `children`,
+    /// which must be existing parentless nodes. Returns the new node id.
+    pub fn add_node(&mut self, alpha: u8, children: impl IntoIterator<Item = u32>) -> u32 {
+        for c in children {
+            self.add_child(c);
+        }
+        self.close_node(alpha)
     }
 
     /// Freezes into a [`ComponentHierarchy`]. If several parentless nodes
     /// remain (disconnected graph), a synthetic root is inserted above them.
     pub fn finish(mut self) -> ComponentHierarchy {
-        let orphans: Vec<u32> = (0..self.parent.len() as u32)
-            .filter(|&v| self.parent[v as usize] == v)
-            .collect();
-        assert!(!orphans.is_empty(), "hierarchy must have at least one node");
-        let root = if orphans.len() == 1 {
-            orphans[0]
-        } else {
-            self.add_node(SYNTHETIC_ROOT_ALPHA, orphans)
-        };
-        let num = self.parent.len();
-        // Children CSR.
-        let mut offsets = Vec::with_capacity(num + 1);
-        offsets.push(0u32);
-        let mut flat = Vec::with_capacity(num.saturating_sub(1));
-        for c in &self.children {
-            flat.extend_from_slice(c);
-            offsets.push(flat.len() as u32);
+        assert!(self.orphans > 0, "hierarchy must have at least one node");
+        debug_assert_eq!(self.open_leaves, 0, "a node was left open");
+        if self.orphans > 1 {
+            let orphans: Vec<u32> = (0..self.parent.len() as u32)
+                .filter(|&v| self.parent[v as usize] == v)
+                .collect();
+            self.add_node(SYNTHETIC_ROOT_ALPHA, orphans);
         }
-        // Subtree leaf counts, bottom-up. Children always have smaller ids
-        // than their parent (construction order), so a single forward pass
-        // over internal nodes works.
-        let mut leaf_count = vec![0u32; num];
-        for slot in leaf_count.iter_mut().take(self.n) {
-            *slot = 1;
-        }
-        for id in self.n..num {
-            let mut sum = 0u32;
-            for &c in &self.children[id] {
-                debug_assert!((c as usize) < id, "children precede parents");
-                sum += leaf_count[c as usize];
-            }
-            leaf_count[id] = sum;
-        }
+        // The last node is nobody's child (children precede parents), so
+        // the one parentless node is the last.
+        let root = self.parent.len() as u32 - 1;
+        self.parent.shrink_to_fit();
+        self.alpha.shrink_to_fit();
+        self.children_offsets.shrink_to_fit();
+        self.children.shrink_to_fit();
+        self.leaf_count.shrink_to_fit();
         ComponentHierarchy {
             n: self.n,
             parent: self.parent,
             alpha: self.alpha,
-            children_offsets: offsets,
-            children: flat,
-            leaf_count,
+            children_offsets: self.children_offsets,
+            children: self.children,
+            leaf_count: self.leaf_count,
             root,
         }
     }

@@ -112,22 +112,26 @@ pub fn read_ch<R: Read>(mut reader: R) -> Result<ComponentHierarchy, ChIoError> 
     // Rebuild through the assembler so leaf counts and internal layout are
     // recomputed by trusted code, then run the structural validator.
     let mut asm = ChAssembler::new(n);
+    let mut has_parent = vec![false; num_nodes];
     for node in n..num_nodes {
         let lo = offsets[node] as usize;
         let hi = offsets[node + 1] as usize;
         if lo > hi || hi > children.len() {
             return Err(bad(format!("bad CSR range at node {node}")));
         }
-        let kids = children[lo..hi].to_vec();
+        let kids = &children[lo..hi];
         if kids.is_empty() {
             return Err(bad(format!("internal node {node} has no children")));
         }
-        for &k in &kids {
+        for &k in kids {
             if k as usize >= node {
                 return Err(bad(format!("child {k} does not precede parent {node}")));
             }
+            if std::mem::replace(&mut has_parent[k as usize], true) {
+                return Err(bad(format!("node {k} has two parents")));
+            }
         }
-        let id = asm.add_node(alpha[node], kids);
+        let id = asm.add_node(alpha[node], kids.iter().copied());
         if id as usize != node {
             return Err(bad("node ids not dense"));
         }

@@ -6,14 +6,30 @@
 //! scan — the access pattern every solver in this workspace is built around.
 
 use crate::types::{Edge, EdgeList, VertexId, Weight};
-use rayon::prelude::*;
+use mmt_platform::team;
+use mmt_platform::thread_budget;
+use std::sync::{Mutex, PoisonError};
+
+/// A graph with fewer edges than this is placed by
+/// [`CsrGraph::from_edge_list`], and split by [`crate::SplitCsr::new`], on
+/// the calling thread alone. Set-up runs both
+/// passes on the same graph, so one cutoff decides both. On a 2-vCPU host
+/// two lanes placed and split a Rand or Road graph into fresh pages faster
+/// than one from 2^15–2^16 edges, but an RMAT graph, or a Rand or RMAT
+/// graph into recycled pages, only from about 2^17 (EXPERIMENTS, "Inline
+/// cutoffs"). The split alone pays from about 2^14 edges, but it is the
+/// cheaper pass.
+pub(crate) const INLINE_BELOW: usize = 1 << 17;
 
 /// A frozen undirected weighted graph.
 ///
-/// Construction is `O(n + m)` with two parallel passes (degree count, then
-/// placement); the graph is immutable afterwards, which is what lets many
-/// concurrent SSSP queries share it (and a shared Component Hierarchy)
-/// without synchronisation.
+/// Construction is `O(n + m)` on one parallel region of
+/// [`thread_budget`] lanes ([`team::run`]): each lane owns a contiguous
+/// range of vertices, counts their degrees in one pass over the edge
+/// list, and places their arcs in a second, so every vertex keeps its arcs
+/// in edge-list order. The graph is immutable afterwards, which is what
+/// lets many concurrent SSSP queries share it (and a shared Component
+/// Hierarchy) without synchronisation.
 ///
 /// ```
 /// use mmt_graph::types::EdgeList;
@@ -35,6 +51,75 @@ pub struct CsrGraph {
     max_weight: Weight,
 }
 
+/// The two phases of a placement.
+#[derive(Clone, Copy)]
+enum Phase {
+    Count,
+    Place,
+}
+
+/// One lane's part of a placement: its vertices `lo..hi` and, once the
+/// count phase has sized them, the slices of the arc arrays they own.
+struct Placement<'a> {
+    lo: usize,
+    hi: usize,
+    /// `offsets[lo + 1..=hi]`: where each vertex's arcs start within the
+    /// range, which placing the arcs advances to where they end.
+    ends: &'a mut [u64],
+    targets: &'a mut [VertexId],
+    weights: &'a mut [Weight],
+    /// The range's arc count.
+    arcs: u64,
+    /// Offset of the range's first arc.
+    base: u64,
+    max_weight: Weight,
+}
+
+impl Placement<'_> {
+    /// Counts the range's degrees, turns them into where each vertex's
+    /// arcs start within the range, and takes the largest weight of an
+    /// edge with an end in the range.
+    fn count(&mut self, edges: &[Edge]) {
+        let (lo, hi) = (self.lo, self.hi);
+        for e in edges {
+            for x in [e.u, e.v] {
+                let x = x as usize;
+                if (lo..hi).contains(&x) {
+                    self.ends[x - lo] += 1;
+                    self.max_weight = self.max_weight.max(e.w);
+                }
+            }
+        }
+        let mut sum = 0;
+        for slot in self.ends.iter_mut() {
+            let degree = *slot;
+            *slot = sum;
+            sum += degree;
+        }
+        self.arcs = sum;
+    }
+
+    /// Places the range's arcs in edge-list order, leaving each vertex's
+    /// slot at the end of its arcs, then shifts the slots by `base`.
+    fn place(&mut self, edges: &[Edge]) {
+        let (lo, hi) = (self.lo, self.hi);
+        for e in edges {
+            for (x, y) in [(e.u, e.v), (e.v, e.u)] {
+                let x = x as usize;
+                if (lo..hi).contains(&x) {
+                    let slot = &mut self.ends[x - lo];
+                    self.targets[*slot as usize] = y;
+                    self.weights[*slot as usize] = e.w;
+                    *slot += 1;
+                }
+            }
+        }
+        for end in self.ends.iter_mut() {
+            *end += self.base;
+        }
+    }
+}
+
 impl CsrGraph {
     /// Builds from an edge list. Self loops are kept (they are harmless to
     /// SSSP — relaxing one never improves a distance) and parallel edges are
@@ -44,30 +129,67 @@ impl CsrGraph {
     }
 
     fn build(n: usize, edges: &[Edge]) -> Self {
-        let mut degree = vec![0u64; n + 1];
-        for e in edges {
-            degree[e.u as usize + 1] += 1;
-            degree[e.v as usize + 1] += 1;
-        }
-        for i in 0..n {
-            degree[i + 1] += degree[i];
-        }
-        let offsets = degree;
-        let dm = offsets[n] as usize;
-        let mut targets = vec![0 as VertexId; dm];
-        let mut weights = vec![0 as Weight; dm];
-        let mut cursor: Vec<u64> = offsets[..n].to_vec();
-        for e in edges {
-            let cu = cursor[e.u as usize] as usize;
-            targets[cu] = e.v;
-            weights[cu] = e.w;
-            cursor[e.u as usize] += 1;
-            let cv = cursor[e.v as usize] as usize;
-            targets[cv] = e.u;
-            weights[cv] = e.w;
-            cursor[e.v as usize] += 1;
-        }
-        let max_weight = edges.par_iter().map(|e| e.w).max().unwrap_or(0);
+        let lanes = if edges.len() < INLINE_BELOW {
+            1
+        } else {
+            thread_budget().clamp(1, n.max(1))
+        };
+        let mut offsets = vec![0u64; n + 1];
+        let mut targets = vec![0 as VertexId; 2 * edges.len()];
+        let mut weights = vec![0 as Weight; 2 * edges.len()];
+        let max_weight = {
+            let mut rest = &mut offsets[1..];
+            let parts: Vec<Mutex<Placement<'_>>> = (0..lanes)
+                .map(|lane| {
+                    let (lo, hi) = (n * lane / lanes, n * (lane + 1) / lanes);
+                    let (ends, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
+                    rest = tail;
+                    Mutex::new(Placement {
+                        lo,
+                        hi,
+                        ends,
+                        targets: &mut [],
+                        weights: &mut [],
+                        arcs: 0,
+                        base: 0,
+                        max_weight: 0,
+                    })
+                })
+                .collect();
+            // Only a panic, which ends the build, poisons a lock.
+            let part = |lane: usize| parts[lane].lock().unwrap_or_else(PoisonError::into_inner);
+            team::run(
+                lanes,
+                |team| {
+                    team.phase(Phase::Count);
+                    // An endpoint of `n` or more lies in no lane's range.
+                    let arcs: u64 = (0..lanes).map(|lane| part(lane).arcs).sum();
+                    assert_eq!(arcs, 2 * edges.len() as u64, "an edge has an endpoint ≥ n");
+                    // Hand each range the slices of the arc arrays its
+                    // degrees fix.
+                    let (mut targets, mut weights) = (&mut targets[..], &mut weights[..]);
+                    let mut base = 0;
+                    for lane in 0..lanes {
+                        let mut p = part(lane);
+                        let arcs = p.arcs as usize;
+                        let (t, rest) = std::mem::take(&mut targets).split_at_mut(arcs);
+                        let (w, rest_w) = std::mem::take(&mut weights).split_at_mut(arcs);
+                        (p.targets, p.weights, p.base) = (t, w, base);
+                        (targets, weights) = (rest, rest_w);
+                        base += p.arcs;
+                    }
+                    team.phase(Phase::Place);
+                    (0..lanes)
+                        .map(|lane| part(lane).max_weight)
+                        .max()
+                        .unwrap_or(0)
+                },
+                |lane, phase| match phase {
+                    Phase::Count => part(lane).count(edges),
+                    Phase::Place => part(lane).place(edges),
+                },
+            )
+        };
         Self {
             offsets,
             targets,
@@ -106,6 +228,12 @@ impl CsrGraph {
     #[inline]
     pub fn n(&self) -> usize {
         self.n
+    }
+
+    /// Where each vertex's arcs start, then the arc count: `n + 1` entries.
+    #[inline]
+    pub(crate) fn offsets(&self) -> &[u64] {
+        &self.offsets
     }
 
     /// Number of undirected edges (each stored as two arcs).
@@ -216,10 +344,140 @@ impl mmt_platform::MemFootprint for CsrGraph {
     }
 }
 
+/// Inputs for the placement tests of [`CsrGraph`] and
+/// [`crate::SplitCsr`]: seeded paper families whose placements are shared
+/// among the lanes, adversarial shapes that large (self loops, parallel
+/// edges, zero weights, isolated vertices), and the small adversarial
+/// suite, `n = 0` and `n = 1` included, which is placed inline.
+#[cfg(test)]
+pub(crate) fn placement_inputs() -> Vec<(String, EdgeList)> {
+    use crate::gen::{adversarial, GraphClass, WeightDist, WorkloadSpec};
+    let mut inputs: Vec<(String, EdgeList)> = [
+        (GraphClass::Random, WeightDist::Uniform, 15, 15),
+        (GraphClass::Rmat, WeightDist::PolyLog, 15, 10),
+        (GraphClass::Road, WeightDist::Uniform, 16, 16),
+    ]
+    .into_iter()
+    .map(|(class, dist, log_n, log_c)| {
+        let mut spec = WorkloadSpec::new(class, dist, log_n, log_c);
+        spec.seed = 7;
+        (spec.name(), spec.generate())
+    })
+    .collect();
+    inputs.push((
+        "multigraph".into(),
+        adversarial::random_multigraph(20_000, 140_000, 1000, 10, 7),
+    ));
+    inputs.push(("clump".into(), adversarial::multi_edge_clump(40_000)));
+    inputs.push((
+        "forest".into(),
+        adversarial::disconnected_forest(15_000, 10, 2),
+    ));
+    inputs.extend(adversarial::families(7));
+    inputs.push(("empty".into(), EdgeList::new(0)));
+    inputs
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::types::EdgeList;
+
+    /// The placement one thread makes: both arcs of each edge in
+    /// edge-list order, `u`'s first.
+    fn serial_reference(el: &EdgeList) -> CsrGraph {
+        let n = el.n;
+        let mut offsets = vec![0u64; n + 1];
+        for e in &el.edges {
+            offsets[e.u as usize + 1] += 1;
+            offsets[e.v as usize + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut targets = vec![0; 2 * el.edges.len()];
+        let mut weights = vec![0; 2 * el.edges.len()];
+        for e in &el.edges {
+            for (x, y) in [(e.u, e.v), (e.v, e.u)] {
+                let slot = &mut cursor[x as usize];
+                targets[*slot as usize] = y;
+                weights[*slot as usize] = e.w;
+                *slot += 1;
+            }
+        }
+        CsrGraph {
+            offsets,
+            targets,
+            weights,
+            n,
+            undirected_m: el.edges.len(),
+            max_weight: el.edges.iter().map(|e| e.w).max().unwrap_or(0),
+        }
+    }
+
+    #[test]
+    fn placement_equals_the_serial_reference_at_every_lane_count() {
+        let inputs = placement_inputs();
+        assert!(
+            inputs
+                .iter()
+                .filter(|(_, el)| el.edges.len() >= INLINE_BELOW)
+                .count()
+                >= 6
+        );
+        for (name, el) in &inputs {
+            let want = serial_reference(el);
+            for lanes in [1, 2, 4] {
+                let got = mmt_platform::with_pool(lanes, || CsrGraph::from_edge_list(el));
+                assert!(got == want, "{name} at {lanes} lanes");
+            }
+        }
+    }
+
+    #[test]
+    fn a_placement_opens_one_region_and_a_one_lane_budget_none() {
+        let el = crate::gen::WorkloadSpec::new(
+            crate::gen::GraphClass::Random,
+            crate::gen::WeightDist::Uniform,
+            15,
+            15,
+        )
+        .generate();
+        assert!(el.edges.len() >= INLINE_BELOW);
+        for lanes in [1u64, 2, 4] {
+            let before = team::spawns();
+            mmt_platform::with_pool(lanes as usize, || CsrGraph::from_edge_list(&el));
+            let after = team::spawns();
+            assert_eq!(after.regions - before.regions, u64::from(lanes > 1));
+            assert_eq!(after.threads - before.threads, lanes - 1);
+        }
+        let before = team::spawns();
+        mmt_platform::with_pool(4, triangle);
+        assert_eq!(team::spawns(), before, "a small input is placed inline");
+    }
+
+    #[test]
+    fn an_endpoint_past_n_panics_at_every_lane_count() {
+        let mut el = crate::gen::WorkloadSpec::new(
+            crate::gen::GraphClass::Random,
+            crate::gen::WeightDist::Uniform,
+            15,
+            15,
+        )
+        .generate();
+        assert!(el.edges.len() >= INLINE_BELOW);
+        let mid = el.edges.len() / 2;
+        el.edges[mid].v = el.n as VertexId;
+        let mut small = EdgeList::from_triples(3, [(0, 1, 5), (1, 2, 7)]);
+        small.edges[1].u = 3;
+        for (el, lanes) in [(&el, 1), (&el, 2), (&el, 4), (&small, 2)] {
+            let built = std::panic::catch_unwind(|| {
+                mmt_platform::with_pool(lanes, || CsrGraph::from_edge_list(el))
+            });
+            assert!(built.is_err(), "{} edges at {lanes} lanes", el.edges.len());
+        }
+    }
 
     fn triangle() -> CsrGraph {
         CsrGraph::from_edge_list(&EdgeList::from_triples(

@@ -9,8 +9,11 @@
 //! after, so each phase walks exactly the slice it needs with no per-edge
 //! branch.
 
-use crate::csr::CsrGraph;
+use crate::csr::{CsrGraph, INLINE_BELOW};
 use crate::types::{VertexId, Weight};
+use mmt_platform::team;
+use mmt_platform::thread_budget;
+use std::sync::{Mutex, PoisonError};
 
 /// A CSR adjacency view whose per-vertex edges are partitioned into a light
 /// (`w ≤ Δ`) prefix and a heavy (`w > Δ`) suffix.
@@ -43,22 +46,30 @@ pub struct SplitCsr {
     max_weight: Weight,
 }
 
-impl SplitCsr {
-    /// Builds the split view of `g` for bucket width `delta`.
-    ///
-    /// `O(n + m)`: one placement pass over the arcs. An edge with `w == Δ`
-    /// is light, matching the paper's `≤ Δ` convention.
-    pub fn new(g: &CsrGraph, delta: Weight) -> Self {
-        let n = g.n();
-        let mut offsets = vec![0u64; n + 1];
-        let mut light_end = vec![0u64; n];
-        let mut targets = vec![0 as VertexId; g.num_arcs()];
-        let mut weights = vec![0 as Weight; g.num_arcs()];
-        let mut base = 0u64;
-        for v in g.vertices() {
-            let (ts, ws) = g.neighbors(v);
-            offsets[v as usize] = base;
-            let mut cursor = base as usize;
+/// One lane's vertices `lo..hi` and the slices of the split's arrays they
+/// own; the source graph's offsets fix the arc slices.
+struct Range<'a> {
+    lo: usize,
+    hi: usize,
+    light_end: &'a mut [u64],
+    targets: &'a mut [VertexId],
+    weights: &'a mut [Weight],
+}
+
+impl Range<'_> {
+    /// Places the range's light arcs, then its heavy arcs, per vertex.
+    fn split(&mut self, g: &CsrGraph, delta: Weight) {
+        let Range {
+            lo,
+            hi,
+            light_end,
+            targets,
+            weights,
+        } = self;
+        let base = g.offsets()[*lo];
+        let mut cursor = 0;
+        for (v, end) in (*lo..*hi).zip(light_end.iter_mut()) {
+            let (ts, ws) = g.neighbors(v as VertexId);
             for (&t, &w) in ts.iter().zip(ws) {
                 if w <= delta {
                     targets[cursor] = t;
@@ -66,7 +77,7 @@ impl SplitCsr {
                     cursor += 1;
                 }
             }
-            light_end[v as usize] = cursor as u64;
+            *end = base + cursor as u64;
             for (&t, &w) in ts.iter().zip(ws) {
                 if w > delta {
                     targets[cursor] = t;
@@ -74,10 +85,71 @@ impl SplitCsr {
                     cursor += 1;
                 }
             }
-            base += ts.len() as u64;
-            debug_assert_eq!(cursor as u64, base);
         }
-        offsets[n] = base;
+        debug_assert_eq!(cursor, targets.len());
+    }
+}
+
+impl SplitCsr {
+    /// Builds the split view of `g` for bucket width `delta`.
+    ///
+    /// `O(n + m)`: one placement pass over the arcs, on one parallel region
+    /// of [`thread_budget`] lanes ([`team::run`]), each owning a range of
+    /// vertices with about an equal share of the arcs; a graph too small
+    /// for [`CsrGraph::from_edge_list`] to share out is split on the
+    /// calling thread. An edge with `w == Δ` is light, matching the
+    /// paper's `≤ Δ` convention.
+    pub fn new(g: &CsrGraph, delta: Weight) -> Self {
+        let n = g.n();
+        let offsets = g.offsets().to_vec();
+        let lanes = if g.m() < INLINE_BELOW {
+            1
+        } else {
+            thread_budget().clamp(1, n.max(1))
+        };
+        let mut light_end = vec![0u64; n];
+        let mut targets = vec![0 as VertexId; g.num_arcs()];
+        let mut weights = vec![0 as Weight; g.num_arcs()];
+        {
+            let (mut ends, mut ts, mut ws) =
+                (&mut light_end[..], &mut targets[..], &mut weights[..]);
+            let mut lo = 0;
+            let ranges: Vec<Mutex<Range<'_>>> = (1..=lanes)
+                .map(|lane| {
+                    // The first vertex whose arcs start at or past the
+                    // lane's share of the arcs ends its range.
+                    let share = g.num_arcs() as u64 * lane as u64 / lanes as u64;
+                    let hi = if lane == lanes {
+                        n
+                    } else {
+                        offsets[..n].partition_point(|&o| o < share).max(lo)
+                    };
+                    let arcs = (offsets[hi] - offsets[lo]) as usize;
+                    let (e, rest_e) = std::mem::take(&mut ends).split_at_mut(hi - lo);
+                    let (t, rest_t) = std::mem::take(&mut ts).split_at_mut(arcs);
+                    let (w, rest_w) = std::mem::take(&mut ws).split_at_mut(arcs);
+                    (ends, ts, ws) = (rest_e, rest_t, rest_w);
+                    let range = Range {
+                        lo,
+                        hi,
+                        light_end: e,
+                        targets: t,
+                        weights: w,
+                    };
+                    lo = hi;
+                    Mutex::new(range)
+                })
+                .collect();
+            team::run(
+                lanes,
+                |team| team.phase(()),
+                |lane, ()| {
+                    // Only a panic, which ends the build, poisons a lock.
+                    let mut range = ranges[lane].lock().unwrap_or_else(PoisonError::into_inner);
+                    range.split(g, delta);
+                },
+            );
+        }
         Self {
             offsets,
             light_end,
@@ -149,6 +221,84 @@ mod tests {
     use super::*;
     use crate::gen::{GraphClass, WeightDist, WorkloadSpec};
     use crate::types::EdgeList;
+
+    /// The split one thread makes: per vertex, its light arcs, then its
+    /// heavy arcs, each in the graph's order.
+    fn serial_reference(g: &CsrGraph, delta: Weight) -> SplitCsr {
+        let mut offsets = Vec::with_capacity(g.n() + 1);
+        let mut light_end = Vec::with_capacity(g.n());
+        let (mut targets, mut weights) = (Vec::new(), Vec::new());
+        for v in g.vertices() {
+            offsets.push(targets.len() as u64);
+            let arcs: Vec<(VertexId, Weight)> = g.edges_from(v).collect();
+            for light in [true, false] {
+                for &(t, w) in &arcs {
+                    if (w <= delta) == light {
+                        targets.push(t);
+                        weights.push(w);
+                    }
+                }
+                if light {
+                    light_end.push(targets.len() as u64);
+                }
+            }
+        }
+        offsets.push(targets.len() as u64);
+        SplitCsr {
+            offsets,
+            light_end,
+            targets,
+            weights,
+            delta,
+            n: g.n(),
+            max_weight: g.max_weight(),
+        }
+    }
+
+    #[test]
+    fn split_equals_the_serial_reference_at_every_lane_count() {
+        let inputs = crate::csr::placement_inputs();
+        assert!(
+            inputs
+                .iter()
+                .filter(|(_, el)| el.edges.len() >= INLINE_BELOW)
+                .count()
+                >= 6
+        );
+        for (name, el) in &inputs {
+            let g = CsrGraph::from_edge_list(el);
+            let median = {
+                let mut ws: Vec<Weight> = el.edges.iter().map(|e| e.w).collect();
+                ws.sort_unstable();
+                ws.get(ws.len() / 2).copied().unwrap_or(1)
+            };
+            for delta in [0, 1, median, Weight::MAX] {
+                let want = serial_reference(&g, delta);
+                for lanes in [1, 2, 4] {
+                    let got = mmt_platform::with_pool(lanes, || SplitCsr::new(&g, delta));
+                    assert!(got == want, "{name} at Δ = {delta}, {lanes} lanes");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_split_opens_one_region_and_a_one_lane_budget_none() {
+        let el = WorkloadSpec::new(GraphClass::Random, WeightDist::Uniform, 15, 15).generate();
+        let g = CsrGraph::from_edge_list(&el);
+        assert!(g.m() >= INLINE_BELOW);
+        for lanes in [1u64, 2, 4] {
+            let before = team::spawns();
+            mmt_platform::with_pool(lanes as usize, || SplitCsr::new(&g, 1000));
+            let after = team::spawns();
+            assert_eq!(after.regions - before.regions, u64::from(lanes > 1));
+            assert_eq!(after.threads - before.threads, lanes - 1);
+        }
+        let small = CsrGraph::from_edge_list(&EdgeList::from_triples(3, [(0, 1, 2), (1, 2, 9)]));
+        let before = team::spawns();
+        mmt_platform::with_pool(4, || SplitCsr::new(&small, 3));
+        assert_eq!(team::spawns(), before, "a small graph is split inline");
+    }
 
     #[test]
     fn partitions_by_weight_with_boundary_light() {

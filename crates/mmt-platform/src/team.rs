@@ -23,6 +23,7 @@
 
 use parking_lot::Mutex;
 use std::any::Any;
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, PoisonError};
@@ -39,6 +40,27 @@ const SPIN: u32 = 128;
 /// lane that holds the work, where a spin would keep it: an empty phase
 /// costs about 10 µs there, against about 100 µs under a 40 µs spin.
 const YIELDS: u32 = 64;
+
+thread_local! {
+    /// What the regions this thread opened have spawned.
+    static SPAWNED: Cell<Spawns> = const { Cell::new(Spawns { regions: 0, threads: 0 }) };
+}
+
+/// What the multi-lane regions one thread has opened so far have spawned.
+/// A one-lane region spawns nothing and is not counted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Spawns {
+    /// Regions opened.
+    pub regions: u64,
+    /// Threads they spawned: `lanes − 1` each.
+    pub threads: u64,
+}
+
+/// What the regions the calling thread has opened so far have spawned.
+/// Read it before and after a call to count the regions the call opened.
+pub fn spawns() -> Spawns {
+    SPAWNED.get()
+}
 
 /// The lanes of one parallel region, as the leader sees them. See the
 /// module docs.
@@ -114,6 +136,13 @@ where
     if lanes == 1 {
         return leader(&team);
     }
+    SPAWNED.set({
+        let Spawns { regions, threads } = SPAWNED.get();
+        Spawns {
+            regions: regions + 1,
+            threads: threads + lanes as u64 - 1,
+        }
+    });
     let led = catch_unwind(AssertUnwindSafe(|| {
         std::thread::scope(|scope| {
             // Closing on every exit, unwinding included, releases the
@@ -289,6 +318,30 @@ mod tests {
             let distinct: HashSet<_> = threads.iter().collect();
             assert_eq!(distinct.len(), lanes);
         }
+    }
+
+    #[test]
+    fn spawns_counts_each_multi_lane_region_and_its_threads_once() {
+        for lanes in [1usize, 2, 4] {
+            for phases in [0, 1, 30] {
+                let before = spawns();
+                run(
+                    lanes,
+                    |team| (0..phases).for_each(|p| team.phase(p)),
+                    |_, _: usize| {},
+                );
+                let after = spawns();
+                let opened = u64::from(lanes > 1);
+                assert_eq!(after.regions - before.regions, opened);
+                assert_eq!(after.threads - before.threads, lanes as u64 - 1);
+            }
+        }
+        // Another thread's regions are its own.
+        let before = spawns();
+        std::thread::spawn(|| run(3, |team| team.phase(()), |_, ()| {}))
+            .join()
+            .unwrap();
+        assert_eq!(spawns(), before);
     }
 
     #[test]

@@ -112,6 +112,18 @@ impl RunStats {
         var.sqrt()
     }
 
+    /// The first quartile, the median and the third quartile, each the
+    /// nearest-rank sample (all 0.0 for an empty set).
+    pub fn quartiles(&self) -> (f64, f64, f64) {
+        if self.samples.is_empty() {
+            return (0.0, 0.0, 0.0);
+        }
+        let mut sorted = self.samples.clone();
+        sorted.sort_by(f64::total_cmp);
+        let at = |q: f64| sorted[((sorted.len() - 1) as f64 * q).round() as usize];
+        (at(0.25), at(0.5), at(0.75))
+    }
+
     /// The raw samples.
     pub fn samples(&self) -> &[f64] {
         &self.samples
@@ -163,6 +175,17 @@ mod tests {
         let one = RunStats::from_samples(vec![5.0]);
         assert_eq!(one.mean(), 5.0);
         assert_eq!(one.stddev(), 0.0);
+    }
+
+    #[test]
+    fn quartiles_are_nearest_rank_samples() {
+        let s = RunStats::from_samples(vec![5.0, 1.0, 4.0, 2.0, 3.0]);
+        assert_eq!(s.quartiles(), (2.0, 3.0, 4.0));
+        assert_eq!(
+            RunStats::from_samples(vec![7.0]).quartiles(),
+            (7.0, 7.0, 7.0)
+        );
+        assert_eq!(RunStats::from_samples(vec![]).quartiles(), (0.0, 0.0, 0.0));
     }
 
     #[test]
